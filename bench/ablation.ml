@@ -32,11 +32,13 @@ let run () =
     Evaluator.to_bo_evaluation
       (Evaluator.evaluate rng platform spec Model_spec.Dnn config)
   in
+  let indexed f ~index:_ config = f config in
 
   (* 1. BO vs random search, same budget, same seed. *)
   let bo_rng = Rng.create 71 in
   let bo_history =
-    Bo.Optimizer.maximize bo_rng ~settings space ~f:(eval (Rng.create 72))
+    Bo.Optimizer.maximize bo_rng ~settings space
+      ~f:(indexed (eval (Rng.create 72)))
   in
   let rs_rng = Rng.create 71 in
   let rs_history =
@@ -66,7 +68,7 @@ let run () =
   in
   let bo_tiny =
     Bo.Optimizer.maximize (Rng.create 73) ~settings tiny_space
-      ~f:(tiny_eval (Rng.create 74))
+      ~f:(indexed (tiny_eval (Rng.create 74)))
   in
   let rs_tiny =
     Bo.Optimizer.random_search (Rng.create 73) ~n:(budget settings) tiny_space
@@ -87,7 +89,7 @@ let run () =
       let s = { settings with Bo.Optimizer.local_search_frac = frac } in
       let h =
         Bo.Optimizer.maximize (Rng.create 75) ~settings:s space
-          ~f:(eval (Rng.create 76))
+          ~f:(indexed (eval (Rng.create 76)))
       in
       Printf.printf "  frac %.2f: best F1 %.4f\n" frac (best_feasible h))
     [ 0.0; 0.5; 0.9 ];

@@ -118,7 +118,8 @@ let run_once ~budget ~jobs =
   let t0 = Unix.gettimeofday () in
   let history =
     Bo.Optimizer.maximize (Rng.create Bench_config.seed)
-      ~settings:(settings ~budget ~jobs) ~pool sp ~f:(eval sp)
+      ~settings:(settings ~budget ~jobs) ~exec:(Bo.Optimizer.Pool pool) sp
+      ~f:(fun ~index:_ -> eval sp)
   in
   let dt = Unix.gettimeofday () -. t0 in
   Par.shutdown pool;
@@ -295,8 +296,9 @@ let run_refit_arm ~budget ~jobs ~refit_every ~refit_threshold =
   let history =
     Bo.Optimizer.maximize (Rng.create Bench_config.seed)
       ~settings:{ base with Bo.Optimizer.refit_every; refit_threshold }
-      ~pool ~on_refit:(fun _ -> incr refits)
-      sp ~f:(eval sp)
+      ~exec:(Bo.Optimizer.Pool pool)
+      ~observer:{ Bo.Optimizer.no_observer with on_refit = (fun _ -> incr refits) }
+      sp ~f:(fun ~index:_ -> eval sp)
   in
   let dt = Unix.gettimeofday () -. t0 in
   Par.shutdown pool;
@@ -633,7 +635,7 @@ let run () =
     let h =
       Bo.Optimizer.maximize (Rng.create Bench_config.seed)
         ~settings:(settings ~budget:(Stdlib.min budget 24) ~jobs:4)
-        ~pool sp ~f:(eval sp)
+        ~exec:(Bo.Optimizer.Pool pool) sp ~f:(fun ~index:_ -> eval sp)
     in
     Par.shutdown pool;
     fingerprint h

@@ -3,17 +3,23 @@
    Subcommands:
      compile   search + train + map one built-in application to a target and
                dump the generated backend code
+     search    the same search, optionally distributed across worker
+               processes through a coordination directory
      compose   search several guarded applications and lower them onto ONE
                shared pipeline; differential oracle + combined feasibility
      inspect   print a platform's resource model
      datasets  summarize the synthetic dataset generators
      sweep     Fig. 7-style table-budget sweep for the KMeans classifier
+     place     show a searched model's floor plan on the Taurus grid
+     simulate  drive a searched model's pipeline with packet load
      serve     replay a trace through the online serving runtime (drift
                detection + hot-swap)
      loadgen   open-loop load generation against the serving engine:
                throughput, latency percentiles, SLO gate
      check     differential conformance: random models through every
-               deployment path, compared against the FP reference *)
+               deployment path, compared against the FP reference
+
+   Malformed or contradictory arguments are usage errors (exit 124). *)
 
 open Cmdliner
 open Homunculus_alchemy
@@ -26,58 +32,112 @@ module Dataset = Homunculus_ml.Dataset
 module Bo = Homunculus_bo
 module Par = Homunculus_par.Par
 module Resilience = Homunculus_resilience
+module Policy = Homunculus_policy.Policy
+module Pred = Homunculus_policy.Pred
+module Lower = Homunculus_policy.Lower
 
-let spec_of_app app seed =
-  match app with
-  | "ad" ->
-      Model_spec.make ~name:"anomaly_detection" ~metric:Model_spec.F1
-        ~algorithms:[ Model_spec.Dnn ]
-        ~loader:(fun () ->
-          let rng = Rng.create seed in
-          let train, test = Nslkdd.generate_split rng () in
-          Model_spec.data ~train ~test)
-        ()
-  | "tc" ->
-      Model_spec.make ~name:"traffic_classification" ~metric:Model_spec.F1
-        ~algorithms:[ Model_spec.Dnn; Model_spec.Svm; Model_spec.Tree ]
-        ~loader:(fun () ->
-          let rng = Rng.create seed in
-          let train, test = Iot.generate_split rng () in
-          Model_spec.data ~train ~test)
-        ()
-  | "tc-kmeans" ->
-      Model_spec.make ~name:"traffic_classification" ~metric:Model_spec.V_measure
-        ~algorithms:[ Model_spec.Kmeans ]
-        ~loader:(fun () ->
-          let rng = Rng.create seed in
-          let train, test = Iot.generate_split rng () in
-          Model_spec.data ~train ~test)
-        ()
-  | "bd" ->
-      Model_spec.make ~name:"botnet_detection" ~metric:Model_spec.F1
-        ~algorithms:[ Model_spec.Dnn ]
-        ~loader:(fun () ->
-          let rng = Rng.create seed in
-          let train, test = Botnet.generate rng () in
-          Model_spec.data ~train ~test)
-        ()
-  | other -> failwith (Printf.sprintf "unknown app %s (use ad|tc|tc-kmeans|bd)" other)
+(* The built-in applications: dataset generator, metric, and the algorithms
+   [compile] searches. [tenant] is what [compose] uses instead: a
+   MAT-mappable shortlist (the point of composing is multi-tenant
+   table/stage sharing, and a binarized DNN would eat the whole budget slice
+   on its own) plus a default steering guard tuned to the synthetic
+   generator, so each tenant matches a meaningful slice of traffic. *)
+type app = {
+  name : string;
+  metric : Model_spec.metric;
+  split : Rng.t -> Dataset.t * Dataset.t;
+  algorithms : Model_spec.algorithm list;
+  tenant : (Model_spec.algorithm list * Pred.t) option;
+}
 
-let platform_of_name = function
-  | "taurus" -> Platform.taurus ()
-  | "tofino" -> Platform.tofino ()
-  | "fpga" -> Platform.fpga ()
-  | other -> failwith (Printf.sprintf "unknown target %s (use taurus|tofino|fpga)" other)
+let apps =
+  let nslkdd rng = Nslkdd.generate_split rng () in
+  let iot rng = Iot.generate_split rng () in
+  let mat = Model_spec.[ Svm; Tree ] in
+  [
+    ( "ad",
+      {
+        name = "anomaly_detection";
+        metric = Model_spec.F1;
+        split = nslkdd;
+        algorithms = [ Model_spec.Dnn ];
+        tenant =
+          Some
+            ( mat,
+              Pred.disj
+                [ Pred.field_ge "host_count" 20.; Pred.field_ge "serror_rate" 0.1 ]
+            );
+      } );
+    ( "tc",
+      {
+        name = "traffic_classification";
+        metric = Model_spec.F1;
+        split = iot;
+        algorithms = Model_spec.[ Dnn; Svm; Tree ];
+        tenant = Some (mat, Pred.field_lt "frame_size" 1200.);
+      } );
+    ( "tc-kmeans",
+      {
+        name = "traffic_classification";
+        metric = Model_spec.V_measure;
+        split = iot;
+        algorithms = [ Model_spec.Kmeans ];
+        tenant =
+          Some ([ Model_spec.Kmeans ], Pred.field_ge "payload_entropy" 5.);
+      } );
+    ( "bd",
+      {
+        name = "botnet_detection";
+        metric = Model_spec.F1;
+        split = (fun rng -> Botnet.generate rng ());
+        algorithms = [ Model_spec.Dnn ];
+        tenant = None;
+      } );
+  ]
+
+let spec_of ?algorithms app seed =
+  let algorithms = Option.value algorithms ~default:app.algorithms in
+  Model_spec.make ~name:app.name ~metric:app.metric ~algorithms
+    ~loader:(fun () ->
+      let train, test = app.split (Rng.create seed) in
+      Model_spec.data ~train ~test)
+    ()
+
+let targets =
+  [
+    ("taurus", fun () -> Platform.taurus ());
+    ("tofino", fun () -> Platform.tofino ());
+    ("fpga", fun () -> Platform.fpga ());
+  ]
+
+let platform_of_name name = List.assoc name targets ()
 
 (* Arguments *)
 
+(* A closed set of names, e.g. the keys of [apps] or [targets]. *)
+let one_of names = Arg.enum (List.map (fun n -> (n, n)) names)
+
+let faultplan =
+  let parse text =
+    match Resilience.Faultplan.of_string text with
+    | plan -> Ok plan
+    | exception Invalid_argument msg -> Error (`Msg msg)
+  in
+  let print ppf plan =
+    Format.pp_print_string ppf (Resilience.Faultplan.to_string plan)
+  in
+  Arg.conv (parse, print)
+
 let app_arg =
   let doc = "Application: ad, tc, tc-kmeans, or bd." in
-  Arg.(value & pos 0 string "ad" & info [] ~docv:"APP" ~doc)
+  Arg.(value & pos 0 (one_of (List.map fst apps)) "ad" & info [] ~docv:"APP" ~doc)
 
 let target_arg =
   let doc = "Backend target: taurus, tofino, or fpga." in
-  Arg.(value & opt string "taurus" & info [ "t"; "target" ] ~docv:"TARGET" ~doc)
+  Arg.(
+    value
+    & opt (one_of (List.map fst targets)) "taurus"
+    & info [ "t"; "target" ] ~docv:"TARGET" ~doc)
 
 let seed_arg =
   let doc = "Random seed for data generation and search." in
@@ -98,11 +158,6 @@ let jobs_arg =
      surrogate fit proposes this many candidates for concurrent evaluation."
   in
   Arg.(value & opt int 0 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
-
-let resolve_jobs jobs =
-  let jobs = if jobs <= 0 then Par.recommended_jobs () else jobs in
-  Par.set_default_jobs jobs;
-  jobs
 
 let prune_arg =
   let doc =
@@ -138,7 +193,7 @@ let faults_arg =
      (NaN loss at epoch E), timeout@K, infeasible@K, kill@N (crash after N \
      journal records)."
   in
-  Arg.(value & opt (some string) None & info [ "faults" ] ~docv:"PLAN" ~doc)
+  Arg.(value & opt (some faultplan) None & info [ "faults" ] ~docv:"PLAN" ~doc)
 
 let retries_arg =
   let doc =
@@ -167,7 +222,10 @@ let cost_model_arg =
      chosen on a prediction. Composes with --journal/--resume: replayed \
      candidates bypass the filter."
   in
-  Arg.(value & opt string "off" & info [ "cost-model" ] ~docv:"on|off" ~doc)
+  Arg.(
+    value
+    & opt (enum [ ("on", true); ("off", false) ]) false
+    & info [ "cost-model" ] ~docv:"on|off" ~doc)
 
 let cm_margin_arg =
   let doc =
@@ -191,25 +249,75 @@ let cm_conviction_arg =
   in
   Arg.(value & opt float 0.02 & info [ "cm-conviction" ] ~docv:"P" ~doc)
 
-let cost_model_of ~cost_model ~cm_margin ~cm_min_obs ~cm_conviction =
-  match cost_model with
-  | "off" -> None
-  | "on" ->
+(* Shared DSE terms *)
+
+(* --seed, --budget, --jobs and (where the subcommand offers it) --prune:
+   the search options every searching subcommand starts from. *)
+let options_term prune =
+  let make seed budget jobs prune =
+    let n_init = Stdlib.max 3 (budget / 4) in
+    let jobs = if jobs <= 0 then Par.recommended_jobs () else jobs in
+    Par.set_default_jobs jobs;
+    {
+      Compiler.default_options with
+      Compiler.seed;
+      bo_settings =
+        {
+          Bo.Optimizer.default_settings with
+          Bo.Optimizer.n_init;
+          n_iter = Stdlib.max 1 (budget - n_init);
+          batch_size = jobs;
+        };
+      prune = (if prune then Some Bo.Asha.default_settings else None);
+    }
+  in
+  Term.(const make $ seed_arg $ budget_arg $ jobs_arg $ prune)
+
+let options_t = options_term prune_arg
+
+let cost_model_t =
+  let make on margin min_obs conviction =
+    if not on then None
+    else
       Some
         {
           Bo.Cost_model.default_settings with
-          Bo.Cost_model.margin = cm_margin;
-          min_observations = Stdlib.max 2 cm_min_obs;
-          conviction = cm_conviction;
+          Bo.Cost_model.margin;
+          min_observations = Stdlib.max 2 min_obs;
+          conviction;
         }
-  | other ->
-      failwith (Printf.sprintf "unknown --cost-model %s (use on|off)" other)
+  in
+  Term.(
+    const make $ cost_model_arg $ cm_margin_arg $ cm_min_obs_arg
+    $ cm_conviction_arg)
+
+(* Supervision: --retries and --eval-budget, plus --journal/--resume/--faults
+   where the subcommand offers them. *)
+type supervision = {
+  journal_dir : string option;
+  resume : bool;
+  faults : Resilience.Faultplan.t option;
+  retries : int;
+  eval_budget : float option;
+}
+
+let supervision_term ~journal =
+  let make (journal_dir, resume, faults) retries eval_budget =
+    if resume && journal_dir = None then
+      `Error (true, "--resume requires --journal DIR")
+    else `Ok { journal_dir; resume; faults; retries; eval_budget }
+  in
+  let journal =
+    if journal then
+      Term.(
+        const (fun j r f -> (j, r, f)) $ journal_arg $ resume_arg $ faults_arg)
+    else Term.const (None, false, None)
+  in
+  Term.(ret (const make $ journal $ retries_arg $ eval_budget_arg))
 
 (* Build the supervisor (or none, when no resilience flag was given). The
    journal handle is returned separately so the driver can close it. *)
-let resilience_of ~journal_dir ~resume ~faults ~retries ~eval_budget =
-  if resume && journal_dir = None then
-    invalid_arg "--resume requires --journal DIR";
+let open_supervision { journal_dir; resume; faults; retries; eval_budget } =
   if journal_dir = None && faults = None && eval_budget = None && retries = 1
   then (None, None)
   else begin
@@ -231,7 +339,6 @@ let resilience_of ~journal_dir ~resume ~faults ~retries ~eval_budget =
           in
           (Some (Resilience.Journal.open_ path), replay)
     in
-    let faults = Option.map Resilience.Faultplan.of_string faults in
     let settings =
       {
         Resilience.Supervisor.default_settings with
@@ -242,21 +349,6 @@ let resilience_of ~journal_dir ~resume ~faults ~retries ~eval_budget =
     ( Some (Resilience.Supervisor.create ~settings ?journal ?replay ?faults ()),
       journal )
   end
-
-let options_of ~seed ~budget ~jobs ~prune =
-  let n_init = Stdlib.max 3 (budget / 4) in
-  {
-    Compiler.default_options with
-    Compiler.seed;
-    bo_settings =
-      {
-        Bo.Optimizer.default_settings with
-        Bo.Optimizer.n_init;
-        n_iter = Stdlib.max 1 (budget - n_init);
-        batch_size = resolve_jobs jobs;
-      };
-    prune = (if prune then Some Bo.Asha.default_settings else None);
-  }
 
 (* compile *)
 
@@ -283,22 +375,16 @@ let print_search_result ~target ~output result =
       | None, _ -> ())
   | _ -> ()
 
-let compile app target seed budget jobs prune cost_model cm_margin cm_min_obs
-    cm_conviction    journal_dir resume faults retries eval_budget output =
-  let spec = spec_of_app app seed in
-  let platform = platform_of_name target in
-  let supervisor, journal =
-    resilience_of ~journal_dir ~resume ~faults ~retries ~eval_budget
-  in
-  let options =
-    {
-      (options_of ~seed ~budget ~jobs ~prune) with
-      Compiler.supervisor;
-      cost_model = cost_model_of ~cost_model ~cm_margin ~cm_min_obs ~cm_conviction;
-    }
-  in
+(* One inline search, shared by [compile] and [search] without
+   --coordinator. *)
+let compile app target options cost_model supervision output =
+  let spec = spec_of (List.assoc app apps) options.Compiler.seed in
+  let supervisor, journal = open_supervision supervision in
+  let options = { options with Compiler.supervisor; cost_model } in
   let run () =
-    let result = Compiler.generate ~options platform (Schedule.model spec) in
+    let result =
+      Compiler.generate ~options (platform_of_name target) (Schedule.model spec)
+    in
     print_search_result ~target ~output result;
     (* Accounting goes to stderr so an interrupted-then-resumed run's stdout
        diffs clean against an uninterrupted one: the cost model's counters
@@ -349,40 +435,38 @@ let compile app target seed budget jobs prune cost_model cm_margin cm_min_obs
 
 module Dist = Homunculus_dist
 
-let parse_kill_worker = function
-  | None -> None
-  | Some s -> (
-      let bad () = failwith "bad --kill-worker (use WORKER:CLAIMS)" in
-      match String.split_on_char ':' s with
-      | [ i; n ] -> (
-          match (int_of_string_opt i, int_of_string_opt n) with
-          | Some i, Some n when i >= 0 && n >= 1 -> Some (i, n)
-          | _ -> bad ())
-      | _ -> bad ())
+let kill_worker_conv =
+  let parse s =
+    match List.map int_of_string_opt (String.split_on_char ':' s) with
+    | [ Some i; Some n ] when i >= 0 && n >= 1 -> Ok (i, n)
+    | _ ->
+        Error (`Msg (Printf.sprintf "invalid value '%s', expected WORKER:CLAIMS" s))
+  in
+  Arg.conv (parse, fun ppf (i, n) -> Format.fprintf ppf "%d:%d" i n)
 
-let search app target seed budget jobs coordinator workers lease_ttl
-    fsync_every worker worker_id kill_worker retries eval_budget output =
-  let spec = spec_of_app app seed in
+let search app target options mode workers lease_ttl fsync_every worker_id
+    kill_worker supervision output =
+  let spec = spec_of (List.assoc app apps) options.Compiler.seed in
   let platform = platform_of_name target in
   (* Worker-local resilience only: retries and budgets compose per process;
      the journal role is played by the coordination directory. *)
-  let supervisor, _ =
-    resilience_of ~journal_dir:None ~resume:false ~faults:None ~retries
-      ~eval_budget
-  in
-  let lease_options = { Compiler.default_options with Compiler.seed; supervisor } in
+  let supervisor, _ = open_supervision supervision in
+  let lease_options = { options with Compiler.supervisor } in
   let lease_eval ~scope ~index ~config =
     Compiler.worker_eval ~options:lease_options ~platform ~specs:[ spec ]
       ~scope ~index ~config
   in
-  match (worker, coordinator) with
-  | true, None -> failwith "--worker requires --coordinator DIR"
-  | true, Some dir -> (
-      (* Worker mode: claim leases, evaluate, journal, until the done
-         marker. A --kill-worker plan addressed to this id simulates a
-         SIGKILL after that many claims (exit 10, lease left unserved). *)
+  match mode with
+  | `Inline ->
+      (* The single-process reference the distributed modes must match
+         byte-for-byte on stdout. *)
+      compile app target options None supervision output
+  | `Worker dir -> (
+      (* Claim leases, evaluate, journal, until the done marker. A
+         --kill-worker plan addressed to this id simulates a SIGKILL after
+         that many claims (exit 10, lease left unserved). *)
       let faults =
-        match parse_kill_worker kill_worker with
+        match kill_worker with
         | Some (i, n) when i = worker_id ->
             Some
               (Resilience.Faultplan.create
@@ -401,15 +485,15 @@ let search app target seed budget jobs coordinator workers lease_ttl
           Printf.eprintf "worker %d: killed after %d claims (simulated)\n%!"
             worker_id n;
           10)
-  | false, Some dir ->
-      (* Coordinator mode: lease batches to the fleet through the optimizer's
-         dispatch hook. [local_eval] is the all-workers-dead fallback. *)
+  | `Coordinator dir ->
+      (* Lease batches to the fleet through the optimizer's dispatch hook.
+         [local_eval] is the all-workers-dead fallback. *)
       let coord =
         Dist.Coordinator.create ~dir ~ttl_s:lease_ttl ~local_eval:lease_eval ()
       in
       let options =
         {
-          (options_of ~seed ~budget ~jobs ~prune:false) with
+          options with
           Compiler.dispatch =
             Some (fun ~scope batch -> Dist.Coordinator.dispatch coord ~scope batch);
         }
@@ -421,11 +505,11 @@ let search app target seed budget jobs coordinator workers lease_ttl
         let args =
           [
             Sys.executable_name; "search"; app; "-t"; target;
-            "--seed"; string_of_int seed; "-j"; "1";
+            "--seed"; string_of_int options.Compiler.seed; "-j"; "1";
             "--coordinator"; dir; "--worker"; "--worker-id"; string_of_int i;
-            "--retries"; string_of_int retries;
+            "--retries"; string_of_int supervision.retries;
           ]
-          @ (match eval_budget with
+          @ (match supervision.eval_budget with
             | Some b -> [ "--eval-budget"; string_of_float b ]
             | None -> [])
           @ (match fsync_every with
@@ -433,7 +517,7 @@ let search app target seed budget jobs coordinator workers lease_ttl
             | None -> [])
           @
           match kill_worker with
-          | Some s -> [ "--kill-worker"; s ]
+          | Some (w, n) -> [ "--kill-worker"; Printf.sprintf "%d:%d" w n ]
           | None -> []
         in
         Unix.create_process Sys.executable_name (Array.of_list args)
@@ -460,71 +544,32 @@ let search app target seed budget jobs coordinator workers lease_ttl
               Printf.eprintf "worker pid %d signaled %d\n%!" pid sg)
         pids;
       0
-  | false, None ->
-      (* Inline: the single-process reference the distributed modes must
-         match byte-for-byte on stdout. *)
-      let options =
-        { (options_of ~seed ~budget ~jobs ~prune:false) with Compiler.supervisor }
-      in
-      let result = Compiler.generate ~options platform (Schedule.model spec) in
-      print_search_result ~target ~output result;
-      0
 
 (* compose: many guarded models, one shared data plane *)
 
-module Policy = Homunculus_policy.Policy
-module Pred = Homunculus_policy.Pred
-module Lower = Homunculus_policy.Lower
+let tenant_apps =
+  List.filter_map
+    (fun (key, app) ->
+      Option.map
+        (fun (algorithms, guard) -> (key, (app, algorithms, guard)))
+        app.tenant)
+    apps
 
-(* Compose members search with MAT-mappable shortlists: the point of the
-   subcommand is multi-tenant table/stage sharing, and a binarized DNN
-   would eat the whole budget slice on its own. *)
-let compose_spec_of_app app seed =
-  match app with
-  | "ad" ->
-      Model_spec.make ~name:"anomaly_detection" ~metric:Model_spec.F1
-        ~algorithms:[ Model_spec.Svm; Model_spec.Tree ]
-        ~loader:(fun () ->
-          let rng = Rng.create seed in
-          let train, test = Nslkdd.generate_split rng () in
-          Model_spec.data ~train ~test)
-        ()
-  | "tc" ->
-      Model_spec.make ~name:"traffic_classification" ~metric:Model_spec.F1
-        ~algorithms:[ Model_spec.Svm; Model_spec.Tree ]
-        ~loader:(fun () ->
-          let rng = Rng.create seed in
-          let train, test = Iot.generate_split rng () in
-          Model_spec.data ~train ~test)
-        ()
-  | "tc-kmeans" -> spec_of_app "tc-kmeans" seed
-  | other ->
-      failwith
-        (Printf.sprintf "unknown compose app %s (use ad|tc|tc-kmeans)" other)
-
-(* Default per-tenant steering guards, tuned to the synthetic generators so
-   each matches a meaningful slice of traffic: the AD tenant sees
-   high-fanout / SYN-error flows, the TC tenants see sub-MTU IoT frames. *)
-let compose_guard_of_app = function
-  | "ad" ->
-      Pred.disj
-        [ Pred.field_ge "host_count" 20.; Pred.field_ge "serror_rate" 0.1 ]
-  | "tc" -> Pred.field_lt "frame_size" 1200.
-  | "tc-kmeans" -> Pred.field_ge "payload_entropy" 5.
-  | _ -> Pred.True
-
-let compose apps target seed budget jobs prune samples output =
-  let apps = if apps = [] then [ "ad"; "tc" ] else apps in
+let compose tenants target options samples output =
+  let tenants = if tenants = [] then [ "ad"; "tc" ] else tenants in
+  let seed = options.Compiler.seed in
   let platform = platform_of_name target in
-  let specs = List.map (fun app -> (app, compose_spec_of_app app seed)) apps in
+  let specs =
+    List.map
+      (fun tenant ->
+        let app, algorithms, guard = List.assoc tenant tenant_apps in
+        (spec_of ~algorithms app seed, guard))
+      tenants
+  in
   let policy =
     Policy.par
-      (List.map
-         (fun (app, spec) ->
-           Policy.guard (compose_guard_of_app app) (Policy.model spec))
-         specs)
+      (List.map (fun (spec, guard) -> Policy.guard guard (Policy.model spec)) specs)
   in
-  let options = options_of ~seed ~budget ~jobs ~prune in
   Printf.printf "policy: %s\n" (Policy.to_string (Policy.normalize policy));
   match Compiler.compile_policy ~options platform policy with
   | Error e ->
@@ -563,7 +608,7 @@ let compose apps target seed budget jobs prune samples output =
       let module Compose_eval = Homunculus_check.Compose_eval in
       let sources =
         List.map
-          (fun (_, spec) ->
+          (fun (spec, _) ->
             let data = Model_spec.load spec in
             ( data.Model_spec.test.Dataset.feature_names,
               data.Model_spec.test.Dataset.x ))
@@ -654,9 +699,8 @@ let datasets seed =
 
 (* sweep *)
 
-let sweep seed budget jobs prune =
-  let spec = spec_of_app "tc-kmeans" seed in
-  let options = options_of ~seed ~budget ~jobs ~prune in
+let sweep options =
+  let spec = spec_of (List.assoc "tc-kmeans" apps) options.Compiler.seed in
   Printf.printf "%-4s %10s %6s\n" "K" "V-measure" "MATs";
   List.iter
     (fun tables ->
@@ -669,14 +713,17 @@ let sweep seed budget jobs prune =
     [ 5; 4; 3; 2; 1 ];
   0
 
+(* place and simulate: search an application for the default Taurus grid *)
+
+let taurus_winner app options =
+  let spec = spec_of (List.assoc app apps) options.Compiler.seed in
+  let result = Compiler.search_model ~options (Platform.taurus ()) spec in
+  (result.Compiler.artifact.Evaluator.model_ir, Homunculus_backends.Taurus.default_grid)
+
 (* place: search a model and show its grid floor plan *)
 
-let place app seed budget jobs prune =
-  let spec = spec_of_app app seed in
-  let options = options_of ~seed ~budget ~jobs ~prune in
-  let result = Compiler.search_model ~options (Platform.taurus ()) spec in
-  let model = result.Compiler.artifact.Evaluator.model_ir in
-  let grid = Homunculus_backends.Taurus.default_grid in
+let place app options =
+  let model, grid = taurus_winner app options in
   Printf.printf "model: %s (%d params)\n"
     (Homunculus_backends.Model_ir.algorithm model)
     (Homunculus_backends.Model_ir.param_count model);
@@ -691,16 +738,13 @@ let place app seed budget jobs prune =
 
 (* simulate: drive the mapped model with packet load *)
 
-let simulate app seed budget jobs prune rate packets =
-  let spec = spec_of_app app seed in
-  let options = options_of ~seed ~budget ~jobs ~prune in
-  let result = Compiler.search_model ~options (Platform.taurus ()) spec in
-  let model = result.Compiler.artifact.Evaluator.model_ir in
-  let grid = Homunculus_backends.Taurus.default_grid in
+let simulate app options rate packets =
+  let model, grid = taurus_winner app options in
   let mapping = Homunculus_backends.Taurus.map_model grid model in
   let config = Homunculus_backends.Pipeline_sim.config_of_mapping grid mapping in
   let arrivals =
-    Homunculus_backends.Pipeline_sim.poisson_arrivals (Rng.create seed)
+    Homunculus_backends.Pipeline_sim.poisson_arrivals
+      (Rng.create options.Compiler.seed)
       ~rate_gpps:rate ~n:packets
   in
   let s = Homunculus_backends.Pipeline_sim.simulate config ~arrivals_ns:arrivals in
@@ -734,16 +778,13 @@ let export_trace seed flows output =
 
 (* serve: replay a frozen trace through the online serving runtime *)
 
-let serve trace_path seed rate window_events label_delay algorithm train_frac
-    no_update quantized inject_drift jsonl_out autopilot research_budget
+let serve trace_path seed rate window_events label_delay (algorithm, quantized)
+    train_frac (autopilot, no_update) inject_drift jsonl_out research_budget
     research_evals cooldown research_journal faults target =
   let module Serve = Homunculus_serve in
   let module Trace = Homunculus_netdata.Trace in
   let module Botnet = Homunculus_netdata.Botnet in
   let module Autopilot = Homunculus_autopilot.Autopilot in
-  let faults = Resilience.Faultplan.of_string faults in
-  if autopilot && no_update then
-    failwith "--autopilot needs the updater's labeled buffer: drop --no-update";
   let flows = Trace.load ~path:trace_path in
   let n = Array.length flows in
   if n < 10 then failwith "trace too small: need at least 10 flows";
@@ -753,15 +794,6 @@ let serve trace_path seed rate window_events label_delay algorithm train_frac
   in
   let train_flows = Array.sub flows 0 n_train in
   let serve_flows = Array.sub flows n_train (n - n_train) in
-  let algorithm =
-    match algorithm with
-    | "dnn" -> `Dnn
-    | "svm" -> `Svm
-    | "tree" -> `Tree
-    | other -> failwith (Printf.sprintf "unknown algorithm %s (use dnn|svm|tree)" other)
-  in
-  if quantized && algorithm = `Dnn then
-    failwith "quantized mode needs a MAT-mappable model: use --algorithm svm or tree";
   let model =
     Serve.Updater.bootstrap (Rng.split rng) ~algorithm ~bins:Botnet.Fused
       ~name:"serve" train_flows
@@ -903,7 +935,7 @@ let serve trace_path seed rate window_events label_delay algorithm train_frac
 
 (* loadgen: open-loop serving throughput / latency measurement *)
 
-let loadgen seed payload rates process_name burst peak service_rate quantized
+let loadgen seed payload rates process burst peak service_rate quantized
     slo_p99 json_out =
   let module Serve = Homunculus_serve in
   let module Model_ir = Homunculus_backends.Model_ir in
@@ -912,12 +944,9 @@ let loadgen seed payload rates process_name burst peak service_rate quantized
   let module Json = Homunculus_util.Json in
   let rng = Rng.create seed in
   let process =
-    match process_name with
-    | "poisson" -> Serve.Loadgen.Poisson
-    | "bursty" ->
-        Serve.Loadgen.Bursty { mean_burst = burst; peak_factor = peak }
-    | other ->
-        failwith (Printf.sprintf "unknown process %s (use poisson|bursty)" other)
+    match process with
+    | `Poisson -> Serve.Loadgen.Poisson
+    | `Bursty -> Serve.Loadgen.Bursty { mean_burst = burst; peak_factor = peak }
   in
   (* Payload: a MAT-mappable model plus a feature-carrying event trace whose
      timestamps the generator will overwrite. *)
@@ -935,7 +964,7 @@ let loadgen seed payload rates process_name burst peak service_rate quantized
         in
         let flows = Homunculus_netdata.Flowsim.generate rng ~mix () in
         (model, Serve.Stream.events (Rng.split rng) flows, 2)
-    | "nslkdd" | "iot" ->
+    | _ (* nslkdd | iot *) ->
         let train, test =
           if payload = "nslkdd" then Nslkdd.generate_split (Rng.split rng) ()
           else Iot.generate_split (Rng.split rng) ()
@@ -948,9 +977,6 @@ let loadgen seed payload rates process_name burst peak service_rate quantized
             ~ts:(Array.init n float_of_int) test.Dataset.x
         in
         (model, base, train.Dataset.n_classes)
-    | other ->
-        failwith
-          (Printf.sprintf "unknown payload %s (use botnet|nslkdd|iot)" other)
   in
   let mode = if quantized then Serve.Engine.Quantized else Serve.Engine.Reference in
   Printf.printf
@@ -1069,34 +1095,9 @@ let check seed trials backends families artifact_dir max_shrink replay =
       print_string (Check.Harness.render_replay outcome);
       if Check.Harness.replay_ok outcome then 0 else 1
   | None ->
-      let backends =
-        match backends with
-        | [] -> Check.Oracle.all_backends
-        | names ->
-            List.map
-              (fun name ->
-                match Check.Oracle.backend_of_string name with
-                | Some b -> b
-                | None ->
-                    failwith
-                      (Printf.sprintf
-                         "unknown backend %s (use spatial|mat-runtime|p4)" name))
-              names
-      in
-      let families =
-        match families with
-        | [] -> Check.Gen.all_families
-        | names ->
-            List.map
-              (fun name ->
-                match Check.Gen.family_of_string name with
-                | Some f -> f
-                | None ->
-                    failwith
-                      (Printf.sprintf
-                         "unknown family %s (use mlp|tree|forest|svm|kmeans)" name))
-              names
-      in
+      let or_all all = function [] -> all | chosen -> chosen in
+      let backends = or_all Check.Oracle.all_backends backends in
+      let families = or_all Check.Gen.all_families families in
       let options =
         {
           Check.Harness.seed;
@@ -1129,11 +1130,9 @@ let compile_cmd =
   let doc = "Search, train, and compile an application for a data-plane target." in
   Cmd.v (Cmd.info "compile" ~doc)
     Term.(
-      const compile $ app_arg $ target_arg $ seed_arg $ budget_arg $ jobs_arg
-      $ prune_arg $ cost_model_arg $ cm_margin_arg $ cm_min_obs_arg
-      $ cm_conviction_arg
-      $ journal_arg $ resume_arg $ faults_arg $ retries_arg
-      $ eval_budget_arg $ output_arg)
+      const compile $ app_arg $ target_arg $ options_t $ cost_model_t
+      $ supervision_term ~journal:true
+      $ output_arg)
 
 let search_cmd =
   let coordinator_arg =
@@ -1174,6 +1173,16 @@ let search_cmd =
     in
     Arg.(value & flag & info [ "worker" ] ~doc)
   in
+  let mode_t =
+    let mode coordinator worker =
+      match (coordinator, worker) with
+      | None, true -> `Error (true, "--worker requires --coordinator DIR")
+      | None, false -> `Ok `Inline
+      | Some dir, true -> `Ok (`Worker dir)
+      | Some dir, false -> `Ok (`Coordinator dir)
+    in
+    Term.(ret (const mode $ coordinator_arg $ worker_arg))
+  in
   let worker_id_arg =
     let doc = "Internal: this worker's id (names its journal)." in
     Arg.(value & opt int 0 & info [ "worker-id" ] ~docv:"I" ~doc)
@@ -1186,7 +1195,7 @@ let search_cmd =
     in
     Arg.(
       value
-      & opt (some string) None
+      & opt (some kill_worker_conv) None
       & info [ "kill-worker" ] ~docv:"WORKER:CLAIMS" ~doc)
   in
   let doc =
@@ -1197,10 +1206,9 @@ let search_cmd =
   in
   Cmd.v (Cmd.info "search" ~doc)
     Term.(
-      const search $ app_arg $ target_arg $ seed_arg $ budget_arg $ jobs_arg
-      $ coordinator_arg $ workers_arg $ lease_ttl_arg $ fsync_every_arg
-      $ worker_arg $ worker_id_arg $ kill_worker_arg $ retries_arg
-      $ eval_budget_arg $ output_arg)
+      const search $ app_arg $ target_arg $ options_term (Term.const false)
+      $ mode_t $ workers_arg $ lease_ttl_arg $ fsync_every_arg $ worker_id_arg
+      $ kill_worker_arg $ supervision_term ~journal:false $ output_arg)
 
 let compose_cmd =
   let apps_arg =
@@ -1208,7 +1216,10 @@ let compose_cmd =
       "Tenant applications to co-host (repeat positionally): ad, tc, \
        tc-kmeans. Default: ad tc."
     in
-    Arg.(value & pos_all string [] & info [] ~docv:"APPS" ~doc)
+    Arg.(
+      value
+      & pos_all (one_of (List.map fst tenant_apps)) []
+      & info [] ~docv:"APPS" ~doc)
   in
   let samples_arg =
     let doc = "Samples for the composed-pipeline differential oracle." in
@@ -1222,8 +1233,8 @@ let compose_cmd =
   in
   Cmd.v (Cmd.info "compose" ~doc)
     Term.(
-      const compose $ apps_arg $ target_arg $ seed_arg $ budget_arg $ jobs_arg
-      $ prune_arg $ samples_arg $ output_arg)
+      const compose $ apps_arg $ target_arg $ options_t $ samples_arg
+      $ output_arg)
 
 let inspect_cmd =
   let doc = "Print a target platform's resource model and capabilities." in
@@ -1236,19 +1247,18 @@ let datasets_cmd =
 let sweep_cmd =
   let doc = "Sweep the KMeans classifier across MAT budgets (Fig. 7)." in
   Cmd.v (Cmd.info "sweep" ~doc)
-    Term.(const sweep $ seed_arg $ budget_arg $ jobs_arg $ prune_arg)
+    Term.(const sweep $ options_t)
 
 let place_cmd =
   let doc = "Show a searched model's floor plan on the Taurus grid." in
   Cmd.v (Cmd.info "place" ~doc)
-    Term.(const place $ app_arg $ seed_arg $ budget_arg $ jobs_arg $ prune_arg)
+    Term.(const place $ app_arg $ options_t)
 
 let simulate_cmd =
   let doc = "Drive a searched model's pipeline with packet load." in
   Cmd.v (Cmd.info "simulate" ~doc)
     Term.(
-      const simulate $ app_arg $ seed_arg $ budget_arg $ jobs_arg $ prune_arg
-      $ rate_arg $ packets_arg)
+      const simulate $ app_arg $ options_t $ rate_arg $ packets_arg)
 
 let export_trace_cmd =
   let doc = "Synthesize a P2P flow population and write it as a trace file." in
@@ -1274,7 +1284,10 @@ let serve_cmd =
   in
   let algorithm_arg =
     let doc = "Model family to bootstrap: dnn, svm, or tree." in
-    Arg.(value & opt string "dnn" & info [ "algorithm" ] ~docv:"ALGO" ~doc)
+    Arg.(
+      value
+      & opt (enum [ ("dnn", `Dnn); ("svm", `Svm); ("tree", `Tree) ]) `Dnn
+      & info [ "algorithm" ] ~docv:"ALGO" ~doc)
   in
   let train_frac_arg =
     let doc = "Fraction of the trace's flows used to train the initial model." in
@@ -1331,21 +1344,45 @@ let serve_cmd =
   let faults_arg =
     let doc = "Fault plan, e.g. drift@3,research-timeout@0,kill@5 \
                (see compile --faults)." in
-    Arg.(value & opt string "" & info [ "faults" ] ~docv:"PLAN" ~doc)
+    Arg.(
+      value
+      & opt faultplan (Resilience.Faultplan.create [])
+      & info [ "faults" ] ~docv:"PLAN" ~doc)
+  in
+  let drain_t =
+    let check algorithm quantized =
+      if quantized && algorithm = `Dnn then
+        `Error
+          (true, "--quantized needs a MAT-mappable model: use --algorithm svm or tree")
+      else `Ok (algorithm, quantized)
+    in
+    Term.(ret (const check $ algorithm_arg $ quantized_arg))
+  in
+  let update_t =
+    let check autopilot no_update =
+      if autopilot && no_update then
+        `Error
+          (true, "--autopilot needs the updater's labeled buffer: drop --no-update")
+      else `Ok (autopilot, no_update)
+    in
+    Term.(ret (const check $ autopilot_arg $ no_update_arg))
   in
   let doc = "Replay a trace through the online serving runtime." in
   Cmd.v (Cmd.info "serve" ~doc)
     Term.(
       const serve $ trace_arg $ seed_arg $ rate_arg $ window_arg
-      $ label_delay_arg $ algorithm_arg $ train_frac_arg $ no_update_arg
-      $ quantized_arg $ inject_drift_arg $ jsonl_arg $ autopilot_arg
-      $ research_budget_arg $ research_evals_arg $ cooldown_arg
-      $ research_journal_arg $ faults_arg $ target_arg)
+      $ label_delay_arg $ drain_t $ train_frac_arg $ update_t
+      $ inject_drift_arg $ jsonl_arg $ research_budget_arg
+      $ research_evals_arg $ cooldown_arg $ research_journal_arg $ faults_arg
+      $ target_arg)
 
 let loadgen_cmd =
   let payload_arg =
     let doc = "Workload to serve: botnet, nslkdd, or iot." in
-    Arg.(value & opt string "botnet" & info [ "payload" ] ~docv:"NAME" ~doc)
+    Arg.(
+      value
+      & opt (one_of [ "botnet"; "nslkdd"; "iot" ]) "botnet"
+      & info [ "payload" ] ~docv:"NAME" ~doc)
   in
   let rates_arg =
     let doc = "Offered arrival rate in packets per second. Repeatable." in
@@ -1353,7 +1390,10 @@ let loadgen_cmd =
   in
   let process_arg =
     let doc = "Arrival process: poisson or bursty." in
-    Arg.(value & opt string "poisson" & info [ "process" ] ~docv:"PROC" ~doc)
+    Arg.(
+      value
+      & opt (enum [ ("poisson", `Poisson); ("bursty", `Bursty) ]) `Poisson
+      & info [ "process" ] ~docv:"PROC" ~doc)
   in
   let burst_arg =
     let doc = "Mean burst length for the bursty process." in
@@ -1396,17 +1436,27 @@ let check_cmd =
   in
   let backend_arg =
     let doc =
-      "Deployment path to check: spatial, mat-runtime, or p4. Repeatable; \
+      "Deployment path to check: spatial, runtime, or p4. Repeatable; \
        default all."
     in
-    Arg.(value & opt_all string [] & info [ "backend" ] ~docv:"BACKEND" ~doc)
+    let backends =
+      List.map
+        (fun b -> (Homunculus_check.Oracle.backend_to_string b, b))
+        Homunculus_check.Oracle.all_backends
+    in
+    Arg.(value & opt_all (enum backends) [] & info [ "backend" ] ~docv:"BACKEND" ~doc)
   in
   let family_arg =
     let doc =
       "Model family to generate: mlp, tree, forest, svm, or kmeans. \
        Repeatable; default all."
     in
-    Arg.(value & opt_all string [] & info [ "family" ] ~docv:"FAMILY" ~doc)
+    let families =
+      List.map
+        (fun f -> (Homunculus_check.Gen.family_to_string f, f))
+        Homunculus_check.Gen.all_families
+    in
+    Arg.(value & opt_all (enum families) [] & info [ "family" ] ~docv:"FAMILY" ~doc)
   in
   let artifact_arg =
     let doc = "Write shrunk JSON reproducers for failures into this directory." in
@@ -1437,11 +1487,4 @@ let main_cmd =
       check_cmd;
     ]
 
-let () =
-  (* HOMUNCULUS_VERBOSE=1 turns on compiler progress logging. *)
-  (match Sys.getenv_opt "HOMUNCULUS_VERBOSE" with
-  | Some ("1" | "true" | "yes") ->
-      Logs.set_reporter (Logs.format_reporter ());
-      Logs.set_level (Some Logs.Info)
-  | Some _ | None -> ());
-  exit (Cmd.eval' main_cmd)
+let () = exit (Cmd.eval' main_cmd)

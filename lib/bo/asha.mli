@@ -10,9 +10,10 @@
     the surrogate still learns from them.
 
     Determinism contract: decisions compare against thresholds {e frozen} at
-    the start of each proposal batch ({!freeze}, wired to
-    [Bo.Optimizer.maximize]'s [on_batch_start]). Metrics recorded while a
-    batch is in flight only influence the {e next} batch, and the threshold
+    the start of each proposal batch ({!freeze}, wired to the
+    [on_batch_start] callback of [Bo.Optimizer.maximize]'s observer).
+    Metrics recorded while a batch is in flight only influence the {e next}
+    batch, and the threshold
     is computed from a sorted copy of the recorded metrics, so it does not
     depend on the order racing workers called {!record} in. For a fixed seed
     the pruning decisions — and hence the whole search — are identical at any
@@ -49,8 +50,9 @@ val rungs_for : t -> budget:int -> int array
 
 val freeze : t -> unit
 (** Recompute the per-rung thresholds from all metrics recorded so far. Call
-    once per proposal batch, before dispatching it (i.e. from
-    [on_batch_start]); never while that batch's evaluations are running. *)
+    once per proposal batch, before dispatching it (i.e. from the optimizer
+    observer's [on_batch_start]); never while that batch's evaluations are
+    running. *)
 
 val record : t -> rung:int -> metric:float -> unit
 (** Report a candidate's validation metric at a rung. Thread-safe; called

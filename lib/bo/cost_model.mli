@@ -99,7 +99,7 @@ val predicted_evaluation :
 
 val prefilter :
   t -> index:int -> Config.t -> Optimizer.evaluation option
-(** {!classify} packaged for {!Optimizer.maximize_indexed}'s [?prefilter]
+(** {!classify} packaged for {!Optimizer.maximize}'s [?prefilter]
     hook: [Some predicted_evaluation] on a skip, [None] otherwise. Callers
     that journal evaluations should wrap this to bypass the filter for
     replayed records and to journal the predicted commits. *)

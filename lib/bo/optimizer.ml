@@ -45,19 +45,17 @@ type evaluation = {
 }
 
 let record history space config { objective; feasible; pruned; metadata }
-    ~on_iteration =
+    ~on_commit =
   History.add history ~config
     ~encoded:(Design_space.encode space config)
     ~objective ~feasible ~pruned ~metadata ();
-  match (on_iteration, History.last history) with
-  | Some callback, Some latest -> callback (History.length history) latest
-  | (None, _ | _, None) -> ()
+  Option.iter (on_commit (History.length history)) (History.last history)
 
 let random_search rng ~n space ~f =
   let history = History.create () in
   for _ = 1 to n do
     let config = Design_space.sample rng space in
-    record history space config (f config) ~on_iteration:None
+    record history space config (f config) ~on_commit:(fun _ _ -> ())
   done;
   history
 
@@ -76,9 +74,26 @@ let fresh_candidate rng space history ~pending =
   in
   go 8
 
+type exec =
+  | Pool of Par.pool
+  | Dispatch of ((int * Config.t) array -> evaluation array)
+
+type observer = {
+  on_batch_start : unit -> unit;
+  on_commit : int -> History.entry -> unit;
+  on_refit : int -> unit;
+}
+
+let no_observer =
+  {
+    on_batch_start = (fun () -> ());
+    on_commit = (fun _ _ -> ());
+    on_refit = (fun _ -> ());
+  }
+
 (* Evaluate a batch of proposals concurrently, then commit the results to the
    history in proposal order. The black box runs on pool workers, so all the
-   ordering the caller can observe (History contents, [on_iteration]
+   ordering the caller can observe (History contents, [on_commit]
    callbacks) is fixed by the proposal order, not by scheduling. Each
    candidate's index is its eventual position in the history (commits happen
    per batch, so the base is the history length at dispatch time), giving
@@ -88,15 +103,14 @@ let fresh_candidate rng space history ~pending =
    only on proposal order, never on worker scheduling. Skipped candidates
    commit the filter's predicted evaluation in proposal order alongside the
    exact results. *)
-(* [dispatch], when present, replaces the in-process pool for the exact
+(* A [Dispatch] exec replaces the in-process pool for the exact
    evaluations: the surviving (index, config) pairs are handed over en bloc
    and the dispatcher returns their evaluations in the same order. The
    distributed coordinator plugs in here — proposals become leases to worker
    processes — and because proposals, pre-filter decisions, and commits all
    stay on the calling domain in proposal order, the history is identical
    whether the batch ran inline, on a pool, or on a fleet. *)
-let evaluate_batch ~par ?prefilter ?dispatch history space ~f ~on_iteration
-    batch =
+let evaluate_batch ~exec ?prefilter ~observer history space ~f batch =
   let base = History.length history in
   let decisions =
     match prefilter with
@@ -110,12 +124,12 @@ let evaluate_batch ~par ?prefilter ?dispatch history space ~f ~on_iteration
     batch;
   let work = Array.of_list (List.rev !work) in
   let evals =
-    match dispatch with
-    | None ->
+    match exec with
+    | Pool par ->
         Par.parallel_map ~pool:par ~chunk:1
           (fun (index, config) -> f ~index config)
           work
-    | Some send ->
+    | Dispatch send ->
         let evals = send work in
         if Array.length evals <> Array.length work then
           invalid_arg "Bo.Optimizer: dispatch returned wrong arity";
@@ -132,39 +146,43 @@ let evaluate_batch ~par ?prefilter ?dispatch history space ~f ~on_iteration
             incr next;
             e
       in
-      record history space config eval ~on_iteration)
+      record history space config eval ~on_commit:observer.on_commit)
     batch
 
-let maximize_indexed rng ?(settings = default_settings) ?pool ?on_iteration
-    ?on_batch_start ?prefilter ?on_refit ?dispatch space ~f =
+let maximize rng ?(settings = default_settings) ?exec ?prefilter
+    ?(observer = no_observer) space ~f =
   if settings.n_init <= 0 then invalid_arg "Bo.Optimizer.maximize: n_init <= 0";
   if settings.batch_size <= 0 then
     invalid_arg "Bo.Optimizer.maximize: batch_size <= 0";
   if settings.refit_every <= 0 then
     invalid_arg "Bo.Optimizer.maximize: refit_every <= 0";
-  let par = match pool with Some p -> p | None -> Par.default () in
-  let history = History.create () in
-  let batch_start () =
-    match on_batch_start with Some hook -> hook () | None -> ()
+  (* Surrogate fits and candidate scoring always run in-process; only the
+     exact evaluations follow [exec]. *)
+  let par =
+    match exec with Some (Pool p) -> p | Some (Dispatch _) | None -> Par.default ()
   in
-  (* Phase 1: uniform random initialization, evaluated [batch_size] at a
-     time. Proposals are drawn sequentially from [rng] (so the stream is
-     independent of the worker count); only the evaluations overlap. *)
-  let remaining = ref settings.n_init in
-  while !remaining > 0 do
-    let k = Stdlib.min settings.batch_size !remaining in
-    let pending = ref [] in
-    let batch =
+  let exec = Option.value exec ~default:(Pool par) in
+  let history = History.create () in
+  (* Both phases run in rounds of up to [batch_size] proposals. Proposals
+     are drawn sequentially from [rng] (so the stream is independent of the
+     worker count); only the evaluations overlap. *)
+  let rounds n propose =
+    let remaining = ref n in
+    while !remaining > 0 do
+      let k = Stdlib.min settings.batch_size !remaining in
+      let batch = propose k in
+      observer.on_batch_start ();
+      evaluate_batch ~exec ?prefilter ~observer history space ~f batch;
+      remaining := !remaining - k
+    done
+  in
+  (* Phase 1: uniform random initialization. *)
+  rounds settings.n_init (fun k ->
+      let pending = ref [] in
       Array.init k (fun _ ->
           let c = fresh_candidate rng space history ~pending:!pending in
           pending := c :: !pending;
-          c)
-    in
-    batch_start ();
-    evaluate_batch ~par ?prefilter ?dispatch history space ~f ~on_iteration
-      batch;
-    remaining := !remaining - k
-  done;
+          c));
   (* Phase 2: surrogate-guided rounds. Each round proposes up to
      [batch_size] candidates from one surrogate (constant-liar batching), so
      a batched run spends the same evaluation budget over [n_iter /
@@ -174,9 +192,7 @@ let maximize_indexed rng ?(settings = default_settings) ?pool ?on_iteration
      rounds. Reused rounds consume no RNG for fitting; determinism is per
      (seed, settings), as always. *)
   let fitted = ref None in
-  let remaining = ref settings.n_iter in
-  while !remaining > 0 do
-    let k = Stdlib.min settings.batch_size !remaining in
+  let propose_guided k =
     let len = History.length history in
     let surrogate, feas_model =
       match !fitted with
@@ -205,7 +221,7 @@ let maximize_indexed rng ?(settings = default_settings) ?pool ?on_iteration
             Feasibility.fit rng ~n_trees:settings.surrogate_trees ~pool:par ~x
               ~feasible:feasible_flags ()
           in
-          (match on_refit with Some hook -> hook len | None -> ());
+          observer.on_refit len;
           fitted := Some (s, fm, len);
           (s, fm)
     in
@@ -283,15 +299,7 @@ let maximize_indexed rng ?(settings = default_settings) ?pool ?on_iteration
       chosen := c :: !chosen;
       incr n_chosen
     done;
-    let batch = Array.of_list (List.rev !chosen) in
-    batch_start ();
-    evaluate_batch ~par ?prefilter ?dispatch history space ~f ~on_iteration
-      batch;
-    remaining := !remaining - k
-  done;
+    Array.of_list (List.rev !chosen)
+  in
+  rounds settings.n_iter propose_guided;
   history
-
-let maximize rng ?settings ?pool ?on_iteration ?on_batch_start ?prefilter
-    ?on_refit ?dispatch space ~f =
-  maximize_indexed rng ?settings ?pool ?on_iteration ?on_batch_start ?prefilter
-    ?on_refit ?dispatch space ~f:(fun ~index:_ config -> f config)

@@ -57,77 +57,73 @@ type evaluation = {
   metadata : (string * float) list;
 }
 
+type exec =
+  | Pool of Homunculus_par.Par.pool
+      (** exact evaluations run as [f] on this in-process pool *)
+  | Dispatch of ((int * Config.t) array -> evaluation array)
+      (** each batch's surviving [(index, config)] pairs (after pre-filter
+          skips) are handed over in proposal order and the dispatcher must
+          return their evaluations in the same order; [f] is never called.
+          The distributed coordinator leases batches to worker processes
+          through this; since proposals, pre-filter decisions, and commits
+          all stay on the calling domain, the history remains bit-identical
+          to an inline run. *)
+
+type observer = {
+  on_batch_start : unit -> unit;
+      (** fires on the calling domain immediately before each batch of
+          evaluations is dispatched (in both phases). A rung scheduler uses
+          it to freeze the pruning thresholds a whole batch is judged
+          against, which is what keeps pruning decisions independent of
+          worker count. *)
+  on_commit : int -> History.entry -> unit;
+      (** fires with the history length after each entry is committed, in
+          proposal order, on the calling domain *)
+  on_refit : int -> unit;
+      (** fires (with the history length) each time the surrogate pair is
+          actually fitted — the refit-cadence benches count these *)
+}
+
+val no_observer : observer
+(** Every callback a no-op; extend it with [{ no_observer with ... }]. *)
+
 val maximize :
   Homunculus_util.Rng.t ->
   ?settings:settings ->
-  ?pool:Homunculus_par.Par.pool ->
-  ?on_iteration:(int -> History.entry -> unit) ->
-  ?on_batch_start:(unit -> unit) ->
+  ?exec:exec ->
   ?prefilter:(index:int -> Config.t -> evaluation option) ->
-  ?on_refit:(int -> unit) ->
-  ?dispatch:((int * Config.t) array -> evaluation array) ->
-  Design_space.t ->
-  f:(Config.t -> evaluation) ->
-  History.t
-(** Run the full loop and return the evaluation history. The black box [f] is
-    called exactly [n_init + n_iter] times (duplicate candidates are replaced
-    by fresh uniform samples before evaluation when possible).
-
-    Surrogate fits, candidate scoring, and batch evaluations run on [pool]
-    (default {!Homunculus_par.Par.default}); [f] may be called from pool
-    worker domains, concurrently with other calls within the same batch.
-    The result is deterministic: for a fixed seed and settings, the returned
-    history is identical at any worker count, because all random draws happen
-    sequentially on the caller's RNG and results are committed in proposal
-    order. [on_iteration] likewise fires in proposal order, on the calling
-    domain.
-
-    [on_batch_start] fires on the calling domain immediately before each
-    batch of evaluations is dispatched (in both phases). A rung scheduler
-    uses it to freeze the pruning thresholds a whole batch is judged
-    against, which is what keeps pruning decisions independent of worker
-    count.
-
-    [prefilter] is consulted for every proposal, sequentially in proposal
-    order on the calling domain, after [on_batch_start] and before the batch
-    is dispatched. Returning [Some evaluation] commits that evaluation in
-    the candidate's history slot without calling [f] (the learned cost
-    model's predicted-infeasible skip); [None] evaluates exactly. Because
-    decisions precede dispatch, they depend on the batch boundary (a
-    batch-mate's outcome is not yet observable) but never on worker
-    scheduling — the ASHA freeze rule, applied to filtering. [index] is the
-    same proposal-order history index [f] would have received.
-
-    [on_refit] fires (with the history length) each time the surrogate pair
-    is actually fitted — the refit-cadence benches count these.
-
-    [dispatch], when present, replaces the in-process pool for exact
-    evaluations: each batch's surviving [(index, config)] pairs (after
-    pre-filter skips) are handed over in proposal order and the dispatcher
-    must return their evaluations in the same order ([f] is then never
-    called). The distributed coordinator leases batches to worker processes
-    through this hook; since proposals, pre-filter decisions, and commits
-    all stay on the calling domain, the history remains bit-identical to an
-    inline run. @raise Invalid_argument if the returned array's length
-    differs from the batch's. *)
-
-val maximize_indexed :
-  Homunculus_util.Rng.t ->
-  ?settings:settings ->
-  ?pool:Homunculus_par.Par.pool ->
-  ?on_iteration:(int -> History.entry -> unit) ->
-  ?on_batch_start:(unit -> unit) ->
-  ?prefilter:(index:int -> Config.t -> evaluation option) ->
-  ?on_refit:(int -> unit) ->
-  ?dispatch:((int * Config.t) array -> evaluation array) ->
+  ?observer:observer ->
   Design_space.t ->
   f:(index:int -> Config.t -> evaluation) ->
   History.t
-(** {!maximize} with the candidate's proposal-order index passed to the
-    black box: [index] is the 0-based position the evaluation will occupy in
-    the returned history, fixed at proposal time and therefore identical at
-    any worker count. Fault-injection plans and journals address candidates
-    by this index. *)
+(** Run the full loop and return the evaluation history. The black box [f] is
+    called exactly [n_init + n_iter] times (duplicate candidates are replaced
+    by fresh uniform samples before evaluation when possible). [index] is the
+    0-based position the evaluation will occupy in the returned history,
+    fixed at proposal time and therefore identical at any worker count;
+    fault-injection plans and journals address candidates by it.
+
+    Exact evaluations run as [exec] says (default [Pool] of
+    {!Homunculus_par.Par.default}); surrogate fits and candidate scoring run
+    on that pool, or on the default pool under [Dispatch]. [f] may be called
+    from pool worker domains, concurrently with other calls within the same
+    batch. The result is deterministic: for a fixed seed and settings, the
+    returned history is identical at any worker count, because all random
+    draws happen sequentially on the caller's RNG and results are committed
+    in proposal order.
+
+    [prefilter] is consulted for every proposal, sequentially in proposal
+    order on the calling domain, after [observer.on_batch_start] and before
+    the batch is dispatched. Returning [Some evaluation] commits that
+    evaluation in the candidate's history slot without calling [f] (the
+    learned cost model's predicted-infeasible skip); [None] evaluates
+    exactly. Because decisions precede dispatch, they depend on the batch
+    boundary (a batch-mate's outcome is not yet observable) but never on
+    worker scheduling — the ASHA freeze rule, applied to filtering. [index]
+    is the same proposal-order history index [f] would have received.
+
+    @raise Invalid_argument if a [Dispatch] returns an array whose length
+    differs from the batch's. *)
 
 val random_search :
   Homunculus_util.Rng.t ->

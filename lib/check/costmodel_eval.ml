@@ -23,22 +23,22 @@ let winner_of_history history =
 
 let run ~seed ?settings ?cost_settings ~space ~features ~eval () =
   (* Exact arm: the reference corpus. *)
-  let exact_history =
-    Bo.Optimizer.maximize (Rng.create seed) ?settings space ~f:eval
-  in
+  let f ~index:_ config = eval config in
+  let exact_history = Bo.Optimizer.maximize (Rng.create seed) ?settings space ~f in
   (* Filtered arm: same seed, same settings, judged by a freshly warmed
      filter. The observation feed mirrors the compiler's wiring: every
      committed entry except the filter's own predicted skips trains it. *)
   let cm = Bo.Cost_model.create ?settings:cost_settings ~seed ~features () in
-  let on_iteration (_ : int) (e : Bo.History.entry) =
+  let on_commit (_ : int) (e : Bo.History.entry) =
     if not (Bo.Cost_model.is_predicted e.Bo.History.metadata) then
       Bo.Cost_model.observe cm ~config:e.Bo.History.config
         ~objective:e.Bo.History.objective ~feasible:e.Bo.History.feasible
         ~pruned:e.Bo.History.pruned
   in
   let filtered_history =
-    Bo.Optimizer.maximize (Rng.create seed) ?settings ~on_iteration
-      ~prefilter:(Bo.Cost_model.prefilter cm) space ~f:eval
+    Bo.Optimizer.maximize (Rng.create seed) ?settings
+      ~observer:{ Bo.Optimizer.no_observer with on_commit }
+      ~prefilter:(Bo.Cost_model.prefilter cm) space ~f
   in
   let exact_winner = winner_of_history exact_history in
   let filtered_winner = winner_of_history filtered_history in

@@ -7,10 +7,6 @@ module Supervisor = Homunculus_resilience.Supervisor
 exception No_feasible_model of string
 exception Search_budget_exhausted
 
-let log_src = Logs.Src.create "homunculus.compiler" ~doc:"Homunculus compiler"
-
-module Log = (val Logs.src_log log_src : Logs.LOG)
-
 type options = {
   seed : int;
   bo_settings : Bo.Optimizer.settings;
@@ -19,7 +15,6 @@ type options = {
   prune : Bo.Asha.settings option;
   supervisor : Supervisor.t option;
   cost_model : Bo.Cost_model.settings option;
-  deadline : float option;
   dispatch :
     (scope:string -> (int * Bo.Config.t) array -> Bo.Optimizer.evaluation array)
     option;
@@ -35,7 +30,6 @@ let default_options =
     supervisor = None;
     cost_model = None;
     dispatch = None;
-    deadline = None;
   }
 
 let quick_options =
@@ -80,8 +74,32 @@ let emit_code platform model_ir =
   | Platform.Tofino _ ->
       P4gen.emit model_ir ^ "\n" ^ P4gen.emit_entries model_ir
 
+(* The one per-candidate black box, shared by the inline search, the
+   distributed worker, the winner rebuild and the trade-off search. A
+   per-configuration seed makes it deterministic: the same suggestion always
+   measures the same, which stabilizes the search — and makes any artifact
+   rebuildable from just its config, in any process. Under a supervisor,
+   failures become tagged infeasible evaluations instead of killing the
+   search, and recorded outcomes replay without re-training; retries reuse
+   the same config-derived seed. [score] turns the artifact into the
+   optimizer's evaluation. *)
+let evaluate_candidate ~seed ?supervisor ?sched ~scope ~index ~score platform
+    spec algorithm config =
+  let run ?guard () =
+    let eval_rng = Rng.create (seed lxor Bo.Config.hash config) in
+    score
+      (Evaluator.evaluate eval_rng ?prune:sched ?guard platform spec algorithm
+         config)
+  in
+  match supervisor with
+  | None -> run ()
+  | Some sup ->
+      Supervisor.supervise sup ~scope ~index ~config (fun ctx ->
+          run ~guard:(Supervisor.epoch_guard ctx) ())
+
 let search_algorithm rng ~seed ~settings ?prune ?supervisor ?cost_model
-    ?dispatch ?deadline platform spec algorithm =
+    ?dispatch ?deadline ?(score = Evaluator.to_bo_evaluation) platform spec
+    algorithm =
   let data = Model_spec.load spec in
   let input_dim =
     Homunculus_ml.Dataset.n_features data.Model_spec.train
@@ -117,53 +135,42 @@ let search_algorithm rng ~seed ~settings ?prune ?supervisor ?cost_model
     | Some s, Model_spec.Dnn -> Some (Bo.Asha.create ~settings:s ())
     | (Some _, _ | None, _) -> None
   in
-  (* [eval] may run on worker domains when the optimizer batches proposals;
-     the running best is guarded by a mutex, and because
-     [Evaluator.compare_artifacts] is a total order the winner is the same
-     whatever order the batch completes in. *)
+  (* [eval] may run on worker domains when the optimizer batches proposals.
+     [best] only caches the artifact whose evaluation ranks highest under
+     the history's winner order, to spare the winner a rebuild; the order
+     is total, so completion order cannot change it. *)
   let best = ref None in
   let best_lock = Mutex.create () in
-  (* A per-configuration seed makes the black box deterministic: the same
-     suggestion always measures the same, which stabilizes the search —
-     and makes the winning artifact rebuildable from just its config. *)
-  let run_eval ?guard config =
-    let eval_rng = Rng.create (seed lxor Bo.Config.hash config) in
-    let artifact =
-      Evaluator.evaluate eval_rng ?prune:sched ?guard platform spec algorithm
-        config
-    in
-    Mutex.lock best_lock;
-    best := Evaluator.better_artifact !best artifact;
-    Mutex.unlock best_lock;
-    artifact
-  in
-  let eval ~index config =
-    match supervisor with
-    | None -> Evaluator.to_bo_evaluation (run_eval config)
-    | Some sup ->
-        (* Supervised: failures become tagged infeasible evaluations instead
-           of killing the search, and recorded outcomes replay without
-           re-training. Retries reuse the same config-derived seed. *)
-        Supervisor.supervise sup ~scope ~index ~config (fun ctx ->
-            Evaluator.to_bo_evaluation
-              (run_eval ~guard:(Supervisor.epoch_guard ctx) config))
+  let eval ?supervisor ~index config =
+    evaluate_candidate ~seed ?supervisor ?sched ~scope ~index platform spec
+      algorithm config ~score:(fun artifact ->
+        let ev = score artifact in
+        let entry =
+          {
+            Bo.History.iteration = index + 1;
+            config;
+            objective = ev.Bo.Optimizer.objective;
+            feasible = ev.Bo.Optimizer.feasible;
+            pruned = ev.Bo.Optimizer.pruned;
+            metadata = [];
+          }
+        in
+        Mutex.protect best_lock (fun () ->
+            match !best with
+            | Some (b, _) when Bo.History.compare_entries entry b >= 0 -> ()
+            | Some _ | None -> best := Some (entry, artifact));
+        ev)
   in
   (* The whole-search wall-clock deadline is enforced at batch boundaries,
      on the calling domain, before the batch is dispatched: candidates in
      flight always finish (and are journaled), so a budget abort leaves the
      journal holding only completed evaluations — exactly what a warm
      restart wants to replay. *)
-  let on_batch_start =
-    match (deadline, sched) with
-    | None, None -> None
-    | _ ->
-        Some
-          (fun () ->
-            (match deadline with
-            | Some d when Unix.gettimeofday () > d ->
-                raise Search_budget_exhausted
-            | Some _ | None -> ());
-            Option.iter Bo.Asha.freeze sched)
+  let on_batch_start () =
+    (match deadline with
+    | Some d when Unix.gettimeofday () > d -> raise Search_budget_exhausted
+    | Some _ | None -> ());
+    Option.iter Bo.Asha.freeze sched
   in
   (* Pre-filter plumbing. Replayed candidates bypass the filter entirely —
      the supervisor returns the recorded outcome (exact or predicted)
@@ -173,26 +180,15 @@ let search_algorithm rng ~seed ~settings ?prune ?supervisor ?cost_model
   let prefilter =
     Option.map
       (fun cm ~index config ->
-        let replayed =
-          match supervisor with
-          | Some sup -> Supervisor.recorded sup ~scope ~config
-          | None -> false
-        in
-        if replayed then None
-        else
-          match Bo.Cost_model.classify cm config with
-          | Bo.Cost_model.Exact_required _ -> None
-          | Bo.Cost_model.Predicted_infeasible { p_feasible; predicted_objective }
-            ->
-              let eval =
-                Bo.Cost_model.predicted_evaluation ~p_feasible
-                  ~predicted_objective
-              in
-              (match supervisor with
-              | Some sup ->
-                  Supervisor.record_predicted sup ~scope ~index ~config ~eval
-              | None -> ());
-              Some eval)
+        match supervisor with
+        | Some sup when Supervisor.recorded sup ~scope ~config -> None
+        | Some _ | None ->
+            let skip = Bo.Cost_model.prefilter cm ~index config in
+            (match (skip, supervisor) with
+            | Some eval, Some sup ->
+                Supervisor.record_predicted sup ~scope ~index ~config ~eval
+            | (Some _ | None), _ -> ());
+            skip)
       cm
   in
   (* Feed every committed exact outcome back as a training example. Fires in
@@ -201,9 +197,9 @@ let search_algorithm rng ~seed ~settings ?prune ?supervisor ?cost_model
      Predicted commits and failure-tagged entries are not observations: the
      former were never measured, the latter's infeasibility is a training
      accident (divergence, timeout), not a property of the architecture. *)
-  let on_iteration =
-    Option.map
-      (fun cm (_ : int) (e : Bo.History.entry) ->
+  let on_commit (_ : int) (e : Bo.History.entry) =
+    Option.iter
+      (fun cm ->
         if
           not
             (Bo.Cost_model.is_predicted e.Bo.History.metadata
@@ -215,41 +211,41 @@ let search_algorithm rng ~seed ~settings ?prune ?supervisor ?cost_model
       cm
   in
   (* Distributed dispatch: batches go out as leases to worker processes
-     instead of the in-process pool; [eval] then never runs here, so the
-     winner must come from the history path below (same as replay). *)
-  let dispatch = Option.map (fun d -> d ~scope) dispatch in
+     instead of the in-process pool; [eval] then never runs here. *)
+  let exec = Option.map (fun d -> Bo.Optimizer.Dispatch (d ~scope)) dispatch in
   let history =
-    Bo.Optimizer.maximize_indexed rng ~settings ?on_iteration ?on_batch_start
-      ?prefilter ?dispatch space ~f:eval
+    Bo.Optimizer.maximize rng ~settings ?exec ?prefilter
+      ~observer:{ Bo.Optimizer.no_observer with on_batch_start; on_commit }
+      space ~f:(eval ?supervisor)
   in
+  (* The winner comes from the history, whose order mirrors
+     [compare_artifacts]. Replayed or dispatched evaluations never produced
+     an artifact here, so a winner missing from [best] is rebuilt from its
+     config-derived seed. A failure-tagged winner has no artifact —
+     rebuilding would just fail again — and a predicted-infeasible winner
+     was never evaluated at all: the final artifact is never chosen on a
+     prediction. *)
   let winner =
-    match (supervisor, cm, dispatch) with
-    | None, None, None -> !best
-    | _ -> (
-        (* Replayed evaluations never ran the artifact-producing thunk, so
-           [!best] can miss the true winner on a resumed search. Pick it
-           from the history (whose order mirrors [compare_artifacts]) and
-           rebuild the artifact deterministically if it wasn't cached. A
-           failure-tagged winner has no artifact — rebuilding would just
-           fail again — and a predicted-infeasible winner was never
-           evaluated at all: the final artifact is never chosen on a
-           prediction. *)
-        match Bo.History.best_entry history with
-        | None -> None
-        | Some e
-          when List.mem_assoc Supervisor.failure_key e.Bo.History.metadata
-               || Bo.Cost_model.is_predicted e.Bo.History.metadata ->
-            None
-        | Some e -> (
-            match !best with
-            | Some a when Bo.Config.equal a.Evaluator.config e.Bo.History.config
-              ->
-                Some a
-            | Some _ | None -> Some (run_eval e.Bo.History.config)))
+    match Bo.History.best_entry history with
+    | None -> None
+    | Some e
+      when List.mem_assoc Supervisor.failure_key e.Bo.History.metadata
+           || Bo.Cost_model.is_predicted e.Bo.History.metadata ->
+        None
+    | Some e -> (
+        match !best with
+        | Some (_, a) when Bo.Config.equal a.Evaluator.config e.Bo.History.config
+          ->
+            Some a
+        | Some _ | None ->
+            best := None;
+            ignore (eval ~index:(e.Bo.History.iteration - 1) e.Bo.History.config);
+            Option.map snd !best)
   in
-  (winner, history, sched, Option.map Bo.Cost_model.stats cm)
+  (winner, history, Option.map Bo.Cost_model.stats cm)
 
-let search_model ?(options = default_options) platform spec =
+(* [deadline] is not an option: only [research] sets one. *)
+let search_model_until ?deadline options platform spec =
   (* ASHA rungs share mutable per-batch thresholds that live in this
      process; a leased batch evaluates elsewhere, so the combination cannot
      keep its determinism contract. Refuse rather than silently diverge. *)
@@ -262,9 +258,6 @@ let search_model ?(options = default_options) platform spec =
          (Printf.sprintf
             "%s: no candidate algorithm survives filtering on %s"
             (Model_spec.name spec) (Platform.name platform)));
-  Log.info (fun m ->
-      m "%s on %s: candidates [%s]" (Model_spec.name spec) (Platform.name platform)
-        (String.concat "; " (List.map Model_spec.algorithm_to_string candidates)));
   (* Split the evaluation budget across the parallel per-algorithm runs. *)
   let n = List.length candidates in
   let settings =
@@ -279,11 +272,11 @@ let search_model ?(options = default_options) platform spec =
     List.map
       (fun algorithm ->
         let rng = Rng.split master in
-        let best, history, (_ : Bo.Asha.t option), stats =
+        let best, history, stats =
           search_algorithm rng ~seed:options.seed ~settings
             ?prune:options.prune ?supervisor:options.supervisor
             ?cost_model:options.cost_model ?dispatch:options.dispatch
-            ?deadline:options.deadline platform spec algorithm
+            ?deadline platform spec algorithm
         in
         (algorithm, best, history, stats))
       candidates
@@ -317,12 +310,6 @@ let search_model ?(options = default_options) platform spec =
               (Option.value artifact.Evaluator.verdict.Resource.rejection
                  ~default:"unknown rejection")))
   | Some artifact ->
-      Log.info (fun m ->
-          m "%s: best %s, objective %.4f, %s" (Model_spec.name spec)
-            (Model_spec.algorithm_to_string artifact.Evaluator.algorithm)
-            artifact.Evaluator.objective
-            (if artifact.Evaluator.verdict.Resource.feasible then "feasible"
-             else "INFEASIBLE"));
       let winning_history =
         List.find_map
           (fun (algorithm, _, history, _) ->
@@ -342,6 +329,9 @@ let search_model ?(options = default_options) platform spec =
            else None);
         cost_stats;
       }
+
+let search_model ?(options = default_options) platform spec =
+  search_model_until options platform spec
 
 (* The worker-process side of distributed dispatch: evaluate one leased
    candidate exactly as the inline search would have. The scope string
@@ -368,16 +358,8 @@ let worker_eval ~options ~platform ~specs ~scope ~index ~config =
         invalid_arg
           (Printf.sprintf "Compiler.worker_eval: no spec named %S" name)
   in
-  let run_eval ?guard () =
-    let eval_rng = Rng.create (options.seed lxor Bo.Config.hash config) in
-    Evaluator.evaluate eval_rng ?guard platform spec algorithm config
-  in
-  match options.supervisor with
-  | None -> Evaluator.to_bo_evaluation (run_eval ())
-  | Some sup ->
-      Supervisor.supervise sup ~scope ~index ~config (fun ctx ->
-          Evaluator.to_bo_evaluation
-            (run_eval ~guard:(Supervisor.epoch_guard ctx) ()))
+  evaluate_candidate ~seed:options.seed ?supervisor:options.supervisor ~scope
+    ~index ~score:Evaluator.to_bo_evaluation platform spec algorithm config
 
 (* Incremental re-search: one budgeted search_model run whose failure modes
    are data, not exceptions — the autopilot's degradation branches key off
@@ -394,11 +376,7 @@ type research_outcome =
 
 let research ?(options = default_options) ?budget_s platform spec =
   let started = Unix.gettimeofday () in
-  let options =
-    match budget_s with
-    | None -> options
-    | Some b -> { options with deadline = Some (started +. b) }
-  in
+  let deadline = Option.map (fun b -> started +. b) budget_s in
   let replayed () =
     match options.supervisor with
     | Some s -> Supervisor.replayed_count s
@@ -406,7 +384,7 @@ let research ?(options = default_options) ?budget_s platform spec =
   in
   let before = replayed () in
   let outcome =
-    match search_model ~options platform spec with
+    match search_model_until ?deadline options platform spec with
     | r -> Research_won r
     | exception No_feasible_model msg -> Research_infeasible msg
     | exception Search_budget_exhausted -> Research_budget
@@ -439,63 +417,29 @@ let search_tradeoff ?(options = default_options) ?(n_scalarizations = 5)
          (Printf.sprintf "%s: no candidate algorithm survives filtering"
             (Model_spec.name spec)));
   let algorithm = List.hd candidates in
-  let data = Model_spec.load spec in
-  let input_dim = Homunculus_ml.Dataset.n_features data.Model_spec.train in
-  let space = Space_builder.build platform algorithm ~input_dim in
   let master = Rng.create options.seed in
   let points = ref [] in
   for _ = 1 to n_scalarizations do
     let run_rng = Rng.split master in
     let weight = Rng.uniform run_rng 0.3 1.0 in
-    (* Same concurrency story as [search_algorithm]: the scalarized running
-       best lives behind a mutex and is ranked by a total order (feasible
-       first, then scalarized score, then configuration string), so batched
-       evaluation order cannot change the winner. *)
-    let score a f =
-      (weight *. a.Evaluator.objective) -. ((1. -. weight) *. f)
-    in
-    let ranks_higher (a, af) (b, bf) =
-      let fc =
-        Bool.compare b.Evaluator.verdict.Resource.feasible
-          a.Evaluator.verdict.Resource.feasible
-      in
-      if fc <> 0 then fc < 0
-      else
-        let sc = Float.compare (score b bf) (score a af) in
-        if sc <> 0 then sc < 0
-        else
-          String.compare
-            (Bo.Config.to_string a.Evaluator.config)
-            (Bo.Config.to_string b.Evaluator.config)
-          < 0
-    in
-    let best = ref None in
-    let best_lock = Mutex.create () in
-    let eval config =
-      let eval_rng = Rng.create (options.seed lxor Bo.Config.hash config) in
-      let artifact = Evaluator.evaluate eval_rng platform spec algorithm config in
-      let fraction = resource_fraction artifact.Evaluator.verdict in
-      Mutex.lock best_lock;
-      (match !best with
-      | Some incumbent when not (ranks_higher (artifact, fraction) incumbent) ->
-          ()
-      | Some _ | None -> best := Some (artifact, fraction));
-      Mutex.unlock best_lock;
+    let score artifact =
       {
         Bo.Optimizer.objective =
-          (weight *. artifact.Evaluator.objective) -. ((1. -. weight) *. fraction);
+          (weight *. artifact.Evaluator.objective)
+          -. ((1. -. weight) *. resource_fraction artifact.Evaluator.verdict);
         feasible = artifact.Evaluator.verdict.Resource.feasible;
         pruned = artifact.Evaluator.pruned;
         metadata = [];
       }
     in
-    let (_ : Bo.History.t) =
-      Bo.Optimizer.maximize run_rng ~settings:options.bo_settings space ~f:eval
-    in
-    match !best with
-    | Some (artifact, fraction) when artifact.Evaluator.verdict.Resource.feasible ->
-        points := { artifact; resource_fraction = fraction; weight } :: !points
-    | Some _ | None -> ()
+    match
+      search_algorithm run_rng ~seed:options.seed
+        ~settings:options.bo_settings ~score platform spec algorithm
+    with
+    | Some artifact, _, _ when artifact.Evaluator.verdict.Resource.feasible ->
+        let resource_fraction = resource_fraction artifact.Evaluator.verdict in
+        points := { artifact; resource_fraction; weight } :: !points
+    | (Some _ | None), _, _ -> ()
   done;
   if !points = [] then
     raise

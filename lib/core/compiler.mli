@@ -10,13 +10,6 @@ exception No_feasible_model of string
     finishes without one feasible configuration ("... until the final output
     meets the constraints, or no feasible solution exists"). *)
 
-exception Search_budget_exhausted
-(** Raised from inside a search when [options.deadline] passes. Checked at
-    batch boundaries on the calling domain, before the batch is dispatched,
-    so the journal (when a supervisor carries one) holds only completed
-    evaluations — a budget-killed search resumes exactly like a crashed
-    one. *)
-
 type options = {
   seed : int;
   bo_settings : Bo.Optimizer.settings;
@@ -54,12 +47,6 @@ type options = {
           Composes with the supervisor: journal-replayed candidates bypass
           the filter, fresh skips are journaled with kind [predicted].
           [None] evaluates every candidate exactly, as before. *)
-  deadline : float option;
-      (** absolute wall-clock time ([Unix.gettimeofday] scale) after which
-          the search raises {!Search_budget_exhausted} instead of starting
-          another batch. Checked only at batch boundaries: a batch already
-          dispatched runs to completion, so every journaled evaluation is a
-          finished one. [None] (the default) never times out. *)
   dispatch :
     (scope:string -> (int * Bo.Config.t) array -> Bo.Optimizer.evaluation array)
     option;
@@ -154,9 +141,11 @@ val research :
 (** One budgeted {!search_model} run whose failure modes are data instead of
     exceptions, so an unattended caller (the autopilot) can degrade
     gracefully: on [Research_infeasible] or [Research_budget] the caller
-    keeps its incumbent and records the event. [budget_s], when given,
-    overrides [options.deadline] with [now + budget_s] ([budget_s <= 0.]
-    therefore times out before the first batch — the forced-failure arm).
+    keeps its incumbent and records the event. [budget_s], when given, sets
+    a wall-clock deadline of [now + budget_s], checked only at batch
+    boundaries: a batch already dispatched runs to completion, so every
+    journaled evaluation is a finished one ([budget_s <= 0.] therefore
+    times out before the first batch — the forced-failure arm).
     Any other exception (including {!Homunculus_resilience.Faultplan.Killed})
     propagates: a simulated crash must look like a crash. *)
 

@@ -1,6 +1,6 @@
 (** The coordinator side of the distributed DSE.
 
-    Plugs into {!Homunculus_bo.Optimizer.maximize_indexed}'s [dispatch]
+    Plugs into {!Homunculus_bo.Optimizer.maximize}'s [Dispatch] exec
     hook: each batch of (proposal-index, configuration) pairs is published
     as lease files for worker processes to claim, and the call returns once
     every candidate's evaluation has been read back from the per-worker

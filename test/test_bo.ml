@@ -390,7 +390,10 @@ let test_optimizer_calls_black_box_exactly () =
   let settings =
     { Bo.Optimizer.default_settings with Bo.Optimizer.n_init = 5; n_iter = 7 }
   in
-  let h = Bo.Optimizer.maximize (rng ()) ~settings quadratic_space ~f in
+  let h =
+    Bo.Optimizer.maximize (rng ()) ~settings quadratic_space
+      ~f:(fun ~index:_ c -> f c)
+  in
   Alcotest.(check int) "12 evaluations" 12 !count;
   Alcotest.(check int) "history length" 12 (Bo.History.length h)
 
@@ -407,7 +410,7 @@ let test_optimizer_beats_warmup () =
     in
     let h =
       Bo.Optimizer.maximize (Rng.create seed) ~settings quadratic_space
-        ~f:quadratic_eval
+        ~f:(fun ~index:_ c -> quadratic_eval c)
     in
     let curve = Bo.History.best_so_far h in
     (curve.(7), curve.(Array.length curve - 1))
@@ -438,7 +441,10 @@ let test_optimizer_respects_feasibility () =
   let settings =
     { Bo.Optimizer.default_settings with Bo.Optimizer.n_init = 10; n_iter = 20 }
   in
-  let h = Bo.Optimizer.maximize (rng ()) ~settings quadratic_space ~f in
+  let h =
+    Bo.Optimizer.maximize (rng ()) ~settings quadratic_space
+      ~f:(fun ~index:_ c -> f c)
+  in
   match Bo.History.best h with
   | Some e ->
       Alcotest.(check bool) "best is feasible" true e.Bo.History.feasible;
@@ -452,10 +458,15 @@ let test_optimizer_callback_invoked () =
   in
   let _ =
     Bo.Optimizer.maximize (rng ()) ~settings
-      ~on_iteration:(fun i entry ->
-        incr calls;
-        Alcotest.(check int) "iteration matches" i entry.Bo.History.iteration)
-      quadratic_space ~f:quadratic_eval
+      ~observer:
+        {
+          Bo.Optimizer.no_observer with
+          on_commit =
+            (fun i entry ->
+              incr calls;
+              Alcotest.(check int) "iteration matches" i entry.Bo.History.iteration);
+        }
+      quadratic_space ~f:(fun ~index:_ c -> quadratic_eval c)
   in
   Alcotest.(check int) "5 callbacks" 5 !calls
 
@@ -479,7 +490,10 @@ let test_optimizer_batched_budget_exact () =
     }
   in
   let pool = Homunculus_par.Par.create ~jobs:4 () in
-  let h = Bo.Optimizer.maximize (rng ()) ~settings ~pool quadratic_space ~f in
+  let h =
+    Bo.Optimizer.maximize (rng ()) ~settings ~exec:(Bo.Optimizer.Pool pool)
+      quadratic_space ~f:(fun ~index:_ c -> f c)
+  in
   Homunculus_par.Par.shutdown pool;
   Alcotest.(check int) "12 evaluations" 12 !count;
   Alcotest.(check int) "history length" 12 (Bo.History.length h)
@@ -513,8 +527,9 @@ let test_optimizer_deterministic_across_worker_counts () =
   let run jobs =
     let pool = Homunculus_par.Par.create ~jobs () in
     let h =
-      Bo.Optimizer.maximize (Rng.create 7) ~settings ~pool quadratic_space
-        ~f:quadratic_eval
+      Bo.Optimizer.maximize (Rng.create 7) ~settings
+        ~exec:(Bo.Optimizer.Pool pool) quadratic_space
+        ~f:(fun ~index:_ c -> quadratic_eval c)
     in
     Homunculus_par.Par.shutdown pool;
     h

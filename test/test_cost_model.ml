@@ -52,15 +52,17 @@ let histories_equal a b =
 
 let filtered_history ~seed ~settings ~cm_settings ?pool () =
   let cm = Bo.Cost_model.create ~settings:cm_settings ~seed ~features () in
-  let on_iteration (_ : int) (e : Bo.History.entry) =
+  let on_commit (_ : int) (e : Bo.History.entry) =
     if not (Bo.Cost_model.is_predicted e.Bo.History.metadata) then
       Bo.Cost_model.observe cm ~config:e.Bo.History.config
         ~objective:e.Bo.History.objective ~feasible:e.Bo.History.feasible
         ~pruned:e.Bo.History.pruned
   in
   let history =
-    Bo.Optimizer.maximize (Rng.create seed) ~settings ?pool ~on_iteration
-      ~prefilter:(Bo.Cost_model.prefilter cm) space ~f:eval
+    Bo.Optimizer.maximize (Rng.create seed) ~settings
+      ?exec:(Option.map (fun p -> Bo.Optimizer.Pool p) pool)
+      ~observer:{ Bo.Optimizer.no_observer with on_commit }
+      ~prefilter:(Bo.Cost_model.prefilter cm) space ~f:(fun ~index:_ c -> eval c)
   in
   (history, cm)
 
@@ -76,7 +78,8 @@ let prop_infinite_margin_identity =
       let batch_size = 1 + (seed mod 3) in
       let settings = settings ~batch_size () in
       let exact =
-        Bo.Optimizer.maximize (Rng.create seed) ~settings space ~f:eval
+        Bo.Optimizer.maximize (Rng.create seed) ~settings space
+          ~f:(fun ~index:_ c -> eval c)
       in
       let filtered, cm =
         filtered_history ~seed ~settings
@@ -256,8 +259,8 @@ let test_refit_cadence () =
     in
     let history =
       Bo.Optimizer.maximize (Rng.create 11) ~settings
-        ~on_refit:(fun _ -> incr refits)
-        space ~f:eval
+        ~observer:{ Bo.Optimizer.no_observer with on_refit = (fun _ -> incr refits) }
+        space ~f:(fun ~index:_ c -> eval c)
     in
     (history, !refits)
   in
