@@ -39,7 +39,6 @@ module Model_spec = Homunculus_alchemy.Model_spec
 module Nslkdd = Homunculus_netdata.Nslkdd
 module Costmodel_eval = Homunculus_check.Costmodel_eval
 module Resilience = Homunculus_resilience
-module Dist = Homunculus_dist
 
 (* Cores as (raw, effective): [raw] is the /proc/cpuinfo processor count (0
    when unreadable), which containers and some VMs under-report — earlier
@@ -427,178 +426,6 @@ let run_journal_section () =
       ("replay_intact", Json.Bool intact);
     ]
 
-(* ---------------------------------------------------------------- *)
-(* Section 6: distributed coordinator/worker scaling + kill recovery *)
-(* on the same resource-starved grid as the cost-model A/B — real    *)
-(* train/lower/estimate per candidate, OS processes per worker.      *)
-
-let dist_budget = if Bench_config.fast then 24 else 48
-
-(* Exploration-heavy like the cost-model arms (the starved grid needs the
-   random phase to stumble on the feasible region), proposed four at a
-   time: every batch is a four-lease fan-out, so worker counts 1 and 4
-   bracket the available process-level parallelism while the proposal
-   stream stays fixed. *)
-let dist_options =
-  let n_init = dist_budget * 2 / 3 in
-  {
-    Compiler.default_options with
-    Compiler.seed = Bench_config.seed;
-    emit_code = false;
-    bo_settings =
-      {
-        Bo.Optimizer.default_settings with
-        Bo.Optimizer.n_init;
-        n_iter = dist_budget - n_init;
-        pool_size = (if Bench_config.fast then 64 else 150);
-        batch_size = 4;
-      };
-  }
-
-(* Entry point for the hidden `main.exe dse-dist-worker DIR ID [KILL]`
-   argv: one worker process claiming leases out of DIR. [kill] simulates a
-   SIGKILL after that many claims (exit 10 holding an unserved lease — the
-   TTL-reissue path the recovery arm measures). *)
-let dist_worker ~dir ~id ~kill =
-  let platform = cm_platform () in
-  let spec = cm_spec () in
-  (* Load the dataset before claiming so the first lease's wall-clock
-     measures evaluation, not data generation. *)
-  let (_ : Model_spec.data) = Model_spec.load spec in
-  let eval ~scope ~index ~config =
-    Compiler.worker_eval ~options:dist_options ~platform ~specs:[ spec ]
-      ~scope ~index ~config
-  in
-  let faults =
-    Option.map
-      (fun n ->
-        Resilience.Faultplan.create
-          [ Resilience.Faultplan.Kill_after { records = n } ])
-      kill
-  in
-  match Dist.Worker.run ~dir ~id ~eval ~poll_s:0.005 ?faults () with
-  | (_ : Dist.Worker.stats) -> ()
-  | exception Resilience.Faultplan.Killed (_ : int) -> exit 10
-
-let mk_temp_dir prefix =
-  let rec go i =
-    let path =
-      Filename.concat
-        (Filename.get_temp_dir_name ())
-        (Printf.sprintf "%s-%d-%d" prefix (Unix.getpid ()) i)
-    in
-    match Unix.mkdir path 0o755 with
-    | () -> path
-    | exception Unix.Unix_error (Unix.EEXIST, _, _) -> go (i + 1)
-  in
-  go 0
-
-let run_dist_arm ~platform ~spec ~workers ~kill =
-  let dir = mk_temp_dir "homunculus-dist" in
-  let local_eval ~scope ~index ~config =
-    Compiler.worker_eval ~options:dist_options ~platform ~specs:[ spec ]
-      ~scope ~index ~config
-  in
-  let coord =
-    Dist.Coordinator.create ~dir ~ttl_s:1.0 ~poll_s:0.005 ~local_eval ()
-  in
-  (* Workers are this same bench binary re-invoked in worker mode, spawned
-     before the clock starts (they idle-poll until the first batch), stdout
-     routed to stderr so the bench's own stdout stays clean. *)
-  let spawn i =
-    let args =
-      [ Sys.executable_name; "dse-dist-worker"; dir; string_of_int i ]
-      @
-      match kill with
-      | Some (w, n) when w = i -> [ string_of_int n ]
-      | Some _ | None -> []
-    in
-    Unix.create_process Sys.executable_name (Array.of_list args) Unix.stdin
-      Unix.stderr Unix.stderr
-  in
-  let pids = List.init workers spawn in
-  let t0 = Unix.gettimeofday () in
-  let result =
-    Compiler.search_model
-      ~options:
-        {
-          dist_options with
-          Compiler.dispatch =
-            Some
-              (fun ~scope batch -> Dist.Coordinator.dispatch coord ~scope batch);
-        }
-      platform spec
-  in
-  let dt = Unix.gettimeofday () -. t0 in
-  Dist.Coordinator.finish coord;
-  List.iter (fun pid -> ignore (Unix.waitpid [] pid)) pids;
-  (dt, result, Dist.Coordinator.stats coord)
-
-let run_distributed_section () =
-  Bench_config.section
-    "DSE distributed: multi-process scaling + worker-kill recovery";
-  let platform = cm_platform () in
-  let spec = cm_spec () in
-  (* Warm-up: cache the dataset so the coordinator arms don't pay for it
-     (worker processes load their own copy before claiming). *)
-  let (_ : Model_spec.data) = Model_spec.load spec in
-  let t0 = Unix.gettimeofday () in
-  let inline = Compiler.search_model ~options:dist_options platform spec in
-  let t_inline = Unix.gettimeofday () -. t0 in
-  let t_1, r_1, s_1 = run_dist_arm ~platform ~spec ~workers:1 ~kill:None in
-  let t_4, r_4, s_4 = run_dist_arm ~platform ~spec ~workers:4 ~kill:None in
-  let t_k, r_k, s_k =
-    run_dist_arm ~platform ~spec ~workers:4 ~kill:(Some (1, 2))
-  in
-  let fp (r : Compiler.model_result) = fingerprint r.Compiler.history in
-  let deterministic =
-    fp inline = fp r_1 && fp r_1 = fp r_4 && fp r_4 = fp r_k
-  in
-  let winner_identical =
-    List.for_all
-      (fun (r : Compiler.model_result) ->
-        artifact_fingerprint r.Compiler.artifact
-        = artifact_fingerprint inline.Compiler.artifact)
-      [ r_1; r_4; r_k ]
-  in
-  let speedup = t_1 /. t_4 in
-  Printf.printf "  inline (in-process pool): %6.2f s\n" t_inline;
-  Printf.printf "  1 worker process:  %6.2f s  (%d leases)\n" t_1
-    s_1.Dist.Coordinator.leases_issued;
-  Printf.printf "  4 worker processes: %6.2f s  (speedup %.2fx)\n" t_4 speedup;
-  Printf.printf
-    "  4 workers, one killed at claim 2: %6.2f s  (%d leases reissued, %d \
-     inline)\n"
-    t_k s_k.Dist.Coordinator.leases_reissued
-    s_k.Dist.Coordinator.inline_evaluated;
-  Printf.printf "  histories %s, winner %s\n"
-    (if deterministic then "bit-identical across all arms" else "MISMATCH")
-    (if winner_identical then "bit-identical" else "DIVERGED");
-  let arm name wall (s : Dist.Coordinator.stats) =
-    ( name,
-      Json.Object
-        [
-          ("wall_s", Json.Number wall);
-          ("leases_issued", Json.Number (float_of_int s.Dist.Coordinator.leases_issued));
-          ("leases_reissued", Json.Number (float_of_int s.Dist.Coordinator.leases_reissued));
-          ("inline_evaluated", Json.Number (float_of_int s.Dist.Coordinator.inline_evaluated));
-          ("merged", Json.Number (float_of_int s.Dist.Coordinator.merged));
-        ] )
-  in
-  Json.Object
-    [
-      ("budget", Json.Number (float_of_int dist_budget));
-      ("batch_size", Json.Number 4.);
-      ("inline_wall_s", Json.Number t_inline);
-      arm "workers_1" t_1 s_1;
-      arm "workers_4" t_4 s_4;
-      arm "workers_4_one_killed" t_k s_k;
-      ("speedup_4_workers", Json.Number speedup);
-      ("reevaluated_after_kill", Json.Number (float_of_int s_k.Dist.Coordinator.leases_reissued));
-      ("deterministic", Json.Bool deterministic);
-      ("winner_identical", Json.Bool winner_identical);
-    ]
-
 let run () =
   Bench_config.section "DSE scaling: batched BO at --jobs 1/2/4";
   let budget = if Bench_config.fast then 24 else 100 in
@@ -647,7 +474,6 @@ let run () =
   let refit_json = run_refit_section ~budget in
   let eval_json = run_costmodel_eval_section () in
   let journal_json = run_journal_section () in
-  let distributed_json = run_distributed_section () in
   let cores_raw, cores_effective = host_cores () in
   let json =
     Json.Object
@@ -673,7 +499,6 @@ let run () =
         ("refit_cadence", refit_json);
         ("costmodel_eval", eval_json);
         ("journal", journal_json);
-        ("distributed", distributed_json);
       ]
   in
   Out_channel.with_open_text "BENCH_dse.json" (fun oc ->

@@ -26,15 +26,6 @@ let experiments =
   ]
 
 let () =
-  (* Hidden self-exec mode: `main.exe dse-dist-worker DIR ID [KILL]` runs one
-     distributed-DSE worker process against coordination directory DIR (the
-     dse bench spawns these; they never reach the experiment dispatch). *)
-  (match Array.to_list Sys.argv with
-  | _ :: "dse-dist-worker" :: dir :: id :: rest ->
-      Dse_bench.dist_worker ~dir ~id:(int_of_string id)
-        ~kill:(match rest with k :: _ -> Some (int_of_string k) | [] -> None);
-      exit 0
-  | _ -> ());
   let t0 = Unix.gettimeofday () in
   let selected =
     match Array.to_list Sys.argv with

@@ -3,8 +3,6 @@
    Subcommands:
      compile   search + train + map one built-in application to a target and
                dump the generated backend code
-     search    the same search, optionally distributed across worker
-               processes through a coordination directory
      compose   search several guarded applications and lower them onto ONE
                shared pipeline; differential oracle + combined feasibility
      inspect   print a platform's resource model
@@ -251,9 +249,9 @@ let cm_conviction_arg =
 
 (* Shared DSE terms *)
 
-(* --seed, --budget, --jobs and (where the subcommand offers it) --prune:
-   the search options every searching subcommand starts from. *)
-let options_term prune =
+(* --seed, --budget, --jobs and --prune: the search options every searching
+   subcommand starts from. *)
+let options_t =
   let make seed budget jobs prune =
     let n_init = Stdlib.max 3 (budget / 4) in
     let jobs = if jobs <= 0 then Par.recommended_jobs () else jobs in
@@ -271,9 +269,7 @@ let options_term prune =
       prune = (if prune then Some Bo.Asha.default_settings else None);
     }
   in
-  Term.(const make $ seed_arg $ budget_arg $ jobs_arg $ prune)
-
-let options_t = options_term prune_arg
+  Term.(const make $ seed_arg $ budget_arg $ jobs_arg $ prune_arg)
 
 let cost_model_t =
   let make on margin min_obs conviction =
@@ -291,8 +287,7 @@ let cost_model_t =
     const make $ cost_model_arg $ cm_margin_arg $ cm_min_obs_arg
     $ cm_conviction_arg)
 
-(* Supervision: --retries and --eval-budget, plus --journal/--resume/--faults
-   where the subcommand offers them. *)
+(* Supervision: --journal, --resume, --faults, --retries and --eval-budget. *)
 type supervision = {
   journal_dir : string option;
   resume : bool;
@@ -301,19 +296,16 @@ type supervision = {
   eval_budget : float option;
 }
 
-let supervision_term ~journal =
-  let make (journal_dir, resume, faults) retries eval_budget =
+let supervision_t =
+  let make journal_dir resume faults retries eval_budget =
     if resume && journal_dir = None then
       `Error (true, "--resume requires --journal DIR")
     else `Ok { journal_dir; resume; faults; retries; eval_budget }
   in
-  let journal =
-    if journal then
-      Term.(
-        const (fun j r f -> (j, r, f)) $ journal_arg $ resume_arg $ faults_arg)
-    else Term.const (None, false, None)
-  in
-  Term.(ret (const make $ journal $ retries_arg $ eval_budget_arg))
+  Term.(
+    ret
+      (const make $ journal_arg $ resume_arg $ faults_arg $ retries_arg
+     $ eval_budget_arg))
 
 (* Build the supervisor (or none, when no resilience flag was given). The
    journal handle is returned separately so the driver can close it. *)
@@ -375,8 +367,6 @@ let print_search_result ~target ~output result =
       | None, _ -> ())
   | _ -> ()
 
-(* One inline search, shared by [compile] and [search] without
-   --coordinator. *)
 let compile app target options cost_model supervision output =
   let spec = spec_of (List.assoc app apps) options.Compiler.seed in
   let supervisor, journal = open_supervision supervision in
@@ -415,135 +405,6 @@ let compile app target options cost_model supervision output =
         Printf.eprintf "search killed after %d journal records (simulated)\n%!"
           n;
         10)
-
-(* search — the distributed DSE driver.
-
-   Three modes behind one subcommand, so a worker is just another homc
-   invocation (the same binary can later be launched on another machine
-   against a shared coordination directory):
-
-     homc search APP                          inline, single process
-     homc search APP --coordinator DIR \
-                     --workers N              coordinator + N local workers
-     homc search APP --coordinator DIR \
-                     --worker --worker-id I   hidden: one worker process
-
-   Everything deterministic prints to stdout; lease/worker accounting goes
-   to stderr — so for a fixed seed and -j, the coordinator run's stdout is
-   byte-identical to the inline run's at any worker count, including runs
-   where workers were killed mid-search. *)
-
-module Dist = Homunculus_dist
-
-let kill_worker_conv =
-  let parse s =
-    match List.map int_of_string_opt (String.split_on_char ':' s) with
-    | [ Some i; Some n ] when i >= 0 && n >= 1 -> Ok (i, n)
-    | _ ->
-        Error (`Msg (Printf.sprintf "invalid value '%s', expected WORKER:CLAIMS" s))
-  in
-  Arg.conv (parse, fun ppf (i, n) -> Format.fprintf ppf "%d:%d" i n)
-
-let search app target options mode workers lease_ttl fsync_every worker_id
-    kill_worker supervision output =
-  let spec = spec_of (List.assoc app apps) options.Compiler.seed in
-  let platform = platform_of_name target in
-  (* Worker-local resilience only: retries and budgets compose per process;
-     the journal role is played by the coordination directory. *)
-  let supervisor, _ = open_supervision supervision in
-  let lease_options = { options with Compiler.supervisor } in
-  let lease_eval ~scope ~index ~config =
-    Compiler.worker_eval ~options:lease_options ~platform ~specs:[ spec ]
-      ~scope ~index ~config
-  in
-  match mode with
-  | `Inline ->
-      (* The single-process reference the distributed modes must match
-         byte-for-byte on stdout. *)
-      compile app target options None supervision output
-  | `Worker dir -> (
-      (* Claim leases, evaluate, journal, until the done marker. A
-         --kill-worker plan addressed to this id simulates a SIGKILL after
-         that many claims (exit 10, lease left unserved). *)
-      let faults =
-        match kill_worker with
-        | Some (i, n) when i = worker_id ->
-            Some
-              (Resilience.Faultplan.create
-                 [ Resilience.Faultplan.Kill_after { records = n } ])
-        | Some _ | None -> None
-      in
-      match
-        Dist.Worker.run ~dir ~id:worker_id ~eval:lease_eval ?fsync_every
-          ?faults ()
-      with
-      | stats ->
-          Printf.eprintf "worker %d: %d leases claimed, %d evaluated\n%!"
-            worker_id stats.Dist.Worker.claims stats.Dist.Worker.evaluated;
-          0
-      | exception Resilience.Faultplan.Killed n ->
-          Printf.eprintf "worker %d: killed after %d claims (simulated)\n%!"
-            worker_id n;
-          10)
-  | `Coordinator dir ->
-      (* Lease batches to the fleet through the optimizer's dispatch hook.
-         [local_eval] is the all-workers-dead fallback. *)
-      let coord =
-        Dist.Coordinator.create ~dir ~ttl_s:lease_ttl ~local_eval:lease_eval ()
-      in
-      let options =
-        {
-          options with
-          Compiler.dispatch =
-            Some (fun ~scope batch -> Dist.Coordinator.dispatch coord ~scope batch);
-        }
-      in
-      (* Each worker is this binary re-invoked in --worker mode, stdout
-         redirected onto our stderr so the coordinator's stdout stays
-         byte-identical to a single-process run. *)
-      let spawn i =
-        let args =
-          [
-            Sys.executable_name; "search"; app; "-t"; target;
-            "--seed"; string_of_int options.Compiler.seed; "-j"; "1";
-            "--coordinator"; dir; "--worker"; "--worker-id"; string_of_int i;
-            "--retries"; string_of_int supervision.retries;
-          ]
-          @ (match supervision.eval_budget with
-            | Some b -> [ "--eval-budget"; string_of_float b ]
-            | None -> [])
-          @ (match fsync_every with
-            | Some k -> [ "--fsync-every"; string_of_int k ]
-            | None -> [])
-          @
-          match kill_worker with
-          | Some (w, n) -> [ "--kill-worker"; Printf.sprintf "%d:%d" w n ]
-          | None -> []
-        in
-        Unix.create_process Sys.executable_name (Array.of_list args)
-          Unix.stdin Unix.stderr Unix.stderr
-      in
-      let pids = List.init workers spawn in
-      let result = Compiler.generate ~options platform (Schedule.model spec) in
-      Dist.Coordinator.finish coord;
-      print_search_result ~target ~output result;
-      let s = Dist.Coordinator.stats coord in
-      Printf.eprintf
-        "coordinator: %d leases issued (%d reissued), %d records merged, %d \
-         replayed, %d evaluated inline\n%!"
-        s.Dist.Coordinator.leases_issued s.Dist.Coordinator.leases_reissued
-        s.Dist.Coordinator.merged s.Dist.Coordinator.replay_hits
-        s.Dist.Coordinator.inline_evaluated;
-      List.iter
-        (fun pid ->
-          match Unix.waitpid [] pid with
-          | _, Unix.WEXITED 0 -> ()
-          | _, Unix.WEXITED code ->
-              Printf.eprintf "worker pid %d exited %d\n%!" pid code
-          | _, (Unix.WSIGNALED sg | Unix.WSTOPPED sg) ->
-              Printf.eprintf "worker pid %d signaled %d\n%!" pid sg)
-        pids;
-      0
 
 (* compose: many guarded models, one shared data plane *)
 
@@ -1131,84 +992,7 @@ let compile_cmd =
   Cmd.v (Cmd.info "compile" ~doc)
     Term.(
       const compile $ app_arg $ target_arg $ options_t $ cost_model_t
-      $ supervision_term ~journal:true
-      $ output_arg)
-
-let search_cmd =
-  let coordinator_arg =
-    let doc =
-      "Run the search distributed: lease candidates out of this coordination \
-       directory to worker processes and merge their journaled evaluations. \
-       For a fixed --seed and -j, stdout is byte-identical to the inline run \
-       at any fleet size. Reusing a directory resumes: already-journaled \
-       evaluations are merged instead of re-leased."
-    in
-    Arg.(value & opt (some string) None & info [ "coordinator" ] ~docv:"DIR" ~doc)
-  in
-  let workers_arg =
-    let doc = "Local worker processes to spawn (coordinator mode)." in
-    Arg.(value & opt int 2 & info [ "workers" ] ~docv:"N" ~doc)
-  in
-  let lease_ttl_arg =
-    let doc =
-      "Reissue a lease not answered within this many seconds — a killed \
-       worker costs only its in-flight leases. Duplicated evaluations are \
-       harmless (config-derived seeds make them bit-identical)."
-    in
-    Arg.(value & opt float 5. & info [ "lease-ttl" ] ~docv:"SECONDS" ~doc)
-  in
-  let fsync_every_arg =
-    let doc =
-      "Group-commit the worker journals: fsync once per this many appended \
-       records instead of every record. A crash loses at most the unsynced \
-       tail, which the lease TTL re-evaluates."
-    in
-    Arg.(value & opt (some int) None & info [ "fsync-every" ] ~docv:"K" ~doc)
-  in
-  let worker_arg =
-    let doc =
-      "Internal: run as a lease-claiming worker for --coordinator DIR \
-       (spawned automatically in coordinator mode; invoke manually to \
-       attach an extra worker to a live search)."
-    in
-    Arg.(value & flag & info [ "worker" ] ~doc)
-  in
-  let mode_t =
-    let mode coordinator worker =
-      match (coordinator, worker) with
-      | None, true -> `Error (true, "--worker requires --coordinator DIR")
-      | None, false -> `Ok `Inline
-      | Some dir, true -> `Ok (`Worker dir)
-      | Some dir, false -> `Ok (`Coordinator dir)
-    in
-    Term.(ret (const mode $ coordinator_arg $ worker_arg))
-  in
-  let worker_id_arg =
-    let doc = "Internal: this worker's id (names its journal)." in
-    Arg.(value & opt int 0 & info [ "worker-id" ] ~docv:"I" ~doc)
-  in
-  let kill_worker_arg =
-    let doc =
-      "Fault injection: simulate a SIGKILL of worker $(i,WORKER) after its \
-       $(i,CLAIMS)th lease claim (before the evaluation runs), e.g. 1:3. \
-       The search must still finish with identical stdout."
-    in
-    Arg.(
-      value
-      & opt (some kill_worker_conv) None
-      & info [ "kill-worker" ] ~docv:"WORKER:CLAIMS" ~doc)
-  in
-  let doc =
-    "Run the design-space search inline or distributed across processes. \
-     Same search as $(b,compile); adds --coordinator/--workers to fan \
-     candidate evaluations out to an elastic, crash-tolerant worker fleet \
-     with deterministic (bit-identical) results."
-  in
-  Cmd.v (Cmd.info "search" ~doc)
-    Term.(
-      const search $ app_arg $ target_arg $ options_term (Term.const false)
-      $ mode_t $ workers_arg $ lease_ttl_arg $ fsync_every_arg $ worker_id_arg
-      $ kill_worker_arg $ supervision_term ~journal:false $ output_arg)
+      $ supervision_t $ output_arg)
 
 let compose_cmd =
   let apps_arg =
@@ -1482,7 +1266,7 @@ let main_cmd =
   let doc = "Homunculus: auto-generating data-plane ML pipelines" in
   Cmd.group (Cmd.info "homc" ~version:"1.0.0" ~doc)
     [
-      compile_cmd; search_cmd; compose_cmd; inspect_cmd; datasets_cmd; sweep_cmd;
+      compile_cmd; compose_cmd; inspect_cmd; datasets_cmd; sweep_cmd;
       place_cmd; simulate_cmd; export_trace_cmd; serve_cmd; loadgen_cmd;
       check_cmd;
     ]

@@ -12,8 +12,8 @@ type algorithm = Dnn | Kmeans | Svm | Tree
 val algorithm_to_string : algorithm -> string
 
 val algorithm_of_string : string -> algorithm
-(** Inverse of {!algorithm_to_string} — search scopes and distributed lease
-    records name algorithms by this string.
+(** Inverse of {!algorithm_to_string} — search scopes (and so journal
+    records and dispatched batches) name algorithms by this string.
     @raise Invalid_argument on an unknown name. *)
 
 val all_algorithms : algorithm list

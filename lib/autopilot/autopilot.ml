@@ -140,9 +140,8 @@ let proposals_recorded paths =
       let recs, _ = Journal.read path in
       List.iter
         (fun (r : Journal.record) ->
-          if Journal.is_evaluation r.kind then
-            Hashtbl.replace tbl r.scope
-              (1 + Option.value (Hashtbl.find_opt tbl r.scope) ~default:0))
+          Hashtbl.replace tbl r.scope
+            (1 + Option.value (Hashtbl.find_opt tbl r.scope) ~default:0))
         recs)
     paths;
   Hashtbl.fold (fun _ v acc -> Stdlib.max v acc) tbl 0

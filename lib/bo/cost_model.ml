@@ -145,25 +145,28 @@ let refit t =
   t.refits <- t.refits + 1;
   t.fresh <- 0
 
+(* A new incumbent also forces a refit. [best_observed] moves at once, so a
+   classifier fitted before it would judge the proposals clustering around
+   the new incumbent with a stale boundary; its skips add no observations,
+   so waiting for [refit_every] fresh ones could lock the filter in. The
+   trigger is still a function of the observation stream alone. *)
 let observe t ~config ~objective ~feasible ~pruned =
   let o = { features = t.extract config; feasible; objective; pruned } in
   t.observations <- o :: t.observations;
   t.n <- t.n + 1;
-  if feasible then begin
-    t.n_feasible <- t.n_feasible + 1;
-    if (not pruned) && not (Float.is_nan objective) then
-      t.best_observed <-
-        Some
-          (match t.best_observed with
-          | Some b when b >= objective -> b
-          | Some _ | None -> objective)
-  end
+  let new_incumbent =
+    feasible && (not pruned) && (not (Float.is_nan objective))
+    && match t.best_observed with Some b -> objective > b | None -> true
+  in
+  if feasible then t.n_feasible <- t.n_feasible + 1
   else t.n_infeasible <- t.n_infeasible + 1;
+  if new_incumbent then t.best_observed <- Some objective;
   t.fresh <- t.fresh + 1;
   if
     t.n >= t.settings.min_observations
     && t.n_feasible > 0 && t.n_infeasible > 0
-    && (Option.is_none t.classifier || t.fresh >= t.settings.refit_every)
+    && (Option.is_none t.classifier || new_incumbent
+       || t.fresh >= t.settings.refit_every)
   then refit t
 
 let classify t config =

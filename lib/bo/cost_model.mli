@@ -83,9 +83,11 @@ val create :
 val observe :
   t -> config:Config.t -> objective:float -> feasible:bool -> pruned:bool ->
   unit
-(** Record one {e exact} evaluation outcome (never a predicted one). May
-    refit the internal models; feature vectors are cached, so refits never
-    re-extract. *)
+(** Record one {e exact} evaluation outcome (never a predicted one). Once
+    armed, refits the internal models every [refit_every] observations and
+    whenever the outcome raises the best feasible objective seen (so the
+    winner guard never judges against a stale classifier); feature vectors
+    are cached, so refits never re-extract. *)
 
 val classify : t -> Config.t -> verdict
 (** Judge one candidate. Read-only with respect to the models (only

@@ -105,11 +105,10 @@ let no_observer =
    exact results. *)
 (* A [Dispatch] exec replaces the in-process pool for the exact
    evaluations: the surviving (index, config) pairs are handed over en bloc
-   and the dispatcher returns their evaluations in the same order. The
-   distributed coordinator plugs in here — proposals become leases to worker
-   processes — and because proposals, pre-filter decisions, and commits all
-   stay on the calling domain in proposal order, the history is identical
-   whether the batch ran inline, on a pool, or on a fleet. *)
+   and the dispatcher returns their evaluations in the same order. Because
+   proposals, pre-filter decisions, and commits all stay on the calling
+   domain in proposal order, the history is identical whether the batch ran
+   inline, on a pool, or through the dispatcher. *)
 let evaluate_batch ~exec ?prefilter ~observer history space ~f batch =
   let base = History.length history in
   let decisions =

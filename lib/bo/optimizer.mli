@@ -64,10 +64,9 @@ type exec =
       (** each batch's surviving [(index, config)] pairs (after pre-filter
           skips) are handed over in proposal order and the dispatcher must
           return their evaluations in the same order; [f] is never called.
-          The distributed coordinator leases batches to worker processes
-          through this; since proposals, pre-filter decisions, and commits
-          all stay on the calling domain, the history remains bit-identical
-          to an inline run. *)
+          Since proposals, pre-filter decisions, and commits all stay on the
+          calling domain, the history remains bit-identical to an inline
+          run. *)
 
 type observer = {
   on_batch_start : unit -> unit;

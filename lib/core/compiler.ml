@@ -74,8 +74,8 @@ let emit_code platform model_ir =
   | Platform.Tofino _ ->
       P4gen.emit model_ir ^ "\n" ^ P4gen.emit_entries model_ir
 
-(* The one per-candidate black box, shared by the inline search, the
-   distributed worker, the winner rebuild and the trade-off search. A
+(* The one per-candidate black box, shared by the inline search,
+   [worker_eval], the winner rebuild and the trade-off search. A
    per-configuration seed makes it deterministic: the same suggestion always
    measures the same, which stabilizes the search — and makes any artifact
    rebuildable from just its config, in any process. Under a supervisor,
@@ -210,8 +210,8 @@ let search_algorithm rng ~seed ~settings ?prune ?supervisor ?cost_model
             ~pruned:e.Bo.History.pruned)
       cm
   in
-  (* Distributed dispatch: batches go out as leases to worker processes
-     instead of the in-process pool; [eval] then never runs here. *)
+  (* Dispatch: batches go to the caller's hook instead of the in-process
+     pool; [eval] then only runs for the winner rebuild. *)
   let exec = Option.map (fun d -> Bo.Optimizer.Dispatch (d ~scope)) dispatch in
   let history =
     Bo.Optimizer.maximize rng ~settings ?exec ?prefilter
@@ -246,9 +246,10 @@ let search_algorithm rng ~seed ~settings ?prune ?supervisor ?cost_model
 
 (* [deadline] is not an option: only [research] sets one. *)
 let search_model_until ?deadline options platform spec =
-  (* ASHA rungs share mutable per-batch thresholds that live in this
-     process; a leased batch evaluates elsewhere, so the combination cannot
-     keep its determinism contract. Refuse rather than silently diverge. *)
+  (* ASHA rungs share mutable per-batch thresholds that the evaluation
+     callback consults; a dispatched batch bypasses that callback, so the
+     combination cannot keep its determinism contract. Refuse rather than
+     silently diverge. *)
   if Option.is_some options.dispatch && Option.is_some options.prune then
     invalid_arg "Compiler.search_model: dispatch is incompatible with prune";
   let candidates = Candidate.filter platform spec in
@@ -333,14 +334,14 @@ let search_model_until ?deadline options platform spec =
 let search_model ?(options = default_options) platform spec =
   search_model_until options platform spec
 
-(* The worker-process side of distributed dispatch: evaluate one leased
-   candidate exactly as the inline search would have. The scope string
-   carries everything positional ("<spec-name>/<algorithm>"); the
-   config-derived seed carries everything stochastic — so any process
-   produces the same evaluation for the same lease. No ASHA (incompatible
-   with dispatch), no cost model (the pre-filter runs coordinator-side,
-   skips never become leases), no best-artifact tracking (the coordinator
-   picks the winner from the merged history and rebuilds it). *)
+(* The evaluation side of dispatch: evaluate one dispatched candidate
+   exactly as the inline search would have. The scope string carries
+   everything positional ("<spec-name>/<algorithm>"); the config-derived
+   seed carries everything stochastic — so every call produces the same
+   evaluation for the same candidate. No ASHA (incompatible with dispatch),
+   no cost model (the pre-filter runs before dispatch, skips are never
+   dispatched), no best-artifact tracking (the search picks the winner from
+   the history and rebuilds it). *)
 let worker_eval ~options ~platform ~specs ~scope ~index ~config =
   let name, algorithm =
     match String.rindex_opt scope '/' with

@@ -51,13 +51,14 @@ type options = {
     (scope:string -> (int * Bo.Config.t) array -> Bo.Optimizer.evaluation array)
     option;
       (** when set, every batch of exact evaluations is handed to this hook
-          (the distributed coordinator) instead of the in-process pool; the
-          hook returns the evaluations in batch order. The winning artifact
-          is then picked from the history and rebuilt locally, as on a
-          resumed search. Incompatible with [prune] (ASHA's per-batch rung
-          thresholds are process-local state) — {!search_model} raises
-          [Invalid_argument] on the combination. [None] evaluates
-          in-process, as before. *)
+          instead of the in-process pool (e.g. to time or trace each
+          evaluation through {!worker_eval}); the hook returns the
+          evaluations in batch order. The winning artifact is then picked
+          from the history and rebuilt locally, as on a resumed search.
+          Incompatible with [prune] (ASHA's per-batch rung thresholds live
+          in the evaluation callback the hook bypasses) — {!search_model}
+          raises [Invalid_argument] on the combination. [None] evaluates on
+          the pool, as before. *)
 }
 
 val default_options : options
@@ -98,15 +99,16 @@ val worker_eval :
   index:int ->
   config:Bo.Config.t ->
   Bo.Optimizer.evaluation
-(** Evaluate one leased candidate the way the inline search would have: the
-    scope string (["<spec-name>/<algorithm>"], as built by the per-algorithm
-    search and carried by every lease and journal record) selects the model,
-    and the config-derived seed makes the result identical in any process.
-    Runs under [options.supervisor] when present (worker-local retries and
-    budgets; give the worker's supervisor no journal — the worker loop owns
-    its journal appends). [options.prune] and [options.cost_model] are
-    ignored: pruning is incompatible with dispatch and the cost-model
-    pre-filter runs coordinator-side, so leases are always exact.
+(** Evaluate one dispatched candidate the way the inline search would have:
+    the scope string (["<spec-name>/<algorithm>"], as built by the
+    per-algorithm search and carried by every dispatched batch and journal
+    record) selects the model, and the config-derived seed makes the result
+    identical wherever it runs. Runs under [options.supervisor] when present
+    (retries and budgets; give that supervisor no journal when the
+    [dispatch] hook journals its own appends). [options.prune] and
+    [options.cost_model] are ignored: pruning is incompatible with dispatch
+    and the cost-model pre-filter runs before the batch is dispatched, so
+    every dispatched candidate is evaluated exactly.
     @raise Invalid_argument on an unparseable scope or unknown spec name. *)
 
 val search_model :

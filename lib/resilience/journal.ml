@@ -2,15 +2,7 @@ module Json = Homunculus_util.Json
 module Bo = Homunculus_bo
 
 type failure = { failure_class : string; message : string; retries : int }
-type kind = Exact | Predicted | Lease | Release
-
-(* Evaluation records carry the search's actual outcomes; coordination
-   records (leases handed to distributed workers, and their releases) share
-   the same line format so one checksummed WAL serves both roles, but they
-   never enter the replay table — a lease is a promise, not a result. *)
-let is_evaluation = function
-  | Exact | Predicted -> true
-  | Lease | Release -> false
+type kind = Exact | Predicted
 
 type record = {
   scope : string;
@@ -69,11 +61,7 @@ let record_to_json r =
        match r.failure with None -> Json.Null | Some f -> failure_to_json f);
       ("kind",
        Json.String
-         (match r.kind with
-         | Exact -> "exact"
-         | Predicted -> "predicted"
-         | Lease -> "lease"
-         | Release -> "release"));
+         (match r.kind with Exact -> "exact" | Predicted -> "predicted"));
     ]
 
 let record_of_json json =
@@ -98,9 +86,11 @@ let record_of_json json =
          member: every one of their records was an exact evaluation. *)
       (match Json.member_opt json "kind" with
       | Some (Json.String "predicted") -> Predicted
-      | Some (Json.String "lease") -> Lease
-      | Some (Json.String "release") -> Release
-      | Some _ | None -> Exact);
+      | Some (Json.String "exact") | None -> Exact
+      (* Any other kind (the lease/release lines an earlier distributed
+         coordinator interleaved with results) is not an evaluation; the
+         loader drops the line rather than replaying it as one. *)
+      | Some _ -> invalid_arg "Journal: unknown record kind");
   }
 
 let line_of_record r =
@@ -209,20 +199,15 @@ let key ~scope ~config = scope ^ "\x00" ^ Bo.Serialize.config_key config
 
 let empty_replay () = { table = Hashtbl.create 64; loaded = 0; dropped = 0 }
 
-(* Absorb one parsed record into a replay table. Coordination kinds (lease /
-   release) are provenance, not outcomes: they never shadow an evaluation
-   and are not counted as loaded. *)
 let absorb replay r =
-  if is_evaluation r.kind then begin
-    replay.loaded <- replay.loaded + 1;
-    Hashtbl.replace replay.table (key ~scope:r.scope ~config:r.config) r
-  end
+  replay.loaded <- replay.loaded + 1;
+  Hashtbl.replace replay.table (key ~scope:r.scope ~config:r.config) r
 
 (* Single streaming pass over a journal file: every valid record is handed
    to [f] in file order, invalid lines are counted. [load], [records], and
    [read] are all one call to this — a caller that needs both the replay
    table and the raw record list pays for one read and one checksum pass,
-   not two (the coordinator merge hits that path per surrogate refit). *)
+   not two. *)
 let fold_records path ~init ~f =
   let dropped = ref 0 in
   let acc = ref init in
@@ -268,11 +253,7 @@ let dropped replay = replay.dropped
 
 (* Deterministic union of several replay tables: tables later in the list
    supersede earlier ones on key conflicts, mirroring the later-record-wins
-   rule within one file. In the distributed search conflicts only arise from
-   reissued leases, whose evaluations are bit-identical by construction
-   (config-derived seeds), so the choice of winner is unobservable — but it
-   is still fixed, because the coordinator merges worker journals in sorted
-   file order. *)
+   rule within one file. *)
 let merge replays =
   let out = empty_replay () in
   List.iter
@@ -287,61 +268,3 @@ let records path =
   let _, replay = read path in
   let all = Hashtbl.fold (fun _ r acc -> r :: acc) replay.table [] in
   List.sort (fun a b -> compare (a.scope, a.index) (b.scope, b.index)) all
-
-(* Incremental tail reader: re-polling a growing journal re-reads only the
-   bytes appended since the previous poll. A partial final line (a writer
-   mid-append, or a crash's torn tail) stays buffered until its newline
-   arrives; if it never does, it is simply never returned. *)
-
-type reader = {
-  reader_path : string;
-  mutable offset : int;
-  pending : Buffer.t;
-  mutable reader_dropped : int;
-}
-
-let reader reader_path =
-  { reader_path; offset = 0; pending = Buffer.create 256; reader_dropped = 0 }
-
-let reader_path r = r.reader_path
-
-let poll r =
-  if not (Sys.file_exists r.reader_path) then []
-  else begin
-    let ic = open_in_bin r.reader_path in
-    let fresh =
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () ->
-          let len = in_channel_length ic in
-          if len <= r.offset then ""
-          else begin
-            seek_in ic r.offset;
-            let n = len - r.offset in
-            let bytes = really_input_string ic n in
-            r.offset <- len;
-            bytes
-          end)
-    in
-    Buffer.add_string r.pending fresh;
-    let text = Buffer.contents r.pending in
-    match String.rindex_opt text '\n' with
-    | None -> []
-    | Some last ->
-        Buffer.clear r.pending;
-        Buffer.add_string r.pending
-          (String.sub text (last + 1) (String.length text - last - 1));
-        let complete = String.sub text 0 last in
-        List.filter_map
-          (fun line ->
-            if String.trim line = "" then None
-            else
-              match record_of_line line with
-              | Some _ as some -> some
-              | None ->
-                  r.reader_dropped <- r.reader_dropped + 1;
-                  None)
-          (String.split_on_char '\n' complete)
-  end
-
-let reader_dropped r = r.reader_dropped

@@ -22,19 +22,13 @@ type failure = { failure_class : string; message : string; retries : int }
     [backend], [budget]), human-readable message, and how many retries were
     burned before giving up. *)
 
-type kind = Exact | Predicted | Lease | Release
+type kind = Exact | Predicted
 (** How the record came to be. [Exact] ran the full train/lower/estimate
     pipeline; [Predicted] is a cost-model predicted-infeasible skip; both
-    are evaluations and enter the replay table. [Lease] and [Release] are
-    distributed-coordination records (a candidate handed to a worker, and
-    the coordinator observing its completion): they share the WAL format
-    but never enter the replay table. Journals written before this field
-    existed omit the member and parse as [Exact] — back-compatible both
-    ways, since the loader's checksum covers the raw line, not the
-    re-serialized record. *)
-
-val is_evaluation : kind -> bool
-(** [true] for [Exact] and [Predicted] — the kinds that replay. *)
+    enter the replay table. Journals written before this field existed omit
+    the member and parse as [Exact] — back-compatible both ways, since the
+    loader's checksum covers the raw line, not the re-serialized record.
+    A line with any other kind is not an evaluation and is dropped. *)
 
 type record = {
   scope : string;  (** search scope, e.g. ["spec-name/dnn"] *)
@@ -95,18 +89,16 @@ type replay
 val load : string -> replay
 (** Read a journal file (missing file = empty cache), dropping invalid
     lines. Later records for the same (scope, config) supersede earlier
-    ones; lease/release records are skipped. *)
+    ones. *)
 
 val read : string -> record list * replay
 (** Both views of a journal from a single streaming pass over the file: the
-    raw valid records in file order (all kinds, duplicates preserved) and
-    the replay table {!load} would have built. Callers that need both — the
-    coordinator merge does, per surrogate refit — avoid reading and
-    re-checksumming the file twice. *)
+    raw valid records in file order (duplicates preserved) and the replay
+    table {!load} would have built. *)
 
 val find : replay -> scope:string -> config:Bo.Config.t -> record option
 val loaded : replay -> int
-(** Evaluation records absorbed (lease/release records do not count). *)
+(** Valid records absorbed, superseded ones included. *)
 
 val dropped : replay -> int
 
@@ -118,22 +110,3 @@ val merge : replay list -> replay
 val records : string -> record list
 (** All valid evaluation records in a journal file after later-record-wins
     dedup, sorted by (scope, index) — for inspection and tests. *)
-
-(** {1 Incremental tail reader}
-
-    The coordinator re-reads every worker journal once per poll; a [reader]
-    makes that O(new bytes) instead of O(file) by remembering its offset. A
-    partial trailing line stays buffered until its newline arrives. *)
-
-type reader
-
-val reader : string -> reader
-(** A reader positioned at the start of [path]; the file need not exist yet
-    (polls return nothing until it does). *)
-
-val poll : reader -> record list
-(** Complete, valid records appended since the previous poll, in file
-    order. Invalid complete lines are counted and skipped. *)
-
-val reader_path : reader -> string
-val reader_dropped : reader -> int

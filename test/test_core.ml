@@ -5,6 +5,7 @@ open Homunculus_backends
 open Homunculus_core
 module Bo = Homunculus_bo
 module Rng = Homunculus_util.Rng
+module Par = Homunculus_par.Par
 module Dataset = Homunculus_ml.Dataset
 
 (* A small, learnable two-feature task. *)
@@ -339,6 +340,82 @@ let test_emit_code_dispatch () =
   Alcotest.(check bool) "p4 program" true (has p4 "control Ingress");
   Alcotest.(check bool) "p4 entries appended" true (has p4 "table_add")
 
+(* Dispatch: the [dispatch] hook replaces the in-process pool for exact
+   evaluations. A hook that evaluates each batch through
+   [Compiler.worker_eval] must commit the same history, bit for bit, and
+   pick the same winner as the inline search. *)
+
+let dispatch_options =
+  {
+    tiny_options with
+    Compiler.bo_settings =
+      {
+        tiny_options.Compiler.bo_settings with
+        Bo.Optimizer.n_iter = 4;
+        batch_size = 2;
+      };
+  }
+
+let bits = Int64.bits_of_float
+
+let entries_bit_identical (a : Bo.History.entry) (b : Bo.History.entry) =
+  a.Bo.History.iteration = b.Bo.History.iteration
+  && Bo.Config.equal a.config b.config
+  && bits a.objective = bits b.objective
+  && a.feasible = b.feasible && a.pruned = b.pruned
+  && List.equal
+       (fun (k1, v1) (k2, v2) -> k1 = k2 && bits v1 = bits v2)
+       a.metadata b.metadata
+
+let test_dispatch_worker_eval_identical () =
+  let platform = Platform.tofino () in
+  let spec = blob_spec ~name:"dblobs" ~algorithms:[ Model_spec.Tree ] () in
+  let inline = Compiler.search_model ~options:dispatch_options platform spec in
+  let dispatched = ref 0 in
+  let dispatch ~scope batch =
+    dispatched := !dispatched + Array.length batch;
+    Par.run_in_parallel
+      (Array.map
+         (fun (index, config) () ->
+           Compiler.worker_eval ~options:dispatch_options ~platform
+             ~specs:[ spec ] ~scope ~index ~config)
+         batch)
+  in
+  let r =
+    Compiler.search_model
+      ~options:{ dispatch_options with Compiler.dispatch = Some dispatch }
+      platform spec
+  in
+  Alcotest.(check int) "every evaluation went through the hook"
+    (Bo.History.length inline.Compiler.history)
+    !dispatched;
+  Alcotest.(check bool) "history bit-identical" true
+    (List.equal entries_bit_identical
+       (Bo.History.entries inline.Compiler.history)
+       (Bo.History.entries r.Compiler.history));
+  Alcotest.(check bool) "winner config identical" true
+    (Bo.Config.equal inline.Compiler.artifact.Evaluator.config
+       r.Compiler.artifact.Evaluator.config);
+  Alcotest.(check bool) "winner objective bit-identical" true
+    (bits inline.Compiler.artifact.Evaluator.objective
+    = bits r.Compiler.artifact.Evaluator.objective)
+
+let test_dispatch_prune_refused () =
+  let options =
+    {
+      dispatch_options with
+      Compiler.prune = Some Bo.Asha.default_settings;
+      dispatch = Some (fun ~scope:_ _ -> [||]);
+    }
+  in
+  Alcotest.check_raises "guard refuses dispatch + prune"
+    (Invalid_argument
+       "Compiler.search_model: dispatch is incompatible with prune")
+    (fun () ->
+      ignore
+        (Compiler.search_model ~options (Platform.tofino ())
+           (blob_spec ~algorithms:[ Model_spec.Tree ] ())))
+
 (* Report *)
 
 let test_search_tradeoff_front () =
@@ -466,6 +543,10 @@ let suite =
     Alcotest.test_case "generate fusion" `Quick test_generate_fusion_pass;
     Alcotest.test_case "generate no fusion" `Quick test_generate_without_fusion_keeps_two;
     Alcotest.test_case "emit code dispatch" `Quick test_emit_code_dispatch;
+    Alcotest.test_case "dispatch via worker_eval is bit-identical" `Quick
+      test_dispatch_worker_eval_identical;
+    Alcotest.test_case "dispatch + prune refused" `Quick
+      test_dispatch_prune_refused;
     Alcotest.test_case "tradeoff pareto front" `Quick test_search_tradeoff_front;
     Alcotest.test_case "compare_artifacts NaN ranks last" `Quick
       test_compare_artifacts_nan_ranks_last;

@@ -168,6 +168,33 @@ let prop_no_feasible_winner_vetoes =
       report.Costmodel_eval.feasible_winner_vetoes = 0
       && report.Costmodel_eval.winner_matched)
 
+(* Regression: a new incumbent moved [best_observed] at once, but the
+   classifier refit only after [refit_every] fresh exact observations. The
+   stale classifier then skipped every proposal near the new incumbent, and
+   since skips add no observations it never refit — 21 to 37 skips per run
+   at these generator seeds, every one of them feasible and 9 to 13 of them
+   feasible-winner vetoes. *)
+let test_new_incumbent_refits () =
+  List.iter
+    (fun seed ->
+      let report =
+        Costmodel_eval.run ~seed ~settings:(settings ~n_iter:40 ())
+          ~cost_settings:
+            {
+              Bo.Cost_model.default_settings with
+              Bo.Cost_model.min_observations = 10;
+            }
+          ~space ~features ~eval ()
+      in
+      Alcotest.(check int)
+        (Printf.sprintf "seed %d: feasible-winner vetoes" seed)
+        0 report.Costmodel_eval.feasible_winner_vetoes;
+      Alcotest.(check bool)
+        (Printf.sprintf "seed %d: no run of mispredicted skips" seed)
+        true
+        (report.Costmodel_eval.mispredicted_feasible <= 1))
+    [ 102; 826; 1004 ]
+
 (* Unit behavior *)
 
 let observe_grid cm n =
@@ -293,4 +320,6 @@ let suite =
       Alcotest.test_case "predicted evaluation shape" `Quick
         test_predicted_evaluation_shape;
       Alcotest.test_case "surrogate refit cadence" `Quick test_refit_cadence;
+      Alcotest.test_case "new incumbent refits the filter" `Quick
+        test_new_incumbent_refits;
     ]

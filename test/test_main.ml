@@ -40,7 +40,6 @@ let suites =
     ("core", Test_core.suite);
     ("resilience", Test_resilience.suite);
     ("autopilot", Test_autopilot.suite);
-    ("dist", Test_dist.suite);
     ("serve", Test_serve.suite);
     ("serve_quantized", Test_serve_quantized.suite);
     ("loadgen", Test_loadgen.suite);

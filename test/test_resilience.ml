@@ -207,6 +207,16 @@ let test_journal_kind_roundtrip () =
       Alcotest.(check bool) "kind survives" true (r.Journal.kind = Journal.Predicted);
       Alcotest.(check bool) "payload survives" true (record_equal predicted r)
 
+(* A checksummed journal line around an arbitrary record object, built the
+   way [Journal.line_of_record] builds one. *)
+let line_of_rec_json rec_json =
+  let module Json = Homunculus_util.Json in
+  let rec_text = Json.to_string ~pretty:false rec_json in
+  Printf.sprintf "{\"sum\":%s,\"rec\":%s}"
+    (Json.to_string ~pretty:false
+       (Json.String (Printf.sprintf "%016Lx" (fnv1a64 rec_text))))
+    rec_text
+
 let test_journal_kind_legacy_lines () =
   let module Json = Homunculus_util.Json in
   (* Re-create the pre-kind line format: serialize a record, drop the "kind"
@@ -218,19 +228,144 @@ let test_journal_kind_legacy_lines () =
         Json.Object (List.filter (fun (k, _) -> k <> "kind") members)
     | _ -> Alcotest.fail "record_to_json must produce an object"
   in
-  let rec_text = Json.to_string ~pretty:false legacy_rec in
-  let line =
-    Printf.sprintf "{\"sum\":%s,\"rec\":%s}"
-      (Json.to_string ~pretty:false
-         (Json.String (Printf.sprintf "%016Lx" (fnv1a64 rec_text))))
-      rec_text
-  in
-  match Journal.record_of_line line with
+  match Journal.record_of_line (line_of_rec_json legacy_rec) with
   | None -> Alcotest.fail "legacy line dropped"
   | Some r ->
       Alcotest.(check bool) "missing kind parses as Exact" true
         (r.Journal.kind = Journal.Exact);
       Alcotest.(check bool) "payload survives" true (record_equal base r)
+
+(* Record kinds: every kind survives the line round trip, and a line with
+   any other kind — the lease/release lines an earlier distributed
+   coordinator interleaved with its results, say — is not an evaluation, so
+   loading drops it instead of replaying it as an exact result. *)
+let test_journal_record_kinds () =
+  let module Json = Homunculus_util.Json in
+  let base = List.hd sample_records in
+  List.iter
+    (fun kind ->
+      match
+        Journal.record_of_line (Journal.line_of_record { base with Journal.kind })
+      with
+      | Some back ->
+          Alcotest.(check bool) "kind survives the line round trip" true
+            (back.Journal.kind = kind)
+      | None -> Alcotest.fail "round-tripped line did not parse")
+    [ Journal.Exact; Journal.Predicted ];
+  let line_of_kind name =
+    match Journal.record_to_json base with
+    | Json.Object members ->
+        line_of_rec_json
+          (Json.Object
+             (List.map
+                (fun (k, v) -> if k = "kind" then (k, Json.String name) else (k, v))
+                members))
+    | _ -> Alcotest.fail "record_to_json must produce an object"
+  in
+  let foreign = [ "lease"; "release"; "bogus" ] in
+  List.iter
+    (fun name ->
+      Alcotest.(check bool) (name ^ " line is not a record") true
+        (Journal.record_of_line (line_of_kind name) = None))
+    foreign;
+  let path = temp_journal () in
+  let j = Journal.open_ path in
+  ignore (Journal.append j base);
+  Journal.close j;
+  Out_channel.with_open_gen [ Open_append; Open_text ] 0o644 path (fun oc ->
+      List.iter
+        (fun name -> Out_channel.output_string oc (line_of_kind name ^ "\n"))
+        foreign);
+  let raw, replay = Journal.read path in
+  Alcotest.(check int) "raw view holds only the evaluation" 1 (List.length raw);
+  Alcotest.(check int) "replay loads only the evaluation" 1
+    (Journal.loaded replay);
+  Alcotest.(check int) "foreign kinds counted as dropped" 3
+    (Journal.dropped replay);
+  Sys.remove path
+
+(* Group commit, the single-pass read, and cross-journal merge. Records
+   get distinct configs per index so their replay keys differ. *)
+
+let indexed_record ?(objective = 0.5) ?(kind = Journal.Exact) index =
+  {
+    (List.hd sample_records) with
+    Journal.index;
+    config = Bo.Config.make [ ("depth", Bo.Param.Int_value index) ];
+    objective;
+    kind;
+  }
+
+let test_journal_group_commit () =
+  Alcotest.check_raises "fsync_every must be positive"
+    (Invalid_argument "Journal.open_: fsync_every < 1") (fun () ->
+      ignore (Journal.open_ ~fsync_every:0 (temp_journal ())));
+  let path = temp_journal () in
+  let j = Journal.open_ ~fsync_every:4 path in
+  for i = 0 to 5 do
+    ignore (Journal.append j (indexed_record i))
+  done;
+  (* an explicit group-commit flush is safe mid-stream *)
+  Journal.sync j;
+  ignore (Journal.append j (indexed_record 6));
+  (* close flushes the unsynced tail *)
+  Journal.close j;
+  Alcotest.(check int) "all seven records durable" 7
+    (List.length (Journal.records path));
+  Sys.remove path
+
+let test_journal_read_single_pass () =
+  let path = temp_journal () in
+  let j = Journal.open_ path in
+  ignore (Journal.append j (indexed_record ~objective:1.0 0));
+  ignore (Journal.append j (indexed_record ~kind:Journal.Predicted 1));
+  ignore (Journal.append j (indexed_record ~objective:2.0 0));
+  Journal.close j;
+  Out_channel.with_open_gen [ Open_append; Open_text ] 0o644 path (fun oc ->
+      Out_channel.output_string oc "this is not a journal line\n");
+  let raw, replay = Journal.read path in
+  Alcotest.(check (list int)) "raw view keeps file order and duplicates"
+    [ 0; 1; 0 ]
+    (List.map (fun r -> r.Journal.index) raw);
+  Alcotest.(check int) "replay absorbed every valid line" 3
+    (Journal.loaded replay);
+  Alcotest.(check int) "corrupt line dropped" 1 (Journal.dropped replay);
+  Alcotest.(check (option (float 0.))) "later record wins" (Some 2.0)
+    (Option.map
+       (fun r -> r.Journal.objective)
+       (Journal.find replay ~scope:"blobs/tree"
+          ~config:(indexed_record 0).Journal.config));
+  Alcotest.(check int) "load sees the same table" (Journal.loaded replay)
+    (Journal.loaded (Journal.load path));
+  Sys.remove path
+
+let test_journal_merge () =
+  let write objective =
+    let path = temp_journal () in
+    let j = Journal.open_ path in
+    ignore (Journal.append j (indexed_record ~objective 0));
+    Journal.close j;
+    path
+  in
+  let pa = write 1.0 and pb = write 2.0 in
+  let a = Journal.load pa and b = Journal.load pb in
+  let objective_of replay =
+    Option.map
+      (fun r -> r.Journal.objective)
+      (Journal.find replay ~scope:"blobs/tree"
+         ~config:(indexed_record 0).Journal.config)
+  in
+  Alcotest.(check (option (float 0.))) "later table wins" (Some 2.0)
+    (objective_of (Journal.merge [ a; b ]));
+  Alcotest.(check (option (float 0.))) "merge order is the tie-break"
+    (Some 1.0)
+    (objective_of (Journal.merge [ b; a ]));
+  Alcotest.(check int) "loaded counters are summed" 2
+    (Journal.loaded (Journal.merge [ a; b ]));
+  Alcotest.(check int) "empty merge is an empty table" 0
+    (Journal.loaded (Journal.merge []));
+  Sys.remove pa;
+  Sys.remove pb
 
 (* Supervisor unit behavior *)
 
@@ -573,6 +708,11 @@ let suite =
       test_journal_kind_roundtrip;
     Alcotest.test_case "journal kind legacy lines" `Quick
       test_journal_kind_legacy_lines;
+    Alcotest.test_case "journal record kinds" `Quick test_journal_record_kinds;
+    Alcotest.test_case "journal group commit" `Quick test_journal_group_commit;
+    Alcotest.test_case "journal single-pass read" `Quick
+      test_journal_read_single_pass;
+    Alcotest.test_case "journal deterministic merge" `Quick test_journal_merge;
     Alcotest.test_case "supervisor transient retry" `Quick
       test_supervisor_transient_retry;
     Alcotest.test_case "supervisor hard failure tagged" `Quick
