@@ -1,24 +1,31 @@
 module Decision_tree = Homunculus_ml.Decision_tree
+module Activation = Homunculus_ml.Activation
 module Mathx = Homunculus_util.Mathx
 
-let apply_activation name z =
-  match name with
-  | "relu" -> if z > 0. then z else 0.
-  | "sigmoid" -> Mathx.sigmoid z
-  | "tanh" -> tanh z
-  | "linear" -> z
-  | other -> invalid_arg ("Inference.apply_activation: unknown " ^ other)
-
+(* A plain loop on purpose — this is the oracle: the activation is resolved
+   once per layer, and each neuron's accumulator starts at its bias and adds
+   the products in ascending input order. The activation is applied inline
+   (a call to [Activation.apply] would box every neuron's result). *)
 let dense_forward (l : Model_ir.dnn_layer) input =
   if Array.length input <> l.Model_ir.n_in then
     invalid_arg "Inference: layer input dimension mismatch";
-  Array.init l.Model_ir.n_out (fun i ->
-      let acc = ref l.Model_ir.biases.(i) in
-      let row = l.Model_ir.weights.(i) in
-      for j = 0 to l.Model_ir.n_in - 1 do
-        acc := !acc +. (row.(j) *. input.(j))
-      done;
-      apply_activation l.Model_ir.activation !acc)
+  let act = Activation.of_name l.Model_ir.activation in
+  let out = Array.make l.Model_ir.n_out 0. in
+  for i = 0 to l.Model_ir.n_out - 1 do
+    let acc = ref l.Model_ir.biases.(i) in
+    let row = l.Model_ir.weights.(i) in
+    for j = 0 to l.Model_ir.n_in - 1 do
+      acc := !acc +. (row.(j) *. input.(j))
+    done;
+    let z = !acc in
+    out.(i) <-
+      (match act with
+      | Activation.Relu -> if z > 0. then z else 0.
+      | Activation.Sigmoid -> Mathx.sigmoid z
+      | Activation.Tanh -> tanh z
+      | Activation.Linear -> z)
+  done;
+  out
 
 let scores model x =
   match model with
@@ -61,12 +68,13 @@ let predict model x = Homunculus_util.Stats.argmax (scores model x)
 let predict_all model xs = Array.map (predict model) xs
 
 (* Rebuild a trainable/batchable MLP from a DNN IR so serving loops can
-   drain whole batches through [Mlp.logits_batch]'s fused GEMM kernels.
-   Per-layer activations carry over exactly ([Activation.apply] computes
-   the same function as [apply_activation]); the one semantic gap is
-   summation order — [dense_forward] seeds the accumulator with the bias
-   while the GEMM adds it after the products — so logits may differ from
-   [scores] in the last ulp. *)
+   drain whole batches through the training engine's fused GEMM kernels
+   ([Mlp.predict_into] on a reused workspace, or [Mlp.predict_all]).
+   Per-layer activations carry over exactly (both sides resolve the name
+   with [Activation.of_name] and compute [Activation.apply]); the one
+   semantic gap is summation order — [dense_forward] seeds the accumulator
+   with the bias while the GEMM adds it after the products — so logits may
+   differ from [scores] in the last ulp. *)
 let mlp_of_ir model =
   match model with
   | Model_ir.Kmeans _ | Model_ir.Svm _ | Model_ir.Tree _ -> None

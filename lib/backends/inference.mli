@@ -19,8 +19,11 @@ val predict_all : Model_ir.t -> float array array -> int array
 
 val mlp_of_ir : Model_ir.t -> Homunculus_ml.Mlp.t option
 (** Rebuild a batched-inference MLP from a DNN IR ([None] for the MAT
-    families), so serving loops can drain whole batches through
-    {!Homunculus_ml.Mlp.logits_batch} instead of per-sample {!predict}.
+    families), so serving loops can drain whole batches through the
+    training engine's fused kernels instead of per-sample {!predict}: the
+    engine's Reference drain calls {!Homunculus_ml.Mlp.predict_into} on one
+    workspace it owns, which is bit-identical to
+    {!Homunculus_ml.Mlp.predict_all}.
     Decisions agree with {!predict} up to summation order: the reference
     interpreter seeds each neuron's accumulator with the bias, the GEMM
     adds it after the products, so logits can differ in the last ulp and

@@ -77,28 +77,27 @@ let make_workspace t ~batch =
     nz_cnt = Array.make batch 0;
   }
 
-let forward_batch t ws ~x =
-  (* z = x W^T + b, row s = [forward] of sample s. Kernel choice by shape
-     (both are bit-identical to [matvec] per element): at tiny fan-in the
-     dot form is all loop overhead, so repack W^T (n_in*n_out copies — the
-     weights moved since the last step) and run the contiguous saxpy GEMM;
-     otherwise the register-accumulator dot form wins. *)
-  (* The GEMM epilogue adds the bias in-register — the same op order as
-     [matvec] followed by [Vec.add_in_place] — and, for ReLU/linear layers,
-     applies the activation into [ws.a] in the same epilogue, so [ws.z] holds
-     the finished pre-activations and no separate sweep re-loads them. Each
-     fused arm computes exactly [Activation.apply]. *)
+let forward_batch ?rows t ws ~x =
+  (* z = x W^T + b, row s = [forward] of sample s. The GEMM epilogue adds
+     the bias in-register — the same op order as [matvec] followed by
+     [Vec.add_in_place] — and, for ReLU/linear layers, applies the
+     activation into [ws.a] in the same epilogue, so [ws.z] holds the
+     finished pre-activations and no separate sweep re-loads them. Each
+     fused arm computes exactly [Activation.apply]. Only the first [rows]
+     rows are computed (the kernel validates the count). *)
   (match t.act with
   | Activation.Relu ->
-      Mat.matmul_nt_into ~bias:t.b ~post:(`Relu ws.a) x t.w ~out:ws.z
+      Mat.matmul_nt_into ?rows ~bias:t.b ~post:(`Relu ws.a) x t.w ~out:ws.z
   | Activation.Linear ->
-      Mat.matmul_nt_into ~bias:t.b ~post:(`Copy ws.a) x t.w ~out:ws.z
+      Mat.matmul_nt_into ?rows ~bias:t.b ~post:(`Copy ws.a) x t.w ~out:ws.z
   | Activation.Tanh | Activation.Sigmoid ->
-      Mat.matmul_nt_into ~bias:t.b x t.w ~out:ws.z;
+      Mat.matmul_nt_into ?rows ~bias:t.b x t.w ~out:ws.z;
       (* Transcendental activations stay a per-variant second pass (one
-         dispatch per batch, not per element). *)
+         dispatch per batch, not per element) over the computed rows. *)
       let zd = ws.z.Mat.data and ad = ws.a.Mat.data in
-      let n = Array.length zd in
+      let n =
+        (match rows with Some r -> r | None -> x.Mat.rows) * ws.z.Mat.cols
+      in
       if t.act = Activation.Tanh then
         for i = 0 to n - 1 do
           Array.unsafe_set ad i (tanh (Array.unsafe_get zd i))

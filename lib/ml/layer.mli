@@ -50,12 +50,15 @@ type workspace = {
 
 val make_workspace : t -> batch:int -> workspace
 
-val forward_batch : t -> workspace -> x:Mat.t -> unit
+val forward_batch : ?rows:int -> t -> workspace -> x:Mat.t -> unit
 (** One [X * W^T] GEMM plus bias broadcast and activation over a whole
     mini-batch ([x] is batch x n_in, row per sample), filling [ws.z] and
     [ws.a]. Row [s] is bit-identical to [forward] on sample [s]: per output
     element the accumulation runs over ascending input index with a single
-    accumulator, then adds the bias, exactly like [Mat.matvec]. *)
+    accumulator, then adds the bias, exactly like [Mat.matvec]. [?rows]
+    (default: all of [x]) restricts the pass to the first [rows] rows; the
+    later rows of [ws.z] and [ws.a] keep whatever they held.
+    @raise Invalid_argument unless [0 <= rows <= x.rows]. *)
 
 val backward_batch :
   ?need_dx:bool -> t -> workspace -> x:Mat.t -> upstream:Mat.t -> unit

@@ -145,6 +145,43 @@ let train_batch t ws =
     upstream := ws.layer_ws.(i).Layer.dx
   done
 
+(* Allocation-free batched inference on the training workspace: the rows go
+   into [ws.x], the same fused [Layer.forward_batch] kernels run over only
+   the first [n] rows, and each row's argmax lands in [dst]. The fused
+   bias/activation epilogue performs [logits_batch]'s ops in its order, and
+   the argmax keeps [Stats.argmax]'s rule (strict [>], first index wins),
+   so verdicts are bit-identical to [predict_all]. *)
+let predict_into t ws ~src ~n ~dst =
+  if n < 0 || n > ws.ws_batch then
+    invalid_arg "Mlp.predict_into: n outside [0, workspace batch]";
+  if n > Array.length src || n > Array.length dst then
+    invalid_arg "Mlp.predict_into: n exceeds src or dst";
+  let d = t.input_dim and n_layers = Array.length t.layers in
+  if ws.x.Mat.cols <> d || Array.length ws.layer_ws <> n_layers then
+    invalid_arg "Mlp.predict_into: workspace built for another network";
+  let xd = ws.x.Mat.data in
+  for i = 0 to n - 1 do
+    let row = src.(i) in
+    if Array.length row <> d then
+      invalid_arg "Mlp.predict_into: sample dimension mismatch";
+    Array.blit row 0 xd (i * d) d
+  done;
+  let input = ref ws.x in
+  for i = 0 to n_layers - 1 do
+    Layer.forward_batch ~rows:n t.layers.(i) ws.layer_ws.(i) ~x:!input;
+    input := ws.layer_ws.(i).Layer.a
+  done;
+  let od = !input.Mat.data and c = !input.Mat.cols in
+  for i = 0 to n - 1 do
+    let base = i * c in
+    let best = ref 0 in
+    for j = 1 to c - 1 do
+      if Array.unsafe_get od (base + j) > Array.unsafe_get od (base + !best)
+      then best := j
+    done;
+    dst.(i) <- !best
+  done
+
 let zero_grads t = Array.iter Layer.zero_grads t.layers
 
 let scale_grads t alpha = Array.iter (fun l -> Layer.scale_grads l alpha) t.layers

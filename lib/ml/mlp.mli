@@ -77,6 +77,22 @@ val train_batch : t -> workspace -> unit
     {!train_sample} on each row in ascending order — the documented
     reduction-order contract of the batched engine. *)
 
+val predict_into :
+  t -> workspace -> src:float array array -> n:int -> dst:int array -> unit
+(** [predict_into t ws ~src ~n ~dst] writes the predicted class of
+    [src.(i)] into [dst.(i)] for [i < n] — the serving drain's
+    allocation-free counterpart of {!predict_all}. It copies the rows into
+    [ws.x] and runs {!Layer.forward_batch} over only those [n] rows, so one
+    workspace of batch [b] serves every batch length [0 <= n <= b]. The
+    fused kernels perform {!logits_batch}'s operations in the same order and
+    the argmax keeps [Stats.argmax]'s rule (strict [>], first index wins),
+    so [dst] is bit-identical to [predict_all t (Array.sub src 0 n)].
+    Overwrites [ws.x] and the layer workspaces' activations, so it must not
+    interleave with a {!train_batch} on the same workspace.
+    @raise Invalid_argument unless [n <= workspace_batch ws], [n] is within
+    [src] and [dst], every row has the input dimension, and [ws] was made
+    for a network of [t]'s shape. *)
+
 val zero_grads : t -> unit
 val scale_grads : t -> float -> unit
 

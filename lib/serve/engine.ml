@@ -87,7 +87,9 @@ type t = {
   mutable model_ir : Model_ir.t;
   mutable runtime : Runtime.t option;  (* Some in Quantized mode *)
   mutable rt_ws : Runtime.workspace option;  (* paired with [runtime] *)
-  mutable ref_mlp : Mlp.t option;  (* Some in Reference mode for DNN IRs *)
+  mutable ref_dnn : (Mlp.t * Mlp.workspace) option;
+      (* Some in Reference mode for DNN IRs: the batched MLP and its one
+         [batch_size] workspace *)
   monitor : Monitor.t;
   updater : Updater.t option;
   research : research_hook option;
@@ -129,6 +131,13 @@ let dummy_event =
 let load_runtime config model =
   Runtime.load ~entries_per_feature:config.entries_per_feature model
 
+(* Built together for every installed model: a challenger can change the
+   hidden widths, so the workspace cannot outlive its MLP. *)
+let reference_dnn config model =
+  Option.map
+    (fun mlp -> (mlp, Mlp.make_workspace mlp ~batch:config.batch_size))
+    (Inference.mlp_of_ir model)
+
 let create ?(config = default_config) ~model ~monitor ?updater ?research () =
   if config.queue_capacity <= 0 then invalid_arg "Engine.create: queue_capacity <= 0";
   if config.batch_size <= 0 then invalid_arg "Engine.create: batch_size <= 0";
@@ -141,9 +150,9 @@ let create ?(config = default_config) ~model ~monitor ?updater ?research () =
     | Reference -> None
     | Quantized -> Some (load_runtime config model)
   in
-  let ref_mlp =
+  let ref_dnn =
     match config.mode with
-    | Reference -> Inference.mlp_of_ir model
+    | Reference -> reference_dnn config model
     | Quantized -> None
   in
   let cap = config.trace_capacity in
@@ -152,7 +161,7 @@ let create ?(config = default_config) ~model ~monitor ?updater ?research () =
     model_ir = model;
     runtime;
     rt_ws = Option.map Runtime.make_workspace runtime;
-    ref_mlp;
+    ref_dnn;
     monitor;
     updater;
     research;
@@ -201,25 +210,21 @@ let trace t =
     xs = Array.sub t.trace_x 0 t.trace_len;
   }
 
-(* Classify [batch_x.(0 .. k-1)] into [verdicts.(0 .. k-1)]. The quantized
-   arm is the allocation-free hot path: encode + lookup on the per-engine
-   runtime workspace, nothing touches the minor heap. The reference arm
-   drains DNNs through [Mlp.logits_batch]'s fused batch GEMM (one product
-   per layer instead of one matvec per sample) and the MAT families through
-   the per-sample interpreter. *)
+(* Classify [batch_x.(0 .. k-1)] into [verdicts.(0 .. k-1)]. Both DNN and
+   quantized arms are allocation-free: the quantized one encodes + looks up
+   on the per-engine runtime workspace; the reference one drains DNNs
+   through [Mlp.predict_into] — the training engine's fused batch GEMM (one
+   product per layer) over the first [k] rows of the per-engine MLP
+   workspace, verdicts bit-identical to [Mlp.predict_all]. The reference MAT
+   families go through the per-sample interpreter. *)
 let classify_batch_into t k =
   match (t.runtime, t.rt_ws) with
   | Some rt, Some ws ->
       Runtime.classify_into rt ws ~src:t.batch_x ~n:k ~dst:t.verdicts
   | _ -> (
-      match t.ref_mlp with
-      | Some mlp ->
-          let rows =
-            if k = Array.length t.batch_x then t.batch_x
-            else Array.sub t.batch_x 0 k
-          in
-          let preds = Mlp.predict_all mlp rows in
-          Array.blit preds 0 t.verdicts 0 k
+      match t.ref_dnn with
+      | Some (mlp, ws) ->
+          Mlp.predict_into mlp ws ~src:t.batch_x ~n:k ~dst:t.verdicts
       | None ->
           for i = 0 to k - 1 do
             t.verdicts.(i) <- Inference.predict t.model_ir t.batch_x.(i)
@@ -237,22 +242,22 @@ let absorb_labeled t labeled =
 
 (* Drift reaction: retrain + validate; install the challenger between
    batches without touching the queue. Swap atomicity contract: the epoch
-   counter, the classifier reference, and (in quantized mode) the rebuilt
-   runtime + workspace all change together, strictly between batches — a
-   batch already popped into the drain workspaces always completes against
-   the tables it started with, and every packet it serves is stamped with
-   the pre-swap epoch. *)
+   counter, the classifier reference, and its rebuilt workspace (the
+   quantized runtime's, or the reference MLP's) all change together,
+   strictly between batches — a batch already popped into the drain
+   workspaces always completes against the tables it started with, and
+   every packet it serves is stamped with the pre-swap epoch. *)
 (* Install a validated challenger between batches: retire the serving
-   model/runtime to the epoch stacks, rebuild the quantized tables when
-   needed, stamp a swap record, and re-baseline the monitor. The queue is
-   untouched. *)
+   model/runtime to the epoch stacks, rebuild the quantized tables or the
+   reference MLP and its workspace, stamp a swap record, and re-baseline
+   the monitor. The queue is untouched. *)
 let install t ~now ~reason ~incumbent_f1 ~challenger_f1 challenger =
   let drops_before = t.dropped in
   let queue_len = Queue.length t.queue in
   t.rev_epoch_models <- t.model_ir :: t.rev_epoch_models;
   t.model_ir <- challenger;
   (match t.config.mode with
-  | Reference -> t.ref_mlp <- Inference.mlp_of_ir challenger
+  | Reference -> t.ref_dnn <- reference_dnn t.config challenger
   | Quantized ->
       (match t.runtime with
       | Some rt -> t.rev_epoch_runtimes <- rt :: t.rev_epoch_runtimes

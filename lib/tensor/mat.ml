@@ -69,7 +69,7 @@ let matvec_t m v =
    The 4-way unrolling keeps a SINGLE accumulator fed in ascending index
    order: it reduces loop overhead without reassociating the sum, so results
    stay bit-identical to the naive triple loop. *)
-let matmul_packed ?(bias = [||]) ?post a bt out =
+let matmul_packed ?(bias = [||]) ?post ~rows a bt out =
   let kdim = a.cols and n = bt.rows in
   let ad = a.data and bd = bt.data and od = out.data in
   let hb = Array.length bias > 0 in
@@ -91,7 +91,7 @@ let matmul_packed ?(bias = [||]) ?post a bt out =
        the eight independent accumulator chains hide FP-add latency. Each
        accumulator is still a single register fed in ascending k —
        bit-identical per element. *)
-    for i = 0 to a.rows - 1 do
+    for i = 0 to rows - 1 do
       let abase = i * kdim in
       let obase = i * n in
       let j = ref 0 in
@@ -218,10 +218,13 @@ let matmul_packed ?(bias = [||]) ?post a bt out =
     done
   end
 
-let matmul_nt_into ?bias ?post a b ~out =
+let matmul_nt_into ?rows ?bias ?post a b ~out =
   if a.cols <> b.cols then invalid_arg "Mat.matmul_nt_into: dimension mismatch";
   if out.rows <> a.rows || out.cols <> b.rows then
     invalid_arg "Mat.matmul_nt_into: output shape mismatch";
+  let rows = match rows with None -> a.rows | Some r -> r in
+  if rows < 0 || rows > a.rows then
+    invalid_arg "Mat.matmul_nt_into: rows outside [0, a.rows]";
   (match bias with
   | Some v when Array.length v <> b.rows ->
       invalid_arg "Mat.matmul_nt_into: bias length mismatch"
@@ -230,12 +233,12 @@ let matmul_nt_into ?bias ?post a b ~out =
   | Some (`Copy d | `Relu d) when d.rows <> out.rows || d.cols <> out.cols ->
       invalid_arg "Mat.matmul_nt_into: post destination shape mismatch"
   | Some _ | None -> ());
-  matmul_packed ?bias ?post a b out
+  matmul_packed ?bias ?post ~rows a b out
 
 let matmul_nt a b =
   if a.cols <> b.cols then invalid_arg "Mat.matmul_nt: dimension mismatch";
   let out = create a.rows b.rows in
-  matmul_packed a b out;
+  matmul_packed ~rows:a.rows a b out;
   out
 
 let transpose_into m ~out =
@@ -409,7 +412,7 @@ let matmul a b =
         done
       done
     done
-  else matmul_packed a (transpose b) out;
+  else matmul_packed ~rows:a.rows a (transpose b) out;
   out
 
 let check_same_shape name a b =

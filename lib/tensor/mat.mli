@@ -43,10 +43,19 @@ val matmul_nt : t -> t -> t
     dense-layer forward pass ([X * W^T]). *)
 
 val matmul_nt_into :
-  ?bias:Vec.t -> ?post:[ `Copy of t | `Relu of t ] -> t -> t -> out:t -> unit
+  ?rows:int ->
+  ?bias:Vec.t ->
+  ?post:[ `Copy of t | `Relu of t ] ->
+  t ->
+  t ->
+  out:t ->
+  unit
 (** {!matmul_nt} writing into a preallocated [m*n] output — the allocation-free
-    kernel under the batched training engine's reused workspaces. Every
-    element of [out] is overwritten. [?bias] (length [n]) is added to each
+    kernel under the batched training engine's reused workspaces. Only the
+    first [rows] rows (default: all [m]) of [a] are multiplied; they
+    overwrite the first [rows] rows of [out] (and of a [?post] destination),
+    the rest are left untouched — so one batch-sized workspace serves any
+    shorter batch. [?bias] (length [n]) is added to each
     output element in the kernel's epilogue, after the whole dot product —
     the same op order as a matvec followed by a bias add — saving a separate
     load/store pass over [out]. [?post] extends the same epilogue with an
@@ -54,7 +63,8 @@ val matmul_nt_into :
     still in a register: [`Copy dst] stores it unchanged (a linear
     activation), [`Relu dst] stores [if v > 0. then v else 0.] — both are
     bit-identical to running the map as a separate pass over [out], minus
-    that pass's loads. *)
+    that pass's loads. @raise Invalid_argument on a shape mismatch or
+    unless [0 <= rows <= m]. *)
 
 val transpose_into : t -> out:t -> unit
 (** Transpose into a preallocated [cols*rows] output. *)

@@ -25,6 +25,57 @@ let test_dnn_interpreter_matches_mlp () =
         logits)
     xs
 
+(* [Inference.scores] on a DNN must be exactly this literal loop: per neuron
+   the accumulator starts at the bias, adds the products in ascending input
+   order, then applies the layer's activation, looked up by name. Compared
+   bit for bit on random nets mixing all four activations. *)
+let literal_dnn_scores layers x =
+  Array.fold_left
+    (fun input (l : Model_ir.dnn_layer) ->
+      Array.init l.Model_ir.n_out (fun i ->
+          let acc = ref l.Model_ir.biases.(i) in
+          for j = 0 to l.Model_ir.n_in - 1 do
+            acc := !acc +. (l.Model_ir.weights.(i).(j) *. input.(j))
+          done;
+          match l.Model_ir.activation with
+          | "relu" -> if !acc > 0. then !acc else 0.
+          | "sigmoid" -> Homunculus_util.Mathx.sigmoid !acc
+          | "tanh" -> tanh !acc
+          | "linear" -> !acc
+          | other -> Alcotest.failf "unexpected activation %s" other))
+    x layers
+
+let test_dnn_scores_match_literal_loop () =
+  let names = [| "relu"; "sigmoid"; "tanh"; "linear" |] in
+  for seed = 1 to 25 do
+    let rng = Rng.create (1000 + seed) in
+    let depth = 1 + Rng.int rng 4 in
+    let dims = Array.init (depth + 1) (fun _ -> 1 + Rng.int rng 12) in
+    let layers =
+      Array.init depth (fun k ->
+          let n_in = dims.(k) and n_out = dims.(k + 1) in
+          {
+            Model_ir.n_in;
+            n_out;
+            activation = names.(Rng.int rng 4);
+            weights =
+              Array.init n_out (fun _ ->
+                  Array.init n_in (fun _ -> Rng.uniform rng (-3.) 3.));
+            biases = Array.init n_out (fun _ -> Rng.uniform rng (-1.) 1.);
+          })
+    in
+    let ir = Model_ir.Dnn { name = "r"; layers } in
+    Array.iter
+      (fun x ->
+        let want = literal_dnn_scores layers x in
+        let got = Inference.scores ir x in
+        Alcotest.(check (array int64))
+          (Printf.sprintf "seed %d bit-identical" seed)
+          (Array.map Int64.bits_of_float want)
+          (Array.map Int64.bits_of_float got))
+      (random_inputs rng 20 dims.(0))
+  done
+
 let test_dnn_interpreter_tanh_path () =
   let rng = Rng.create 2 in
   let mlp =
@@ -206,6 +257,8 @@ let suite =
   [
     Alcotest.test_case "dnn interpreter = mlp" `Quick test_dnn_interpreter_matches_mlp;
     Alcotest.test_case "dnn interpreter tanh" `Quick test_dnn_interpreter_tanh_path;
+    Alcotest.test_case "dnn scores = literal loop" `Quick
+      test_dnn_scores_match_literal_loop;
     Alcotest.test_case "kmeans interpreter" `Quick test_kmeans_interpreter_matches;
     Alcotest.test_case "svm interpreter" `Quick test_svm_interpreter_matches;
     Alcotest.test_case "tree interpreter" `Quick test_tree_interpreter_matches;

@@ -182,6 +182,55 @@ let test_scale_grads () =
         buf)
     (Mlp.gradient_buffers m)
 
+(* [predict_into] on one batch-sized workspace equals [predict_all] for
+   every batch length and every activation, including the second-pass
+   Tanh/Sigmoid arm, which must stop at the live rows. *)
+let test_predict_into_matches_predict_all () =
+  let batch = 8 in
+  Array.iter
+    (fun act ->
+      let rng = Rng.create 5 in
+      let m =
+        Mlp.create rng ~input_dim:5 ~hidden:[| 9; 4 |] ~output_dim:3
+          ~hidden_act:act ()
+      in
+      let ws = Mlp.make_workspace m ~batch in
+      let src =
+        Array.init batch (fun _ ->
+            Array.init 5 (fun _ -> Rng.uniform rng (-3.) 3.))
+      in
+      let dst = Array.make batch (-1) in
+      for n = batch downto 0 do
+        Array.fill dst 0 batch (-1);
+        Mlp.predict_into m ws ~src ~n ~dst;
+        Alcotest.(check (array int))
+          (Printf.sprintf "%s n=%d" (Activation.name act) n)
+          (Mlp.predict_all m (Array.sub src 0 n))
+          (Array.sub dst 0 n);
+        Alcotest.(check bool) "rows past n untouched" true
+          (Array.for_all (( = ) (-1)) (Array.sub dst n (batch - n)))
+      done)
+    Activation.all
+
+let test_predict_into_rejects () =
+  let m = small_mlp () in
+  let ws = Mlp.make_workspace m ~batch:4 in
+  let src = Array.make 5 [| 0.; 0.; 0. |] and dst = Array.make 5 0 in
+  Alcotest.check_raises "n > batch"
+    (Invalid_argument "Mlp.predict_into: n outside [0, workspace batch]")
+    (fun () -> Mlp.predict_into m ws ~src ~n:5 ~dst);
+  Alcotest.check_raises "short row"
+    (Invalid_argument "Mlp.predict_into: sample dimension mismatch")
+    (fun () -> Mlp.predict_into m ws ~src:[| [| 0. |] |] ~n:1 ~dst);
+  (* A workspace sized for another hidden width is refused, not misread. *)
+  let wider =
+    Mlp.create (Rng.create 2) ~input_dim:3 ~hidden:[| 6; 3 |] ~output_dim:2 ()
+  in
+  Alcotest.(check bool) "foreign workspace" true
+    (match Mlp.predict_into wider ws ~src ~n:1 ~dst with
+    | () -> false
+    | exception Invalid_argument _ -> true)
+
 let suite =
   [
     Alcotest.test_case "activation apply" `Quick test_activation_apply;
@@ -202,4 +251,7 @@ let suite =
     Alcotest.test_case "gradient check (FD)" `Quick test_gradient_check;
     Alcotest.test_case "gradients accumulate" `Quick test_gradient_accumulates;
     Alcotest.test_case "scale grads" `Quick test_scale_grads;
+    Alcotest.test_case "predict_into = predict_all" `Quick
+      test_predict_into_matches_predict_all;
+    Alcotest.test_case "predict_into rejects" `Quick test_predict_into_rejects;
   ]

@@ -524,6 +524,193 @@ let test_engine_drain_allocation_bounded () =
     true
     (per_batch < 20_000.)
 
+(* The Reference DNN drain: [Mlp.predict_into] on the engine's one MLP
+   workspace. Verdicts must equal both batch and per-sample oracles for the
+   model of the epoch that served them, and the steady drain must stay
+   within the monitor's per-packet bookkeeping. *)
+
+module Inference = Homunculus_backends.Inference
+module Mlp = Homunculus_ml.Mlp
+
+let dnn_model ~seed ~hidden =
+  Updater.bootstrap (Rng.create seed) ~algorithm:`Dnn ~hidden
+    ~bins:Botnet.Fused ~name:"dnn"
+    (Flowsim.generate (Rng.create (seed + 1)) ~mix:(small_mix 40) ())
+
+(* Stream features and labels, each event [gap ()] seconds after the last. *)
+let dnn_events ~seed ~gap =
+  let events =
+    Stream.events (Rng.create seed)
+      (Flowsim.generate (Rng.create (seed + 1)) ~mix:(small_mix 20) ())
+  in
+  let t = ref 0. in
+  Array.map
+    (fun e ->
+      t := !t +. gap ();
+      { e with Stream.ts = !t })
+    events
+
+let run_reference_dnn ?research ?(monitor = Monitor.create ~n_classes:2 ())
+    ~model events =
+  let n = Array.length events in
+  let config =
+    {
+      Engine.default_config with
+      Engine.mode = Engine.Reference;
+      queue_capacity = n;
+      trace_capacity = n;
+    }
+  in
+  let engine = Engine.create ~config ~model ~monitor ?research () in
+  let s = Engine.run engine events in
+  Alcotest.(check int) "nothing dropped" 0 s.Engine.dropped;
+  engine
+
+(* Every traced verdict against [Mlp.predict_all] and
+   [Inference.predict_all] on the model of its epoch. *)
+let check_reference_verdicts engine =
+  let tr = Engine.trace engine in
+  Array.iteri
+    (fun epoch model ->
+      let idx =
+        List.filter
+          (fun i -> tr.Engine.epochs.(i) = epoch)
+          (List.init tr.Engine.n Fun.id)
+        |> Array.of_list
+      in
+      let xs = Array.map (fun i -> tr.Engine.xs.(i)) idx in
+      let served = Array.map (fun i -> tr.Engine.verdicts.(i)) idx in
+      let mlp = Option.get (Inference.mlp_of_ir model) in
+      Alcotest.(check (array int))
+        (Printf.sprintf "epoch %d = Mlp.predict_all" epoch)
+        (Mlp.predict_all mlp xs) served;
+      Alcotest.(check (array int))
+        (Printf.sprintf "epoch %d = Inference.predict_all" epoch)
+        (Inference.predict_all model xs) served)
+    (Engine.epoch_models engine);
+  tr
+
+let test_reference_dnn_full_batches () =
+  (* Arrivals 20x faster than service on an unbounded queue: every drained
+     batch but the last is a full [batch_size]. *)
+  let model = dnn_model ~seed:40 ~hidden:[| 16 |] in
+  let slot = 1. /. Engine.default_config.Engine.service_rate_pps in
+  let events = dnn_events ~seed:42 ~gap:(fun () -> slot /. 20.) in
+  let tr = check_reference_verdicts (run_reference_dnn ~model events) in
+  Alcotest.(check int) "all traced" (Array.length events) tr.Engine.n
+
+let test_reference_dnn_partial_batches () =
+  (* Offered load near 40% of the service rate, in short bursts separated
+     by idle gaps: each drain finds a burst's worth of packets queued, so
+     batches are short and of varying length ([k < batch_size]). *)
+  let model = dnn_model ~seed:40 ~hidden:[| 16 |] in
+  let slot = 1. /. Engine.default_config.Engine.service_rate_pps in
+  let rng = Rng.create 43 in
+  let gap () =
+    if Rng.int rng 8 = 0 then Rng.float rng (40. *. slot)
+    else Rng.float rng (slot /. 4.)
+  in
+  let events = dnn_events ~seed:42 ~gap in
+  let tr = check_reference_verdicts (run_reference_dnn ~model events) in
+  Alcotest.(check int) "all traced" (Array.length events) tr.Engine.n
+
+let test_reference_dnn_across_install () =
+  (* A forced drift installs a challenger with different hidden widths
+     mid-stream: the engine must rebuild its MLP workspace with the model,
+     or the first post-swap batch runs the new weights on the old shapes. *)
+  let model = dnn_model ~seed:40 ~hidden:[| 16 |] in
+  let challenger = dnn_model ~seed:50 ~hidden:[| 24; 8 |] in
+  let installed = ref false in
+  let research ~now:_ ~drift:_ ~incumbent:_ =
+    if !installed then Engine.Keep
+    else begin
+      installed := true;
+      Engine.Install
+        { model = challenger; incumbent_f1 = 0.; challenger_f1 = 1. }
+    end
+  in
+  let monitor =
+    Monitor.create
+      ~config:
+        {
+          Monitor.default_config with
+          Monitor.window_events = 64;
+          label_delay_s = 0.;
+        }
+      ~n_classes:2 ()
+  in
+  Monitor.force_drift_at monitor ~window:2;
+  let slot = 1. /. Engine.default_config.Engine.service_rate_pps in
+  let rng = Rng.create 44 in
+  let events = dnn_events ~seed:42 ~gap:(fun () -> Rng.float rng (4. *. slot)) in
+  let engine = run_reference_dnn ~research ~monitor ~model events in
+  Alcotest.(check int) "one swap" 1 (Engine.epoch engine);
+  let tr = check_reference_verdicts engine in
+  let served_by e =
+    Array.fold_left (fun c x -> if x = e then c + 1 else c) 0 tr.Engine.epochs
+  in
+  Alcotest.(check bool) "both epochs served traffic" true
+    (served_by 0 > 0 && served_by 1 > 0)
+
+let test_predict_into_allocation_constant () =
+  (* A steady [Mlp.predict_into] call allocates only the optional-argument
+     and epilogue-selector boxes of its per-layer kernel calls — a constant,
+     whatever the batch length. Anything per row (a copied sample, a boxed
+     activation, a fresh logits row) would scale with [n] past the bound. *)
+  let mlp =
+    Mlp.create (Rng.create 60) ~input_dim:7 ~hidden:[| 43; 19 |] ~output_dim:2
+      ()
+  in
+  let batch = 32 in
+  let ws = Mlp.make_workspace mlp ~batch in
+  let rng = Rng.create 61 in
+  let src =
+    Array.init batch (fun _ -> Array.init 7 (fun _ -> Rng.uniform rng (-2.) 2.))
+  in
+  let dst = Array.make batch 0 in
+  List.iter
+    (fun n ->
+      Mlp.predict_into mlp ws ~src ~n ~dst;
+      let before = Gc.minor_words () in
+      for _ = 1 to 200 do
+        Mlp.predict_into mlp ws ~src ~n ~dst
+      done;
+      let per_call = (Gc.minor_words () -. before) /. 200. in
+      Alcotest.(check bool)
+        (Printf.sprintf "n=%d: <= 64 minor words per call (got %.1f)" n
+           per_call)
+        true (per_call <= 64.))
+    [ 1; 7; batch ]
+
+let test_reference_dnn_drain_allocation () =
+  (* The whole Reference DNN drain at saturation (full 32-packet batches):
+     what remains per batch is the monitor's per-packet bookkeeping, well
+     under 2,000 words. Copying rows, allocating per-layer matrices and
+     boxing activations per batch costs about three times that. *)
+  let model = dnn_model ~seed:40 ~hidden:[| 16 |] in
+  let slot = 1. /. Engine.default_config.Engine.service_rate_pps in
+  let events = dnn_events ~seed:62 ~gap:(fun () -> slot /. 20.) in
+  let run events =
+    let monitor = Monitor.create ~n_classes:2 () in
+    let engine =
+      Engine.create
+        ~config:{ Engine.default_config with Engine.mode = Engine.Reference }
+        ~model ~monitor ()
+    in
+    let before = Gc.minor_words () in
+    let s = Engine.run engine events in
+    let words = Gc.minor_words () -. before in
+    words
+    /. (float_of_int s.Engine.served
+       /. float_of_int Engine.default_config.Engine.batch_size)
+  in
+  ignore (run (Array.sub events 0 256)) (* warm-up *);
+  let per_batch = run events in
+  Alcotest.(check bool)
+    (Printf.sprintf "minor words per drained batch < 2000 (got %.0f)"
+       per_batch)
+    true (per_batch < 2000.)
+
 (* Conservation under random queue/batch/service configurations: every
    offered packet is either served or dropped, never both, never lost. *)
 
@@ -647,6 +834,16 @@ let suite =
       test_classify_into_allocates_nothing;
     Alcotest.test_case "engine drain allocation bounded" `Quick
       test_engine_drain_allocation_bounded;
+    Alcotest.test_case "predict_into allocation constant" `Quick
+      test_predict_into_allocation_constant;
+    Alcotest.test_case "reference dnn drain allocation" `Quick
+      test_reference_dnn_drain_allocation;
+    Alcotest.test_case "reference dnn full batches" `Quick
+      test_reference_dnn_full_batches;
+    Alcotest.test_case "reference dnn partial batches" `Quick
+      test_reference_dnn_partial_batches;
+    Alcotest.test_case "reference dnn across install" `Quick
+      test_reference_dnn_across_install;
     Alcotest.test_case "percentile nearest-rank" `Quick
       test_percentile_nearest_rank;
     QCheck_alcotest.to_alcotest prop_queue_conservation;

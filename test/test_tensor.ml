@@ -167,6 +167,38 @@ let test_mat_matmul_nt () =
     (Invalid_argument "Mat.matmul_nt: dimension mismatch") (fun () ->
       ignore (Mat.matmul_nt (Mat.create 2 3) (Mat.create 2 4)))
 
+let test_mat_matmul_nt_into_rows () =
+  (* [~rows] computes a prefix of the rows — bias and ReLU epilogue
+     included — bit-identical to the full product, and leaves the later
+     rows of [out] and of the [post] destination untouched. *)
+  let rng = Homunculus_util.Rng.create 11 in
+  let rand r c =
+    Mat.init r c (fun _ _ -> Homunculus_util.Rng.uniform rng (-2.) 2.)
+  in
+  let a = rand 5 7 and b = rand 9 7 in
+  let bias = Array.init 9 (fun _ -> Homunculus_util.Rng.uniform rng (-1.) 1.) in
+  let full = Mat.create 5 9 and full_post = Mat.create 5 9 in
+  Mat.matmul_nt_into ~bias ~post:(`Relu full_post) a b ~out:full;
+  List.iter
+    (fun rows ->
+      let out = Mat.init 5 9 (fun _ _ -> 42.) in
+      let post = Mat.init 5 9 (fun _ _ -> 43.) in
+      Mat.matmul_nt_into ~rows ~bias ~post:(`Relu post) a b ~out;
+      for i = 0 to 4 do
+        for j = 0 to 8 do
+          let want m sentinel = if i < rows then Mat.get m i j else sentinel in
+          Alcotest.(check bool)
+            (Printf.sprintf "rows=%d out (%d,%d)" rows i j)
+            true
+            (Mat.get out i j = want full 42.
+            && Mat.get post i j = want full_post 43.)
+        done
+      done)
+    [ 0; 1; 3; 5 ];
+  Alcotest.check_raises "rows > a.rows"
+    (Invalid_argument "Mat.matmul_nt_into: rows outside [0, a.rows]")
+    (fun () -> Mat.matmul_nt_into ~rows:6 a b ~out:(Mat.create 5 9))
+
 (* Reference ikj product: one accumulator per output cell, k ascending —
    the exact accumulation order both matmul paths promise to preserve. *)
 let naive_matmul a b =
@@ -259,6 +291,8 @@ let suite =
     Alcotest.test_case "mat add_row_inplace mismatch" `Quick
       test_mat_add_row_inplace_mismatch;
     Alcotest.test_case "mat matmul_nt" `Quick test_mat_matmul_nt;
+    Alcotest.test_case "mat matmul_nt_into rows prefix" `Quick
+      test_mat_matmul_nt_into_rows;
     Alcotest.test_case "mat matmul blocked = naive" `Quick
       test_mat_matmul_blocked_matches_naive_exactly;
     QCheck_alcotest.to_alcotest prop_matvec_linear;
