@@ -32,27 +32,34 @@ let scores model x =
   | Model_ir.Dnn { layers; _ } ->
       Array.fold_left (fun input l -> dense_forward l input) x layers
   | Model_ir.Kmeans { centroids; _ } ->
-      Array.map
-        (fun c ->
-          if Array.length c <> Array.length x then
-            invalid_arg "Inference: centroid dimension mismatch";
-          let acc = ref 0. in
-          Array.iteri
-            (fun j cj ->
-              let d = x.(j) -. cj in
-              acc := !acc +. (d *. d))
-            c;
-          -. !acc)
-        centroids
+      (* Plain loops, like [dense_forward]: a closure over a captured
+         accumulator would box a float per feature. *)
+      let out = Array.make (Array.length centroids) 0. in
+      for c = 0 to Array.length centroids - 1 do
+        let cen = centroids.(c) in
+        if Array.length cen <> Array.length x then
+          invalid_arg "Inference: centroid dimension mismatch";
+        let acc = ref 0. in
+        for j = 0 to Array.length cen - 1 do
+          let d = x.(j) -. cen.(j) in
+          acc := !acc +. (d *. d)
+        done;
+        out.(c) <- -. !acc
+      done;
+      out
   | Model_ir.Svm { class_weights; biases; _ } ->
-      Array.mapi
-        (fun c w ->
-          if Array.length w <> Array.length x then
-            invalid_arg "Inference: svm dimension mismatch";
-          let acc = ref biases.(c) in
-          Array.iteri (fun j wj -> acc := !acc +. (wj *. x.(j))) w;
-          !acc)
-        class_weights
+      let out = Array.make (Array.length class_weights) 0. in
+      for c = 0 to Array.length class_weights - 1 do
+        let w = class_weights.(c) in
+        if Array.length w <> Array.length x then
+          invalid_arg "Inference: svm dimension mismatch";
+        let acc = ref biases.(c) in
+        for j = 0 to Array.length w - 1 do
+          acc := !acc +. (w.(j) *. x.(j))
+        done;
+        out.(c) <- !acc
+      done;
+      out
   | Model_ir.Tree { root; n_features; _ } ->
       if Array.length x <> n_features then
         invalid_arg "Inference: tree dimension mismatch";

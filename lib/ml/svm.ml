@@ -2,11 +2,23 @@ module Rng = Homunculus_util.Rng
 
 type binary = { w : float array; b : float }
 
+(* Pegasos, written so a step allocates nothing per feature (only
+   [Rng.int]'s boxed [Int64] remains): the margin and the bias live in local
+   [float ref]s no closure captures, so ocamlopt keeps them unboxed. When the
+   hinge is violated the shrink and the sub-gradient step are one store,
+   [w.(j) <- (w.(j) *. shrink) +. (s *. x.(j))]: each product is still
+   rounded to a double before the add, in the same order as a shrink pass
+   followed by an update pass, and ocamlopt never contracts to an FMA — so
+   the weights are the same bits as the two-pass form. *)
 let fit_binary rng ?(lambda = 1e-4) ?(epochs = 20) ~x ~y () =
   let n = Array.length x in
   if n = 0 then invalid_arg "Svm.fit_binary: empty input";
   if Array.length y <> n then invalid_arg "Svm.fit_binary: |x| <> |y|";
   let d = Array.length x.(0) in
+  Array.iter
+    (fun row ->
+      if Array.length row <> d then invalid_arg "Svm.fit_binary: ragged rows")
+    x;
   let w = Array.make d 0. in
   let b = ref 0. in
   let t = ref 0 in
@@ -14,31 +26,38 @@ let fit_binary rng ?(lambda = 1e-4) ?(epochs = 20) ~x ~y () =
     for _step = 1 to n do
       incr t;
       let i = Rng.int rng n in
+      let xi = x.(i) in
       let eta = 1. /. (lambda *. float_of_int !t) in
       let label = if y.(i) = 1 then 1. else -1. in
-      let margin =
-        let acc = ref !b in
-        Array.iteri (fun j xj -> acc := !acc +. (w.(j) *. xj)) x.(i);
-        label *. !acc
-      in
-      (* Regularization shrink, then hinge sub-gradient step when violated. *)
-      let shrink = 1. -. (eta *. lambda) in
+      let acc = ref !b in
       for j = 0 to d - 1 do
-        w.(j) <- w.(j) *. shrink
+        acc := !acc +. (w.(j) *. xi.(j))
       done;
+      let margin = label *. !acc in
+      (* Regularization shrink, fused with the hinge sub-gradient step when
+         the margin is violated. *)
+      let shrink = 1. -. (eta *. lambda) in
       if margin < 1. then begin
+        let s = eta *. label in
         for j = 0 to d - 1 do
-          w.(j) <- w.(j) +. (eta *. label *. x.(i).(j))
+          w.(j) <- (w.(j) *. shrink) +. (s *. xi.(j))
         done;
-        b := !b +. (eta *. label)
+        b := !b +. s
       end
+      else
+        for j = 0 to d - 1 do
+          w.(j) <- w.(j) *. shrink
+        done
     done
   done;
   { w; b = !b }
 
+(* Bias first, then the products in ascending feature order. *)
 let decision m x =
   let acc = ref m.b in
-  Array.iteri (fun j xj -> acc := !acc +. (m.w.(j) *. xj)) x;
+  for j = 0 to Array.length x - 1 do
+    acc := !acc +. (m.w.(j) *. x.(j))
+  done;
   !acc
 
 let predict_binary m x = if decision m x >= 0. then 1 else 0
@@ -56,9 +75,27 @@ let fit rng ?lambda ?epochs (d : Dataset.t) =
   in
   { machines; features = Dataset.n_features d }
 
+(* The argmax over the machines' margins, inline and with
+   [Stats.argmax]'s rule (strict [>], the first index wins ties). The
+   margin is [decision]'s loop written out, so neither a scores array nor a
+   boxed float is built per sample. *)
 let predict t x =
-  let scores = Array.map (fun m -> decision m x) t.machines in
-  Homunculus_util.Stats.argmax scores
+  let k = Array.length t.machines in
+  if k = 0 then invalid_arg "Svm.predict: no machines";
+  let best = ref 0 in
+  let best_score = ref 0. in
+  for c = 0 to k - 1 do
+    let m = t.machines.(c) in
+    let acc = ref m.b in
+    for j = 0 to Array.length x - 1 do
+      acc := !acc +. (m.w.(j) *. x.(j))
+    done;
+    if c = 0 || !acc > !best_score then begin
+      best := c;
+      best_score := !acc
+    end
+  done;
+  !best
 
 let predict_all t xs = Array.map (predict t) xs
 

@@ -310,14 +310,15 @@ let maybe_swap t ~now =
           with
           | None -> Monitor.rearm t.monitor
           | Some challenger ->
-              let last_decision =
-                match List.rev (Updater.decisions u) with
-                | d :: _ -> d
-                | [] -> assert false
+              (* [try_update] records the decision it acted on before it
+                 returns, so [last_decision] is always [Some] here. *)
+              let incumbent_f1, challenger_f1 =
+                match Updater.last_decision u with
+                | Some d -> (d.Updater.incumbent_f1, d.Updater.challenger_f1)
+                | None -> (Float.nan, Float.nan)
               in
-              install t ~now ~reason:drift.Monitor.reason
-                ~incumbent_f1:last_decision.Updater.incumbent_f1
-                ~challenger_f1:last_decision.Updater.challenger_f1 challenger))
+              install t ~now ~reason:drift.Monitor.reason ~incumbent_f1
+                ~challenger_f1 challenger))
 
 (* Serve one batch of up to [batch_size] queued packets, advancing virtual
    time by one service slot per packet. *)

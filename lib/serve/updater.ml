@@ -97,6 +97,9 @@ let seen t = t.seen
 let swaps_accepted t = t.accepted_swaps
 let decisions t = List.rev t.rev_decisions
 
+let last_decision t =
+  match t.rev_decisions with d :: _ -> Some d | [] -> None
+
 let calibration_sample t ~n =
   let k = Stdlib.min n t.size in
   Array.init k (fun i -> t.features.(i))

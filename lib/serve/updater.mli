@@ -60,6 +60,10 @@ val swaps_accepted : t -> int
 val decisions : t -> decision list
 (** Every update attempt, oldest first. *)
 
+val last_decision : t -> decision option
+(** The most recent update attempt — the one a [Some] from {!try_update}
+    just acted on — or [None] before the first. *)
+
 val calibration_sample : t -> n:int -> float array array
 (** Up to [n] buffered feature vectors — quantization calibration for
     reloading a {!Homunculus_backends.Runtime} after a swap. *)

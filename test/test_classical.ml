@@ -119,6 +119,143 @@ let test_svm_rejects_empty () =
   Alcotest.check_raises "empty" (Invalid_argument "Svm.fit_binary: empty input")
     (fun () -> ignore (Svm.fit_binary rng ~x:[||] ~y:[||] ()))
 
+(* The Pegasos kernel as it was written before the step loop was made
+   allocation-free, kept verbatim as the oracle: a separate shrink pass, then
+   a separate update pass when the margin is violated. *)
+let literal_pegasos rng ?(lambda = 1e-4) ?(epochs = 20) ~x ~y () =
+  let n = Array.length x in
+  if n = 0 then invalid_arg "Svm.fit_binary: empty input";
+  if Array.length y <> n then invalid_arg "Svm.fit_binary: |x| <> |y|";
+  let d = Array.length x.(0) in
+  let w = Array.make d 0. in
+  let b = ref 0. in
+  let t = ref 0 in
+  for _epoch = 1 to epochs do
+    for _step = 1 to n do
+      incr t;
+      let i = Rng.int rng n in
+      let eta = 1. /. (lambda *. float_of_int !t) in
+      let label = if y.(i) = 1 then 1. else -1. in
+      let margin =
+        let acc = ref !b in
+        Array.iteri (fun j xj -> acc := !acc +. (w.(j) *. xj)) x.(i);
+        label *. !acc
+      in
+      (* Regularization shrink, then hinge sub-gradient step when violated. *)
+      let shrink = 1. -. (eta *. lambda) in
+      for j = 0 to d - 1 do
+        w.(j) <- w.(j) *. shrink
+      done;
+      if margin < 1. then begin
+        for j = 0 to d - 1 do
+          w.(j) <- w.(j) +. (eta *. label *. x.(i).(j))
+        done;
+        b := !b +. (eta *. label)
+      end
+    done
+  done;
+  (w, !b)
+
+let literal_decision (w, b) x =
+  let acc = ref b in
+  Array.iteri (fun j xj -> acc := !acc +. (w.(j) *. xj)) x;
+  !acc
+
+let check_fit_matches_literal name ~seed ~lambda ~epochs ~x ~y =
+  let bits = Array.map Int64.bits_of_float in
+  let m = Svm.fit_binary (Rng.create seed) ~lambda ~epochs ~x ~y () in
+  let want = literal_pegasos (Rng.create seed) ~lambda ~epochs ~x ~y () in
+  Alcotest.(check (array int64)) (name ^ " weights") (bits (fst want))
+    (bits (Svm.weights m));
+  Alcotest.(check int64) (name ^ " bias") (Int64.bits_of_float (snd want))
+    (Int64.bits_of_float (Svm.bias m));
+  Alcotest.(check (array int64)) (name ^ " decisions")
+    (bits (Array.map (literal_decision want) x))
+    (bits (Array.map (Svm.decision m) x))
+
+(* Random problems with signed zeros and features of magnitude 1e4 among
+   ordinary ones; labels include values other than 0/1 (they train as -1).
+   A random margin almost never sits within an ulp of 1, so a crafted
+   problem pins the summation order too: after the first step on
+   [[1; 1; 1]] (lambda = 1, so the shrink is 0 and w = [1; 1; 1], b = 1),
+   the second row's margin is 1 summed bias first in ascending order but 0
+   in any other order — which flips the hinge branch. *)
+let test_svm_fit_binary_matches_literal () =
+  for seed = 1 to 40 do
+    let gen = Rng.create (500 + seed) in
+    let n = 1 + Rng.int gen 60 and d = Rng.int gen 33 in
+    let feature () =
+      match Rng.int gen 6 with
+      | 0 -> 0.
+      | 1 -> -0.
+      | 2 -> Rng.uniform gen (-1e4) 1e4
+      | _ -> Rng.gaussian gen ()
+    in
+    let x = Array.init n (fun _ -> Array.init d (fun _ -> feature ())) in
+    let y = Array.init n (fun _ -> Rng.int gen 3) in
+    let lambda = 10. ** Rng.uniform gen (-6.) 0. in
+    let epochs = Rng.int gen 8 in
+    check_fit_matches_literal
+      (Printf.sprintf "seed %d (n=%d d=%d)" seed n d)
+      ~seed ~lambda ~epochs ~x ~y
+  done;
+  let big = 0x1p60 in
+  let x = [| [| 1.; 1.; 1. |]; [| big; -.big; 1. |] |] in
+  for seed = 1 to 8 do
+    check_fit_matches_literal
+      (Printf.sprintf "cancellation seed %d" seed)
+      ~seed ~lambda:1. ~epochs:2 ~x ~y:[| 1; 1 |]
+  done
+
+(* The step loop allocates nothing per feature: what remains per step is
+   [Rng.int]'s boxed [Int64]. The two-pass kernel above allocates about 142
+   words per step at this width (a boxed float per feature in the margin). *)
+let test_svm_fit_allocation () =
+  let gen = Rng.create 12 in
+  let n = 400 and d = 30 and epochs = 5 in
+  let x = Array.init n (fun _ -> Array.init d (fun _ -> Rng.gaussian gen ())) in
+  let y = Array.init n (fun i -> i mod 2) in
+  let rng = Rng.create 13 in
+  let before = Gc.minor_words () in
+  ignore (Svm.fit_binary rng ~epochs ~x ~y ());
+  let per_step = (Gc.minor_words () -. before) /. float_of_int (n * epochs) in
+  if per_step > 32. then
+    Alcotest.failf "%.1f minor words per step at d = %d (limit 32)" per_step d
+
+let test_svm_rejects_ragged () =
+  let rng = Rng.create 14 in
+  let x = [| [| 1.; 2. |]; [| 3. |]; [| 4.; 5. |] |] in
+  Alcotest.check_raises "ragged" (Invalid_argument "Svm.fit_binary: ragged rows")
+    (fun () -> ignore (Svm.fit_binary rng ~x ~y:[| 0; 1; 0 |] ()))
+
+(* [predict] takes the argmax inline with [Stats.argmax]'s rule: ties go to
+   the first class, which an untrained (all-zero) model makes of every
+   sample. *)
+let test_svm_predict_is_argmax () =
+  let gen = Rng.create 15 in
+  let x = Array.init 90 (fun _ -> Array.init 4 (fun _ -> Rng.gaussian gen ())) in
+  let y = Array.init 90 (fun i -> i mod 3) in
+  let d = Dataset.create ~x ~y ~n_classes:3 () in
+  let argmax_of m sample =
+    Homunculus_util.Stats.argmax
+      (Array.map2
+         (fun w b ->
+           let acc = ref b in
+           Array.iteri (fun j wj -> acc := !acc +. (wj *. sample.(j))) w;
+           !acc)
+         (Svm.class_weights m) (Svm.class_biases m))
+  in
+  List.iter
+    (fun epochs ->
+      let m = Svm.fit (Rng.create 16) ~epochs d in
+      Alcotest.(check (array int))
+        (Printf.sprintf "epochs %d" epochs)
+        (Array.map (argmax_of m) x) (Svm.predict_all m x))
+    [ 0; 3 ];
+  let untrained = Svm.fit (Rng.create 17) ~epochs:0 d in
+  Alcotest.(check (array int)) "ties -> class 0" (Array.make 90 0)
+    (Svm.predict_all untrained x)
+
 (* Decision trees *)
 
 let xor_data rng n =
@@ -255,6 +392,13 @@ let suite =
     Alcotest.test_case "svm margin sign" `Quick test_svm_margin_sign;
     Alcotest.test_case "svm multiclass" `Quick test_svm_multiclass;
     Alcotest.test_case "svm rejects empty" `Quick test_svm_rejects_empty;
+    Alcotest.test_case "svm fit_binary = literal Pegasos loop" `Quick
+      test_svm_fit_binary_matches_literal;
+    Alcotest.test_case "svm fit allocation" `Quick test_svm_fit_allocation;
+    Alcotest.test_case "svm fit_binary rejects ragged rows" `Quick
+      test_svm_rejects_ragged;
+    Alcotest.test_case "svm predict = argmax of margins" `Quick
+      test_svm_predict_is_argmax;
     Alcotest.test_case "tree learns xor" `Quick test_tree_learns_xor;
     Alcotest.test_case "tree max depth" `Quick test_tree_max_depth_respected;
     Alcotest.test_case "tree pure leaf" `Quick test_tree_pure_leaf_shortcut;

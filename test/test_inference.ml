@@ -76,6 +76,73 @@ let test_dnn_scores_match_literal_loop () =
       (random_inputs rng 20 dims.(0))
   done
 
+(* The SVM and K-means arms are literal loops too: per class the SVM
+   accumulator starts at the bias and adds [w.(j) *. x.(j)] in ascending
+   order; per centroid K-means sums the squared differences in ascending
+   order from 0 and negates. Values mix magnitudes so that any other order
+   rounds differently. *)
+let literal_svm_scores class_weights biases x =
+  Array.mapi
+    (fun c w ->
+      let acc = ref biases.(c) in
+      for j = 0 to Array.length w - 1 do
+        acc := !acc +. (w.(j) *. x.(j))
+      done;
+      !acc)
+    class_weights
+
+let literal_kmeans_scores centroids x =
+  Array.map
+    (fun cen ->
+      let acc = ref 0. in
+      for j = 0 to Array.length cen - 1 do
+        let d = x.(j) -. cen.(j) in
+        acc := !acc +. (d *. d)
+      done;
+      -. !acc)
+    centroids
+
+let mixed_value rng =
+  if Rng.int rng 4 = 0 then Rng.uniform rng (-1e4) 1e4 else Rng.uniform rng (-3.) 3.
+
+let check_scores_bitwise name ir want x =
+  Alcotest.(check (array int64)) name
+    (Array.map Int64.bits_of_float want)
+    (Array.map Int64.bits_of_float (Inference.scores ir x))
+
+let test_svm_scores_match_literal_loop () =
+  for seed = 1 to 25 do
+    let rng = Rng.create (2000 + seed) in
+    let k = 1 + Rng.int rng 5 and d = 1 + Rng.int rng 16 in
+    let class_weights =
+      Array.init k (fun _ -> Array.init d (fun _ -> mixed_value rng))
+    in
+    let biases = Array.init k (fun _ -> mixed_value rng) in
+    let ir = Model_ir.Svm { name = "r"; class_weights; biases } in
+    for _ = 1 to 20 do
+      let x = Array.init d (fun _ -> mixed_value rng) in
+      check_scores_bitwise
+        (Printf.sprintf "seed %d bit-identical" seed)
+        ir (literal_svm_scores class_weights biases x) x
+    done
+  done
+
+let test_kmeans_scores_match_literal_loop () =
+  for seed = 1 to 25 do
+    let rng = Rng.create (3000 + seed) in
+    let k = 1 + Rng.int rng 6 and d = 1 + Rng.int rng 16 in
+    let centroids =
+      Array.init k (fun _ -> Array.init d (fun _ -> mixed_value rng))
+    in
+    let ir = Model_ir.Kmeans { name = "r"; centroids } in
+    for _ = 1 to 20 do
+      let x = Array.init d (fun _ -> mixed_value rng) in
+      check_scores_bitwise
+        (Printf.sprintf "seed %d bit-identical" seed)
+        ir (literal_kmeans_scores centroids x) x
+    done
+  done
+
 let test_dnn_interpreter_tanh_path () =
   let rng = Rng.create 2 in
   let mlp =
@@ -259,6 +326,10 @@ let suite =
     Alcotest.test_case "dnn interpreter tanh" `Quick test_dnn_interpreter_tanh_path;
     Alcotest.test_case "dnn scores = literal loop" `Quick
       test_dnn_scores_match_literal_loop;
+    Alcotest.test_case "svm scores = literal loop" `Quick
+      test_svm_scores_match_literal_loop;
+    Alcotest.test_case "kmeans scores = literal loop" `Quick
+      test_kmeans_scores_match_literal_loop;
     Alcotest.test_case "kmeans interpreter" `Quick test_kmeans_interpreter_matches;
     Alcotest.test_case "svm interpreter" `Quick test_svm_interpreter_matches;
     Alcotest.test_case "tree interpreter" `Quick test_tree_interpreter_matches;
