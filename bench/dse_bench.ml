@@ -1,71 +1,30 @@
-(* Parallel DSE scaling + the learned cost-model pre-filter A/B.
+(* The learned cost-model pre-filter: what it skips and whether the winner
+   survives. Speed is perfbench's to measure; this bench records only
+   deterministic counts, so two runs write the same BENCH_dse.json bytes.
 
-   Section 1 (scaling): end-to-end Bayesian-optimization wall clock at
-   --jobs 1/2/4, mirroring what `homc compile --jobs N` configures (an
-   N-worker pool and an N-wide constant-liar proposal batch). Two effects
-   compound: batching fits the surrogate [n_iter / jobs] times instead of
-   [n_iter] times for the same evaluation budget, and the pool spreads tree
-   fitting, candidate scoring, and black-box evaluations across domains.
-   The run also re-checks the determinism contract: at a fixed batch size,
-   the history must be bit-identical at any worker count.
+   Section 1 (cost model): the real compiler inner loop — train, lower,
+   estimate — on a resource-constrained Taurus grid, with the filter off vs
+   on at jobs=1 and a fixed seed. It records exact evaluations, estimator
+   calls, skips and refits per arm, and requires the winning artifact to be
+   bit-for-bit identical.
 
-   Section 2 (cost model): the real compiler inner loop — train, lower,
-   estimate — on a resource-constrained Taurus grid, with the learned
-   feasibility pre-filter off vs on at jobs=1 and a fixed seed. The filter
-   must deliver wall-clock speedup by skipping exact evaluations of
-   clearly-infeasible candidates while leaving the winning artifact
-   bit-for-bit identical. Per-candidate train/lower/estimate timing comes
-   from Evaluator.Timing, so the JSON records where the saved time lived.
-
-   Section 3 (refit cadence): surrogate refit batching (refit_every /
-   refit_threshold) A/B on the synthetic loop, counting actual fits via
-   [on_refit] and asserting the history stays bit-identical.
-
-   Section 4 (differential validation): Check.Costmodel_eval re-evaluates
+   Section 2 (differential validation): Check.Costmodel_eval re-evaluates
    every skipped candidate exactly and counts feasible-winner vetoes — the
-   contract requires zero.
+   contract requires zero, and the filtered winner must match the exact
+   one.
 
-   Results land in BENCH_dse.json so the perf trajectory is tracked across
-   PRs. *)
+   The process exits 1 with a FAIL line on stderr when either contract
+   breaks. *)
 
 module Bo = Homunculus_bo
-module Par = Homunculus_par.Par
-module Rng = Homunculus_util.Rng
 module Json = Homunculus_util.Json
+module Rng = Homunculus_util.Rng
 module Compiler = Homunculus_core.Compiler
 module Evaluator = Homunculus_core.Evaluator
 module Platform = Homunculus_alchemy.Platform
 module Model_spec = Homunculus_alchemy.Model_spec
 module Nslkdd = Homunculus_netdata.Nslkdd
 module Costmodel_eval = Homunculus_check.Costmodel_eval
-module Resilience = Homunculus_resilience
-
-(* Cores as (raw, effective): [raw] is the /proc/cpuinfo processor count (0
-   when unreadable), which containers and some VMs under-report — earlier
-   runs recorded host_cores: 1 next to a measured 2.2x speedup at 4 jobs.
-   [effective] folds in the runtime's own parallelism estimate, which sees
-   the scheduling reality the speedups actually ran on; both land in the
-   JSON so a suspicious ratio can be audited. *)
-let host_cores () =
-  let raw =
-    match
-      In_channel.with_open_text "/proc/cpuinfo" (fun ic ->
-          let count = ref 0 in
-          let rec loop () =
-            match In_channel.input_line ic with
-            | Some line ->
-                if String.length line >= 9 && String.sub line 0 9 = "processor"
-                then incr count;
-                loop ()
-            | None -> ()
-          in
-          loop ();
-          !count)
-    with
-    | n -> n
-    | exception _ -> 0
-  in
-  (raw, Stdlib.max raw (Domain.recommended_domain_count ()))
 
 let space () =
   Bo.Design_space.create
@@ -78,73 +37,24 @@ let space () =
       Bo.Param.categorical "activation" [| "relu"; "tanh" |];
     ]
 
-(* A cheap analytic black box keeps the measurement honest about BO overhead
-   (surrogate fits + pool scoring dominate real DSE runs once training is
-   cached or fast); [spin] adds a small deterministic training-cost stand-in
-   so the batch path also overlaps some per-evaluation work. *)
-let spin_iters = 20_000
-
+(* A cheap analytic black box with a feasibility boundary across the first
+   two encoded dimensions. *)
 let eval space config =
   let p = Bo.Design_space.encode space config in
-  let acc = ref 0. in
-  for i = 1 to spin_iters do
-    acc := !acc +. (1. /. float_of_int i)
-  done;
-  let quality =
-    !acc *. 0.
-    +. Array.fold_left (fun a v -> a -. ((v -. 0.6) *. (v -. 0.6))) 1.5 p
-  in
   {
-    Bo.Optimizer.objective = quality;
+    Bo.Optimizer.objective =
+      Array.fold_left (fun a v -> a -. ((v -. 0.6) *. (v -. 0.6))) 1.5 p;
     feasible = p.(0) +. p.(1) < 1.6;
     pruned = false;
     metadata = [];
   }
 
-let settings ~budget ~jobs =
-  let n_init = Stdlib.max 3 (budget / 4) in
-  {
-    Bo.Optimizer.default_settings with
-    Bo.Optimizer.n_init;
-    n_iter = budget - n_init;
-    pool_size = (if Bench_config.fast then 64 else 150);
-    batch_size = jobs;
-  }
-
-let run_once ~budget ~jobs =
-  let sp = space () in
-  let pool = Par.create ~jobs () in
-  let t0 = Unix.gettimeofday () in
-  let history =
-    Bo.Optimizer.maximize (Rng.create Bench_config.seed)
-      ~settings:(settings ~budget ~jobs) ~exec:(Bo.Optimizer.Pool pool) sp
-      ~f:(fun ~index:_ -> eval sp)
-  in
-  let dt = Unix.gettimeofday () -. t0 in
-  Par.shutdown pool;
-  (dt, history)
-
-let fingerprint history =
-  (* Order-sensitive digest of the full evaluation log. *)
-  List.fold_left
-    (fun acc e ->
-      let h =
-        Hashtbl.hash
-          ( Bo.Config.to_string e.Bo.History.config,
-            e.Bo.History.objective,
-            e.Bo.History.feasible )
-      in
-      (acc * 1_000_003) lxor h)
-    0
-    (Bo.History.entries history)
-
 (* ---------------------------------------------------------------- *)
-(* Section 2: cost-model pre-filter A/B on the real compiler path.  *)
+(* Section 1: cost-model pre-filter A/B on the real compiler path.  *)
 
 (* A Taurus grid small enough that a large share of the DNN design space
    blows the compute-unit budget: that is exactly the regime the filter is
-   for, and the regime where the exact arm pays full training cost for
-   candidates the estimator then rejects. *)
+   for. *)
 let cm_platform () =
   Platform.with_resources (Platform.taurus ()) ~rows:10 ~cols:10
 
@@ -161,10 +71,10 @@ let cm_spec () =
     ()
 
 (* Exploration-heavy schedule: on an 88%-infeasible grid, the random phase
-   is where an exact-only search burns most of its budget training doomed
-   candidates — exactly the spend the filter exists to cut. The guided
-   phase's own feasibility-weighted acquisition already avoids the region,
-   so a warm-up-light schedule would leave the filter little to do. *)
+   is where an exact-only search spends most of its budget on doomed
+   candidates — exactly what the filter exists to cut. The guided phase's
+   own feasibility-weighted acquisition already avoids the region, so a
+   warm-up-light schedule would leave the filter little to do. *)
 let cm_options ~cost_model =
   let n_init = cm_budget * 7 / 10 in
   {
@@ -182,56 +92,34 @@ let cm_options ~cost_model =
     cost_model;
   }
 
-type cm_arm = {
-  wall_s : float;
-  timing : Evaluator.Timing.snapshot;
-  result : Compiler.model_result;
-}
-
+(* One arm: the search result and the evaluator's exact-path counters. *)
 let run_cm_arm ~platform ~spec ~cost_model =
   Evaluator.Timing.reset ();
-  let t0 = Unix.gettimeofday () in
   let result = Compiler.search_model ~options:(cm_options ~cost_model) platform spec in
-  let wall_s = Unix.gettimeofday () -. t0 in
-  { wall_s; timing = Evaluator.Timing.snapshot (); result }
+  (Evaluator.Timing.snapshot (), result)
 
 let artifact_fingerprint (a : Evaluator.artifact) =
   ( a.Evaluator.algorithm,
     Bo.Config.to_string a.Evaluator.config,
     Int64.bits_of_float a.Evaluator.objective )
 
-let json_of_arm name (arm : cm_arm) =
-  let t = arm.timing in
-  let per_candidate total =
-    if t.Evaluator.Timing.evaluations = 0 then 0.
-    else total /. float_of_int t.Evaluator.Timing.evaluations
-  in
-  ( name,
-    Json.Object
-      [
-        ("wall_s", Json.Number arm.wall_s);
-        ("evaluations", Json.Number (float_of_int t.Evaluator.Timing.evaluations));
-        ("estimates", Json.Number (float_of_int t.Evaluator.Timing.estimates));
-        ("train_s", Json.Number t.Evaluator.Timing.train_s);
-        ("lower_s", Json.Number t.Evaluator.Timing.lower_s);
-        ("estimate_s", Json.Number t.Evaluator.Timing.estimate_s);
-        ("per_candidate_train_s", Json.Number (per_candidate t.Evaluator.Timing.train_s));
-        ("per_candidate_lower_s", Json.Number (per_candidate t.Evaluator.Timing.lower_s));
-        ("per_candidate_estimate_s", Json.Number (per_candidate t.Evaluator.Timing.estimate_s));
-      ] )
+let json_of_counts (t : Evaluator.Timing.snapshot) =
+  Json.Object
+    [
+      ("evaluations", Json.Number (float_of_int t.Evaluator.Timing.evaluations));
+      ("estimates", Json.Number (float_of_int t.Evaluator.Timing.estimates));
+    ]
 
 let run_cost_model_section () =
   Bench_config.section "DSE cost model: learned pre-filter off vs on (jobs 1)";
   let platform = cm_platform () in
   let spec = cm_spec () in
-  (* Warm-up: load + cache the dataset so neither timed arm pays for it. *)
-  let (_ : Model_spec.data) = Model_spec.load spec in
-  let off = run_cm_arm ~platform ~spec ~cost_model:None in
+  let off, off_result = run_cm_arm ~platform ~spec ~cost_model:None in
   (* The DNN feature vector carries the analytic skeleton-feasibility bit,
      so a near-zero predicted p(feasible) is close to certain here: waive
      the 3-sigma winner guard below p = 0.1 instead of the default 0.02
      (which demands a unanimous 30-tree vote). *)
-  let on =
+  let on, on_result =
     run_cm_arm ~platform ~spec
       ~cost_model:
         (Some
@@ -242,40 +130,27 @@ let run_cost_model_section () =
              margin = 0.12;
            })
   in
-  let speedup = off.wall_s /. on.wall_s in
-  let est_off = off.timing.Evaluator.Timing.estimates in
-  let est_on = on.timing.Evaluator.Timing.estimates in
-  let est_reduction =
-    if est_off = 0 then 0.
-    else 1. -. (float_of_int est_on /. float_of_int est_off)
-  in
   let winner_identical =
-    artifact_fingerprint off.result.Compiler.artifact
-    = artifact_fingerprint on.result.Compiler.artifact
+    artifact_fingerprint off_result.Compiler.artifact
+    = artifact_fingerprint on_result.Compiler.artifact
   in
   let stats =
-    match on.result.Compiler.cost_stats with
-    | Some s -> s
-    | None -> Bo.Cost_model.zero_stats
+    Option.value on_result.Compiler.cost_stats ~default:Bo.Cost_model.zero_stats
   in
-  Printf.printf "  off: %6.2f s  (%d exact evals, %d estimator calls)\n"
-    off.wall_s off.timing.Evaluator.Timing.evaluations est_off;
-  Printf.printf "  on:  %6.2f s  (%d exact evals, %d estimator calls, %s)\n"
-    on.wall_s on.timing.Evaluator.Timing.evaluations est_on
+  Printf.printf "  off: %d exact evals, %d estimator calls\n"
+    off.Evaluator.Timing.evaluations off.Evaluator.Timing.estimates;
+  Printf.printf "  on:  %d exact evals, %d estimator calls, %s\n"
+    on.Evaluator.Timing.evaluations on.Evaluator.Timing.estimates
     (Bo.Cost_model.stats_summary stats);
-  Printf.printf
-    "  speedup %.2fx, estimator calls down %.0f%%, winning artifact %s\n"
-    speedup (100. *. est_reduction)
+  Printf.printf "  winning artifact %s\n"
     (if winner_identical then "bit-identical" else "DIVERGED");
   let json =
     Json.Object
       [
         ("budget", Json.Number (float_of_int cm_budget));
         ("jobs", Json.Number 1.);
-        json_of_arm "off" off;
-        json_of_arm "on" on;
-        ("speedup", Json.Number speedup);
-        ("estimate_reduction", Json.Number est_reduction);
+        ("off", json_of_counts off);
+        ("on", json_of_counts on);
         ("skipped", Json.Number (float_of_int stats.Bo.Cost_model.skipped));
         ("refits", Json.Number (float_of_int stats.Bo.Cost_model.refits));
         ("winner_identical", Json.Bool winner_identical);
@@ -284,60 +159,7 @@ let run_cost_model_section () =
   (json, winner_identical)
 
 (* ---------------------------------------------------------------- *)
-(* Section 3: surrogate refit cadence A/B (refit_every 1 vs 4).     *)
-
-let run_refit_arm ~budget ~jobs ~refit_every ~refit_threshold =
-  let sp = space () in
-  let refits = ref 0 in
-  let pool = Par.create ~jobs () in
-  let base = settings ~budget ~jobs:1 in
-  let t0 = Unix.gettimeofday () in
-  let history =
-    Bo.Optimizer.maximize (Rng.create Bench_config.seed)
-      ~settings:{ base with Bo.Optimizer.refit_every; refit_threshold }
-      ~exec:(Bo.Optimizer.Pool pool)
-      ~observer:{ Bo.Optimizer.no_observer with on_refit = (fun _ -> incr refits) }
-      sp ~f:(fun ~index:_ -> eval sp)
-  in
-  let dt = Unix.gettimeofday () -. t0 in
-  Par.shutdown pool;
-  (dt, !refits, fingerprint history)
-
-let run_refit_section ~budget =
-  Bench_config.section "DSE surrogate refit cadence: every round vs every 4";
-  let n_init = Stdlib.max 3 (budget / 4) in
-  let dt1, refits1, _ =
-    run_refit_arm ~budget ~jobs:1 ~refit_every:1 ~refit_threshold:0
-  in
-  let dt4, refits4, fp4 =
-    run_refit_arm ~budget ~jobs:1 ~refit_every:4 ~refit_threshold:n_init
-  in
-  (* A sparser cadence legitimately changes the proposals (the surrogate is
-     staler between fits); the contract it must keep is determinism — the
-     same cadence yields a bit-identical history at any worker count. *)
-  let _, _, fp4' =
-    run_refit_arm ~budget ~jobs:4 ~refit_every:4 ~refit_threshold:n_init
-  in
-  let deterministic = fp4 = fp4' in
-  let saving = (dt1 -. dt4) /. dt1 in
-  Printf.printf
-    "  every 1: %6.2f s (%d refits)   every 4: %6.2f s (%d refits)\n" dt1
-    refits1 dt4 refits4;
-  Printf.printf "  timing saving %.0f%%, cadence-4 determinism (1 vs 4 workers): %s\n"
-    (100. *. saving)
-    (if deterministic then "identical histories" else "MISMATCH");
-  Json.Object
-    [
-      ("refit_every_1_wall_s", Json.Number dt1);
-      ("refit_every_1_fits", Json.Number (float_of_int refits1));
-      ("refit_every_4_wall_s", Json.Number dt4);
-      ("refit_every_4_fits", Json.Number (float_of_int refits4));
-      ("timing_saving", Json.Number saving);
-      ("deterministic", Json.Bool deterministic);
-    ]
-
-(* ---------------------------------------------------------------- *)
-(* Section 4: differential validation of the filter's skips.        *)
+(* Section 2: differential validation of the filter's skips.        *)
 
 let run_costmodel_eval_section () =
   Bench_config.section "DSE cost model: differential validation of skips";
@@ -359,149 +181,49 @@ let run_costmodel_eval_section () =
       ~space:sp ~features ~eval:(eval sp) ()
   in
   Printf.printf "  %s\n" (Costmodel_eval.summary report);
-  Json.Object
-    [
-      ("evaluated", Json.Number (float_of_int report.Costmodel_eval.evaluated));
-      ("skipped", Json.Number (float_of_int report.Costmodel_eval.skipped));
-      ( "mispredicted_feasible",
-        Json.Number (float_of_int report.Costmodel_eval.mispredicted_feasible) );
-      ( "feasible_winner_vetoes",
-        Json.Number (float_of_int report.Costmodel_eval.feasible_winner_vetoes) );
-      ("winner_matched", Json.Bool report.Costmodel_eval.winner_matched);
-    ]
-
-(* ---------------------------------------------------------------- *)
-(* Section 5: journal append throughput — fsync per record vs group  *)
-(* commit. The group-commit contract: every line still written whole, *)
-(* a crash loses at most the unsynced tail, replay re-evaluates it.  *)
-
-let run_journal_section () =
-  Bench_config.section
-    "Journal append throughput: fsync every record vs group commit (32)";
-  let sp = space () in
-  let rng = Rng.create Bench_config.seed in
-  let configs = Array.init 64 (fun _ -> Bo.Design_space.sample rng sp) in
-  let n = if Bench_config.fast then 400 else 2000 in
-  let arm fsync_every =
-    let path = Filename.temp_file "homunculus-journal" ".jsonl" in
-    let journal = Resilience.Journal.open_ ~fsync_every path in
-    let t0 = Unix.gettimeofday () in
-    for i = 0 to n - 1 do
-      ignore
-        (Resilience.Journal.append journal
-           {
-             Resilience.Journal.scope = "bench/dnn";
-             index = i;
-             config = configs.(i mod Array.length configs);
-             objective = float_of_int i /. float_of_int n;
-             feasible = true;
-             pruned = false;
-             metadata = [];
-             failure = None;
-             kind = Resilience.Journal.Exact;
-           })
-    done;
-    let dt = Unix.gettimeofday () -. t0 in
-    Resilience.Journal.close journal;
-    let loaded = Resilience.Journal.loaded (Resilience.Journal.load path) in
-    Sys.remove path;
-    (float_of_int n /. dt, loaded)
+  let json =
+    Json.Object
+      [
+        ("evaluated", Json.Number (float_of_int report.Costmodel_eval.evaluated));
+        ("skipped", Json.Number (float_of_int report.Costmodel_eval.skipped));
+        ( "mispredicted_feasible",
+          Json.Number (float_of_int report.Costmodel_eval.mispredicted_feasible) );
+        ( "feasible_winner_vetoes",
+          Json.Number (float_of_int report.Costmodel_eval.feasible_winner_vetoes) );
+        ("winner_matched", Json.Bool report.Costmodel_eval.winner_matched);
+      ]
   in
-  let rps_1, loaded_1 = arm 1 in
-  let rps_32, loaded_32 = arm 32 in
-  (* Group commit may not beat per-record fsync where fsync is already a
-     no-op (tmpfs, aggressive write caches); the numbers are the point. *)
-  let intact = loaded_1 = n && loaded_32 = n in
-  Printf.printf
-    "  fsync every 1: %8.0f rec/s   every 32: %8.0f rec/s  (%.2fx, %d \
-     records, replay %s)\n"
-    rps_1 rps_32 (rps_32 /. rps_1) n
-    (if intact then "intact" else "LOSSY");
-  Json.Object
-    [
-      ("records", Json.Number (float_of_int n));
-      ("per_second_fsync_1", Json.Number rps_1);
-      ("per_second_fsync_32", Json.Number rps_32);
-      ("group_commit_speedup", Json.Number (rps_32 /. rps_1));
-      ("replay_intact", Json.Bool intact);
-    ]
+  (json, report)
 
 let run () =
-  Bench_config.section "DSE scaling: batched BO at --jobs 1/2/4";
-  let budget = if Bench_config.fast then 24 else 100 in
-  (* Warm-up run: touch every code path once so allocator and page-cache
-     effects don't land on the jobs=1 measurement. *)
-  let (_ : float * Bo.History.t) = run_once ~budget:(budget / 4) ~jobs:2 in
-  let job_counts = [ 1; 2; 4 ] in
-  let results =
-    List.map
-      (fun jobs ->
-        let dt, history = run_once ~budget ~jobs in
-        (jobs, dt, history))
-      job_counts
-  in
-  let base =
-    match results with (_, dt, _) :: _ -> dt | [] -> assert false
-  in
-  List.iter
-    (fun (jobs, dt, history) ->
-      let best =
-        match Bo.History.best history with
-        | Some e -> e.Bo.History.objective
-        | None -> Float.nan
-      in
-      Printf.printf
-        "  jobs %d: %6.2f s  (speedup %.2fx, %d evals, best %.4f)\n" jobs dt
-        (base /. dt) (Bo.History.length history) best)
-    results;
-  (* Determinism: same seed and batch size must give the identical history
-     whether the pool has 1 worker or 4. *)
-  let sp = space () in
-  let run_det workers =
-    let pool = Par.create ~jobs:workers () in
-    let h =
-      Bo.Optimizer.maximize (Rng.create Bench_config.seed)
-        ~settings:(settings ~budget:(Stdlib.min budget 24) ~jobs:4)
-        ~exec:(Bo.Optimizer.Pool pool) sp ~f:(fun ~index:_ -> eval sp)
-    in
-    Par.shutdown pool;
-    fingerprint h
-  in
-  let det_ok = run_det 1 = run_det 4 in
-  Printf.printf "  determinism (batch 4, 1 vs 4 workers): %s\n"
-    (if det_ok then "identical histories" else "MISMATCH");
-  let cost_model_json, _winner_ok = run_cost_model_section () in
-  let refit_json = run_refit_section ~budget in
-  let eval_json = run_costmodel_eval_section () in
-  let journal_json = run_journal_section () in
-  let cores_raw, cores_effective = host_cores () in
+  let cost_model_json, winner_identical = run_cost_model_section () in
+  let eval_json, report = run_costmodel_eval_section () in
   let json =
     Json.Object
       [
         ("bench", Json.String "dse");
         ("fast", Json.Bool Bench_config.fast);
-        ("budget", Json.Number (float_of_int budget));
-        ("host_cores", Json.Number (float_of_int cores_effective));
-        ("host_cores_raw", Json.Number (float_of_int cores_raw));
-        ("deterministic", Json.Bool det_ok);
-        ( "runs",
-          Json.List
-            (List.map
-               (fun (jobs, dt, _) ->
-                 Json.Object
-                   [
-                     ("jobs", Json.Number (float_of_int jobs));
-                     ("wall_s", Json.Number dt);
-                     ("speedup", Json.Number (base /. dt));
-                   ])
-               results) );
         ("cost_model", cost_model_json);
-        ("refit_cadence", refit_json);
         ("costmodel_eval", eval_json);
-        ("journal", journal_json);
       ]
   in
   Out_channel.with_open_text "BENCH_dse.json" (fun oc ->
       Out_channel.output_string oc (Json.to_string json);
       Out_channel.output_char oc '\n');
-  Bench_config.note "  wrote BENCH_dse.json\n"
+  Bench_config.note "  wrote BENCH_dse.json\n";
+  if not winner_identical then begin
+    Printf.eprintf
+      "FAIL: the cost-model pre-filter changed the winning artifact\n";
+    exit 1
+  end;
+  if report.Costmodel_eval.feasible_winner_vetoes > 0 then begin
+    Printf.eprintf
+      "FAIL: %d skipped candidates were feasible and beat the filtered winner\n"
+      report.Costmodel_eval.feasible_winner_vetoes;
+    exit 1
+  end;
+  if not report.Costmodel_eval.winner_matched then begin
+    Printf.eprintf
+      "FAIL: the filtered search's winner differs from the exact search's\n";
+    exit 1
+  end

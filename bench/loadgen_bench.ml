@@ -2,11 +2,12 @@
    bursty arrivals, seeded) drives the serving engine in virtual time at
    offered rates below and above the configured service rate, for both the
    floating-point Reference drain and the fixed-point Quantized drain.
-   Reports sustained inferences/sec (wall clock), nearest-rank p50/p99/p999
-   service latency and drop rate per run to BENCH_serve.json, replays every
-   quantized verdict through the pure Runtime oracle (bit-identity gate),
-   and fails the process when the quantized under-load p99 exceeds the SLO
-   budget — the CI latency regression gate. *)
+   Reports nearest-rank p50/p99/p999 virtual-time service latency and drop
+   rate per run to BENCH_serve.json, replays every quantized verdict through
+   the pure Runtime oracle (bit-identity gate), and fails the process when
+   the quantized under-load p99 exceeds the SLO budget — the CI latency
+   regression gate. Throughput is perfbench's to measure (serve_ips); the
+   bench writes no wall-clock figure, so two runs write the same bytes. *)
 
 open Homunculus_netdata
 open Homunculus_serve
@@ -64,11 +65,20 @@ let show (r : Loadgen.result) =
   in
   Printf.printf
     "%-32s offered %6d served %6d dropped %5d (%4.1f%%)\n\
-    \                                 %9.0f inf/s sustained; latency p50 %6.1f ms  p99 %6.1f ms  p999 %6.1f ms\n"
+    \                                 latency p50 %6.1f ms  p99 %6.1f ms  p999 %6.1f ms\n"
     r.Loadgen.label r.Loadgen.offered r.Loadgen.served r.Loadgen.dropped
     (100. *. float_of_int r.Loadgen.dropped /. float_of_int (max 1 r.Loadgen.offered))
-    r.Loadgen.sustained_ips
     (1e3 *. lat 50.) (1e3 *. lat 99.) (1e3 *. lat 99.9)
+
+(* [Loadgen.result_to_json] without its two wall-clock members. *)
+let run_json r =
+  match Loadgen.result_to_json r with
+  | Json.Object members ->
+      Json.Object
+        (List.filter
+           (fun (k, _) -> k <> "wall_s" && k <> "sustained_inferences_per_s")
+           members)
+  | json -> json
 
 let run () =
   Bench_config.section
@@ -138,6 +148,7 @@ let run () =
   let json =
     Json.Object
       [
+        ("fast", Json.Bool Bench_config.fast);
         ("seed", Json.Number (float_of_int Bench_config.seed));
         ("service_rate_pps", Json.Number service_rate);
         ( "batch_size",
@@ -152,7 +163,7 @@ let run () =
           Json.Number (float_of_int replay_mismatches) );
         ("ref_quant_agreement", Json.Number agr.Serve_eval.rate);
         ( "runs",
-          Json.List (List.map (fun (_, r) -> Loadgen.result_to_json r) runs) );
+          Json.List (List.map (fun (_, r) -> run_json r) runs) );
       ]
   in
   (* Keep the serve bench's "autopilot" member if it wrote first. *)

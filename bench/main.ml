@@ -1,5 +1,7 @@
 (* Reproduction harness: one entry per table and figure of the paper's
-   evaluation (section 5), plus Bechamel micro-benchmarks and ablations.
+   evaluation (section 5), plus ablations and the serving, training and DSE
+   checks. Every BENCH_*.json an experiment writes holds deterministic results
+   only; speed is measured by perfbench.
 
    Usage:
      dune exec bench/main.exe            # everything
@@ -18,7 +20,6 @@ let experiments =
     ("reaction", Reaction_bench.run);
     ("serve", Serve_bench.run);
     ("loadgen", Loadgen_bench.run);
-    ("micro", Micro.run);
     ("ablation", Ablation.run);
     ("dse", Dse_bench.run);
     ("train", Train_bench.run);

@@ -133,8 +133,9 @@ let accuracy_floor windows =
    search of [prior] guided evaluations, then (a) warm — replay the journal
    and continue with [fresh] more — against (b) cold — one search of
    [prior + fresh] from scratch. Same proposal sequence by construction
-   (the replay-then-continue identity), so the warm arm pays for [fresh]
-   trainings where the cold arm pays for [n_init + prior + fresh]. *)
+   (the replay-then-continue identity), so both must pick the same winner;
+   the warm arm trains only [fresh] candidates, the cold arm
+   [n_init + prior + fresh]. *)
 let warm_vs_cold ~spec ~seed =
   let platform = Platform.taurus () in
   let prior = 4 and fresh = 4 in
@@ -157,7 +158,6 @@ let warm_vs_cold ~spec ~seed =
   ignore (Compiler.search_model ~options:(options (Some sup) base) platform spec);
   Journal.close journal;
   (* warm: replay + continue *)
-  let t0 = Unix.gettimeofday () in
   let warm =
     let sup = Supervisor.create ~replay:(Journal.load path) () in
     let settings =
@@ -166,24 +166,18 @@ let warm_vs_cold ~spec ~seed =
     in
     Compiler.search_model ~options:(options (Some sup) settings) platform spec
   in
-  let warm_wall = Unix.gettimeofday () -. t0 in
   (* cold: the same total budget, no replay *)
-  let t0 = Unix.gettimeofday () in
   let cold =
     let settings = { base with Bo.Optimizer.n_iter = prior + fresh } in
     Compiler.search_model ~options:(options None settings) platform spec
   in
-  let cold_wall = Unix.gettimeofday () -. t0 in
   Sys.remove path;
   let config_string (r : Compiler.model_result) =
     Bo.Config.to_string r.Compiler.artifact.Homunculus_core.Evaluator.config
   in
-  let same_winner =
-    String.equal (config_string warm) (config_string cold)
-    && Float.equal warm.Compiler.artifact.objective
-         cold.Compiler.artifact.objective
-  in
-  (warm_wall, cold_wall, same_winner)
+  String.equal (config_string warm) (config_string cold)
+  && Float.equal warm.Compiler.artifact.objective
+       cold.Compiler.artifact.objective
 
 let spec_of_flows ~seed ~name flows =
   let x = Array.map (fun f -> Botnet.flow_features Botnet.Fused f ()) flows in
@@ -263,9 +257,9 @@ let run () =
   show "autopilot" auto;
   List.iter
     (fun (e : Autopilot.event) ->
-      Printf.printf "                 %s (replayed %d, fresh %d, %.3f s)\n"
+      Printf.printf "                 %s (replayed %d, fresh %d)\n"
         (Autopilot.event_to_string e)
-        e.Autopilot.replayed e.Autopilot.fresh e.Autopilot.wall_s)
+        e.Autopilot.replayed e.Autopilot.fresh)
     (Autopilot.events pilot);
   let pre_f1 = pre_shift_f1 auto.Engine.windows in
   let recovery =
@@ -285,15 +279,8 @@ let run () =
          (Flowsim.generate (Rng.create (Bench_config.seed + 21))
             ~mix:(mix n_serve) ()))
   in
-  let warm_wall, cold_wall, same_winner =
-    warm_vs_cold ~spec ~seed:(Bench_config.seed + 22)
-  in
-  Printf.printf
-    "re-search wall clock: warm-started %.3f s vs cold %.3f s (%.1fx); same \
-     winner: %b\n"
-    warm_wall cold_wall
-    (cold_wall /. Stdlib.max 1e-9 warm_wall)
-    same_winner;
+  let same_winner = warm_vs_cold ~spec ~seed:(Bench_config.seed + 22) in
+  Printf.printf "warm-started vs cold re-search, same winner: %b\n" same_winner;
 
   let swap_json (s : Engine.swap) =
     Json.Object
@@ -311,7 +298,6 @@ let run () =
         ("outcome", Json.String (Autopilot.outcome_to_string e.Autopilot.outcome));
         ("replayed", Json.Number (float_of_int e.Autopilot.replayed));
         ("fresh", Json.Number (float_of_int e.Autopilot.fresh));
-        ("wall_s", Json.Number e.Autopilot.wall_s);
       ]
   in
   Bench_config.set_bench_member ~path:"BENCH_serve.json" ~key:"autopilot"
@@ -326,10 +312,6 @@ let run () =
          ("swaps", Json.List (List.map swap_json auto.Engine.swaps));
          ( "research_events",
            Json.List (List.map event_json (Autopilot.events pilot)) );
-         ("warm_wall_s", Json.Number warm_wall);
-         ("cold_wall_s", Json.Number cold_wall);
-         ( "warm_speedup",
-           Json.Number (cold_wall /. Stdlib.max 1e-9 warm_wall) );
          ("warm_matches_cold_winner", Json.Bool same_winner);
        ]);
   Printf.printf "wrote autopilot section of BENCH_serve.json (journals in %s/)\n"

@@ -1,109 +1,14 @@
-(* Training-engine performance: per-epoch wall clock of the batched GEMM
-   engine vs the per-sample reference at batch 32, and end-to-end DSE epoch
-   budget with vs without successive-halving rung pruning at a fixed quality
-   floor. The run also re-checks two contracts the speedups rest on: the
-   batched engine must learn bit-identical parameters, and a pruned search
-   must stay deterministic at any worker count.
-
-   Results land in BENCH_train.json so the perf trajectory is tracked across
-   PRs. *)
+(* Successive-halving rung pruning in the DSE: the epoch budget a pruned
+   search spends against an unpruned one on the AD workload, and whether the
+   pruned search still reaches a fixed quality floor. Epochs are counted,
+   not timed (speed is perfbench's to measure), so two runs write the same
+   BENCH_train.json bytes. The process exits 1 with a FAIL line on stderr
+   when the floor is missed. *)
 
 open Homunculus_alchemy
 open Homunculus_core
-module Ml = Homunculus_ml
 module Bo = Homunculus_bo
-module Par = Homunculus_par.Par
-module Rng = Homunculus_util.Rng
-module Mat = Homunculus_tensor.Mat
 module Json = Homunculus_util.Json
-module Nslkdd = Homunculus_netdata.Nslkdd
-
-(* Per-epoch wall clock: same data, same seed, same shuffle order — the only
-   difference is the engine, so the ratio is pure engine speedup. The two
-   engines run in alternating reps (so a load spike hits both, not one side)
-   and each side keeps its minimum: the rep least disturbed by scheduler
-   noise, training the identical model every time (same seeds throughout). *)
-let time_engines ~data ~epochs ~reps ~optimizer =
-  let run engine =
-    let mlp =
-      Ml.Mlp.create (Rng.create 11)
-        ~input_dim:(Ml.Dataset.n_features data)
-        ~hidden:[| 32; 16 |] ~output_dim:data.Ml.Dataset.n_classes ()
-    in
-    let config =
-      {
-        Ml.Train.default_config with
-        Ml.Train.epochs;
-        batch_size = 32;
-        patience = None;
-        engine;
-        optimizer;
-      }
-    in
-    let t0 = Unix.gettimeofday () in
-    let h = Ml.Train.fit (Rng.create 12) mlp config data in
-    let dt = Unix.gettimeofday () -. t0 in
-    (dt /. float_of_int h.Ml.Train.epochs_run, mlp)
-  in
-  let ps, m_ref = run Ml.Train.Per_sample in
-  let bt, m_bat = run Ml.Train.Batched in
-  let best_ps = ref ps and best_bt = ref bt in
-  for _ = 2 to reps do
-    let ps, _ = run Ml.Train.Per_sample in
-    if ps < !best_ps then best_ps := ps;
-    let bt, _ = run Ml.Train.Batched in
-    if bt < !best_bt then best_bt := bt
-  done;
-  (!best_ps, !best_bt, m_ref, m_bat)
-
-(* Engine step cost in isolation: repeated forward/backward over one resident
-   batch vs the per-sample reference on the same rows — no optimizer, no
-   shuffling, no gather, so the ratio is the pure kernel speedup. *)
-let time_steps ~data ~reps =
-  let nf = Ml.Dataset.n_features data in
-  let make () =
-    Ml.Mlp.create (Rng.create 11) ~input_dim:nf ~hidden:[| 32; 16 |]
-      ~output_dim:data.Ml.Dataset.n_classes ()
-  in
-  let mlp_b = make () in
-  let ws = Ml.Mlp.make_workspace mlp_b ~batch:32 in
-  let targets = Ml.Dataset.target_matrix data in
-  let nc = data.Ml.Dataset.n_classes in
-  for k = 0 to 31 do
-    Array.blit data.Ml.Dataset.x.(k) 0 ws.Ml.Mlp.x.Mat.data (k * nf) nf;
-    Array.blit targets.Mat.data (k * nc) ws.Ml.Mlp.target.Mat.data (k * nc) nc
-  done;
-  let mlp_s = make () in
-  let target_row = Array.make nc 0. in
-  let inner = 2000 in
-  let time_min f =
-    let best = ref infinity in
-    for _ = 1 to reps do
-      let t0 = Unix.gettimeofday () in
-      for _ = 1 to inner do
-        f ()
-      done;
-      let dt = (Unix.gettimeofday () -. t0) /. float_of_int inner in
-      if dt < !best then best := dt
-    done;
-    !best
-  in
-  let batched = time_min (fun () -> Ml.Mlp.train_batch mlp_b ws) /. 32. in
-  let per_sample =
-    time_min (fun () ->
-        for k = 0 to 31 do
-          Array.blit targets.Mat.data (k * nc) target_row 0 nc;
-          ignore
-            (Ml.Mlp.train_sample mlp_s ~x:data.Ml.Dataset.x.(k)
-               ~target:target_row)
-        done)
-    /. 32.
-  in
-  (per_sample, batched)
-
-let params_equal a b =
-  let pa = Ml.Mlp.parameter_buffers a and pb = Ml.Mlp.parameter_buffers b in
-  Array.length pa = Array.length pb && Array.for_all2 ( = ) pa pb
 
 (* The rung settings the pruned-DSE comparison runs under: a three-rung
    ladder starting earlier than the library default (successive halving pays
@@ -139,149 +44,33 @@ let dse_run ~prune =
       prune = (if prune then Some asha_settings else None);
     }
   in
-  let t0 = Unix.gettimeofday () in
   let r = Compiler.search_model ~options (Platform.taurus ()) (Apps.ad_spec ()) in
-  let dt = Unix.gettimeofday () -. t0 in
-  let epochs =
-    List.fold_left
-      (fun acc (_, h) -> acc + epochs_of_history h)
-      0 r.Compiler.histories
-  in
-  let pruned =
-    List.fold_left (fun acc (_, h) -> acc + pruned_count h) 0 r.Compiler.histories
-  in
-  (r.Compiler.artifact.Evaluator.objective, epochs, pruned, dt)
-
-let fingerprint history =
-  (* Order-sensitive digest of the full evaluation log, pruned flags
-     included: a scheduling-dependent pruning decision shows up here. *)
-  List.fold_left
-    (fun acc e ->
-      let h =
-        Hashtbl.hash
-          ( Bo.Config.to_string e.Bo.History.config,
-            e.Bo.History.objective,
-            e.Bo.History.feasible,
-            e.Bo.History.pruned )
-      in
-      (acc * 1_000_003) lxor h)
-    0
-    (Bo.History.entries history)
-
-let det_run ~workers =
-  Par.set_default_jobs workers;
-  let options =
-    {
-      Bench_config.search_options with
-      Compiler.emit_code = false;
-      bo_settings =
-        {
-          Bench_config.search_options.Compiler.bo_settings with
-          Bo.Optimizer.n_init = 4;
-          n_iter = 8;
-          batch_size = 4;
-        };
-      prune = Some asha_settings;
-    }
-  in
-  let r = Compiler.search_model ~options (Platform.taurus ()) (Apps.ad_spec ()) in
-  List.fold_left (fun acc (_, h) -> (acc * 7) lxor fingerprint h) 0
-    r.Compiler.histories
+  let sum f = List.fold_left (fun acc (_, h) -> acc + f h) 0 r.Compiler.histories in
+  (r.Compiler.artifact.Evaluator.objective, sum epochs_of_history, sum pruned_count)
 
 let run () =
-  Bench_config.section "Training engine: batched GEMM + rung pruning";
-  (* Per-epoch speedup, batched vs per-sample. *)
-  let rng = Rng.create Bench_config.seed in
-  (* 1000 samples keeps the whole training set L2-resident, so the comparison
-     measures the engines rather than DRAM stalls on the shuffled gather
-     (which hit both paths identically and only dilute the ratio). The full
-     run buys precision with more repetitions, not more rows. *)
-  let n_train = 1000 in
-  let data, _ = Nslkdd.generate_split rng ~n_train ~n_test:10 () in
-  let epochs = if Bench_config.fast then 6 else 12 in
-  let reps = if Bench_config.fast then 7 else 13 in
-  (* Warm-up: touch both code paths once. *)
-  let (_ : float * float * Ml.Mlp.t * Ml.Mlp.t) =
-    time_engines ~data ~epochs:1 ~reps:1
-      ~optimizer:(Ml.Optimizer.sgd ~lr:1e-2 ())
-  in
-  (* Headline per-epoch comparison under SGD: the optimizer step is the same
-     shared code running once per batch in both engines, so the cheaper it
-     is, the more the epoch ratio reflects the forward/backward engines
-     themselves. Adam's heavier fixed per-batch cost (three divisions and a
-     square root per parameter) dilutes both sides equally and is reported
-     as a secondary entry. *)
-  let per_sample_s, batched_s, _, _ =
-    time_engines ~data ~epochs ~reps ~optimizer:(Ml.Optimizer.sgd ~lr:1e-2 ())
-  in
-  let speedup = per_sample_s /. batched_s in
-  (* Bit-identity is checked under the default Adam config — the stricter
-     setting, since Adam state evolves from every gradient bit. *)
-  let ps_adam_s, bt_adam_s, m_ref, m_bat =
-    time_engines ~data ~epochs ~reps:(1 + (reps / 2))
-      ~optimizer:Ml.Train.default_config.Ml.Train.optimizer
-  in
-  let speedup_adam = ps_adam_s /. bt_adam_s in
-  let identical = params_equal m_ref m_bat in
-  let step_ps, step_bt = time_steps ~data ~reps in
-  let step_speedup = step_ps /. step_bt in
-  Printf.printf
-    "  per-epoch (%d samples, batch 32, sgd): per-sample %.4f s, batched \
-     %.4f s (%.2fx); adam: %.2fx; params %s\n"
-    n_train per_sample_s batched_s speedup speedup_adam
-    (if identical then "bit-identical" else "DIVERGED");
-  Printf.printf
-    "  per-step kernels (no optimizer): per-sample %.3f us, batched %.3f us \
-     (%.2fx)\n"
-    (1e6 *. step_ps) (1e6 *. step_bt) step_speedup;
+  Bench_config.section "Training: DSE epoch budget with rung pruning";
   (* DSE epoch budget with vs without pruning, at a fixed quality floor: the
      pruned search must reach 99% of the unpruned search's best objective.
      (The two runs share seed and budget but diverge in exploration once the
      histories differ, so exact equality is not the bar — matched quality at
      a fraction of the epoch budget is.) *)
   let quality_floor = 0.99 in
-  let best_full, epochs_full, _, dt_full = dse_run ~prune:false in
-  let best_pruned, epochs_pruned, n_pruned, dt_pruned = dse_run ~prune:true in
+  let best_full, epochs_full, _ = dse_run ~prune:false in
+  let best_pruned, epochs_pruned, n_pruned = dse_run ~prune:true in
   let ratio = float_of_int epochs_pruned /. float_of_int epochs_full in
   let floor_met = best_pruned >= quality_floor *. best_full in
   Printf.printf
-    "  DSE (AD): full %d epochs -> best %.4f (%.1f s); pruned %d epochs \
-     (%.0f%%, %d candidates stopped) -> best %.4f (%.1f s), %s\n"
-    epochs_full best_full dt_full epochs_pruned (100. *. ratio) n_pruned
-    best_pruned dt_pruned
+    "  DSE (AD): full %d epochs -> best %.4f; pruned %d epochs (%.0f%%, %d \
+     candidates stopped) -> best %.4f, %s\n"
+    epochs_full best_full epochs_pruned (100. *. ratio) n_pruned best_pruned
     (if floor_met then "above the 99% quality floor"
      else "BELOW the 99% quality floor");
-  (* Determinism: a pruned search must give the identical history at any
-     worker count (fixed seed, fixed proposal batch size). *)
-  let det_ok = det_run ~workers:1 = det_run ~workers:4 in
-  Printf.printf "  determinism with pruning (batch 4, 1 vs 4 workers): %s\n"
-    (if det_ok then "identical histories" else "MISMATCH");
   let json =
     Json.Object
       [
         ("bench", Json.String "train");
         ("fast", Json.Bool Bench_config.fast);
-        ( "per_epoch",
-          Json.Object
-            [
-              ("n_samples", Json.Number (float_of_int n_train));
-              ("batch_size", Json.Number 32.);
-              ("optimizer", Json.String "sgd");
-              ("per_sample_s", Json.Number per_sample_s);
-              ("batched_s", Json.Number batched_s);
-              ("speedup", Json.Number speedup);
-              ("per_sample_adam_s", Json.Number ps_adam_s);
-              ("batched_adam_s", Json.Number bt_adam_s);
-              ("speedup_adam", Json.Number speedup_adam);
-              ("identical_params", Json.Bool identical);
-            ] );
-        ( "per_step",
-          Json.Object
-            [
-              ("per_sample_us", Json.Number (1e6 *. step_ps));
-              ("batched_us", Json.Number (1e6 *. step_bt));
-              ("speedup", Json.Number step_speedup);
-            ] );
         ( "dse",
           Json.Object
             [
@@ -293,13 +82,17 @@ let run () =
               ("epochs_pruned", Json.Number (float_of_int epochs_pruned));
               ("epoch_ratio", Json.Number ratio);
               ("candidates_pruned", Json.Number (float_of_int n_pruned));
-              ("wall_full_s", Json.Number dt_full);
-              ("wall_pruned_s", Json.Number dt_pruned);
             ] );
-        ("deterministic", Json.Bool det_ok);
       ]
   in
   Out_channel.with_open_text "BENCH_train.json" (fun oc ->
       Out_channel.output_string oc (Json.to_string json);
       Out_channel.output_char oc '\n');
-  Bench_config.note "  wrote BENCH_train.json\n"
+  Bench_config.note "  wrote BENCH_train.json\n";
+  if not floor_met then begin
+    Printf.eprintf
+      "FAIL: the pruned search's best %.4f is below %.0f%% of the unpruned \
+       best %.4f\n"
+      best_pruned (100. *. quality_floor) best_full;
+    exit 1
+  end

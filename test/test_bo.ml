@@ -512,9 +512,9 @@ let entries_identical a b =
 
 let test_optimizer_deterministic_across_worker_counts () =
   (* The hard guarantee behind --jobs: for a fixed seed and settings
-     (including batch_size), the history is bit-identical whether the pool
-     has one worker or several. *)
-  let settings =
+     (including batch_size and the surrogate refit cadence), the history is
+     bit-identical whether the pool has one worker or several. *)
+  let base =
     {
       Bo.Optimizer.default_settings with
       Bo.Optimizer.n_init = 6;
@@ -524,7 +524,10 @@ let test_optimizer_deterministic_across_worker_counts () =
       batch_size = 3;
     }
   in
-  let run jobs =
+  let sparse_refits =
+    { base with Bo.Optimizer.refit_every = 4; refit_threshold = base.n_init }
+  in
+  let run settings jobs =
     let pool = Homunculus_par.Par.create ~jobs () in
     let h =
       Bo.Optimizer.maximize (Rng.create 7) ~settings
@@ -534,14 +537,17 @@ let test_optimizer_deterministic_across_worker_counts () =
     Homunculus_par.Par.shutdown pool;
     h
   in
-  let h1 = run 1 in
   List.iter
-    (fun jobs ->
-      Alcotest.(check bool)
-        (Printf.sprintf "history identical at jobs=%d" jobs)
-        true
-        (entries_identical h1 (run jobs)))
-    [ 2; 4 ]
+    (fun (name, settings) ->
+      let h1 = run settings 1 in
+      List.iter
+        (fun jobs ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: history identical at jobs=%d" name jobs)
+            true
+            (entries_identical h1 (run settings jobs)))
+        [ 2; 4 ])
+    [ ("refit every round", base); ("refit every 4", sparse_refits) ]
 
 let test_random_search_budget () =
   let count = ref 0 in

@@ -416,6 +416,39 @@ let test_dispatch_prune_refused () =
         (Compiler.search_model ~options (Platform.tofino ())
            (blob_spec ~algorithms:[ Model_spec.Tree ] ())))
 
+(* Rung pruning keeps the --jobs guarantee: the ASHA thresholds are frozen
+   per proposal batch, so which candidates stop early, and at which epoch,
+   cannot depend on how many workers ran the batch. *)
+let test_pruned_search_deterministic_across_worker_counts () =
+  let options =
+    {
+      tiny_options with
+      Compiler.emit_code = false;
+      bo_settings =
+        {
+          tiny_options.Compiler.bo_settings with
+          Bo.Optimizer.n_init = 4;
+          n_iter = 8;
+          batch_size = 4;
+        };
+      prune = Some Bo.Asha.default_settings;
+    }
+  in
+  let run jobs =
+    Par.set_default_jobs jobs;
+    Fun.protect
+      ~finally:(fun () -> Par.set_default_jobs (Par.recommended_jobs ()))
+      (fun () ->
+        Compiler.search_model ~options (Platform.taurus ())
+          (blob_spec ~name:"pblobs" ~algorithms:[ Model_spec.Dnn ] ()))
+  in
+  let h1 = (run 1).Compiler.history and h4 = (run 4).Compiler.history in
+  Alcotest.(check bool) "some candidates pruned" true
+    (List.exists (fun e -> e.Bo.History.pruned) (Bo.History.entries h1));
+  Alcotest.(check bool) "history bit-identical at 1 and 4 workers" true
+    (List.equal entries_bit_identical (Bo.History.entries h1)
+       (Bo.History.entries h4))
+
 (* Report *)
 
 let test_search_tradeoff_front () =
@@ -547,6 +580,8 @@ let suite =
       test_dispatch_worker_eval_identical;
     Alcotest.test_case "dispatch + prune refused" `Quick
       test_dispatch_prune_refused;
+    Alcotest.test_case "pruned search identical across worker counts" `Quick
+      test_pruned_search_deterministic_across_worker_counts;
     Alcotest.test_case "tradeoff pareto front" `Quick test_search_tradeoff_front;
     Alcotest.test_case "compare_artifacts NaN ranks last" `Quick
       test_compare_artifacts_nan_ranks_last;
