@@ -3,7 +3,8 @@
       at the same evaluation budget — the value of the surrogate.
    2. Feasibility-aware candidate pool vs ignoring feasibility — the value
       of encoding resources as constraints (paper §3.2.2).
-   3. Local-search exploitation fraction — the incumbent-refinement pool. *)
+   3. Local-search exploitation fraction — the incumbent-refinement pool.
+   4. Multi-objective search — the accuracy-vs-footprint front. *)
 
 open Homunculus_alchemy
 open Homunculus_core
@@ -94,45 +95,7 @@ let run () =
       Printf.printf "  frac %.2f: best F1 %.4f\n" frac (best_feasible h))
     [ 0.0; 0.5; 0.9 ];
 
-  (* 4. Successive halving (AutoKeras-style) at a matched budget: the
-     fidelity knob scales training epochs. *)
-  let data = Model_spec.load spec in
-  let hb_settings =
-    { Bo.Hyperband.default_settings with Bo.Hyperband.initial_candidates = 27 }
-  in
-  let hb_eval config ~fidelity =
-    (* Shrink the training set to the rung's fidelity — a cheap proxy for a
-       shorter training budget. *)
-    let train = data.Model_spec.train in
-    let n = Homunculus_ml.Dataset.n_samples train in
-    let keep = Stdlib.max 50 (int_of_float (fidelity *. float_of_int n)) in
-    let sub =
-      Homunculus_ml.Dataset.subset train (Array.init (Stdlib.min keep n) Fun.id)
-    in
-    let small_spec =
-      Model_spec.make ~name:"hb"
-        ~algorithms:[ Model_spec.Dnn ]
-        ~loader:(fun () -> Model_spec.data ~train:sub ~test:data.Model_spec.test)
-        ()
-    in
-    let artifact =
-      Evaluator.evaluate
-        (Rng.create (77 lxor Bo.Config.hash config))
-        platform small_spec Model_spec.Dnn config
-    in
-    {
-      Bo.Hyperband.objective = artifact.Evaluator.objective;
-      feasible =
-        artifact.Evaluator.verdict.Homunculus_backends.Resource.feasible;
-    }
-  in
-  let hb = Bo.Hyperband.search (Rng.create 78) ~settings:hb_settings space ~f:hb_eval in
-  Printf.printf
-    "\nsuccessive halving (27 candidates, eta 3, %d total evals):\n  best F1 %.4f\n"
-    (Bo.Hyperband.total_evaluations hb_settings)
-    (best_feasible hb);
-
-  (* 5. Multi-objective: the accuracy-vs-footprint Pareto front. *)
+  (* 4. Multi-objective: the accuracy-vs-footprint Pareto front. *)
   Printf.printf "\nmulti-objective (random scalarizations) Pareto front:\n";
   let points =
     Compiler.search_tradeoff ~options:Bench_config.search_options
@@ -144,13 +107,4 @@ let run () =
         p.Compiler.artifact.Evaluator.objective
         (100. *. p.Compiler.resource_fraction)
         p.Compiler.weight)
-    points;
-  let front =
-    List.map
-      (fun p ->
-        ([| p.Compiler.artifact.Evaluator.objective;
-            1. -. p.Compiler.resource_fraction |], ()))
-      points
-  in
-  Printf.printf "  hypervolume (F1 x grid headroom, ref origin): %.4f\n"
-    (Bo.Pareto.hypervolume2 ~reference:[| 0.; 0. |] front)
+    points

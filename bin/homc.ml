@@ -7,9 +7,8 @@
                shared pipeline; differential oracle + combined feasibility
      inspect   print a platform's resource model
      datasets  summarize the synthetic dataset generators
-     sweep     Fig. 7-style table-budget sweep for the KMeans classifier
-     place     show a searched model's floor plan on the Taurus grid
-     simulate  drive a searched model's pipeline with packet load
+     export-trace
+               freeze a synthetic flow population to a trace file
      serve     replay a trace through the online serving runtime (drift
                detection + hot-swap)
      loadgen   open-loop load generation against the serving engine:
@@ -17,7 +16,8 @@
      check     differential conformance: random models through every
                deployment path, compared against the FP reference
 
-   Malformed or contradictory arguments are usage errors (exit 124). *)
+   Malformed or contradictory arguments are usage errors (exit 124); a
+   missing or malformed input file exits 123 with a diagnosis. *)
 
 open Cmdliner
 open Homunculus_alchemy
@@ -33,6 +33,27 @@ module Resilience = Homunculus_resilience
 module Policy = Homunculus_policy.Policy
 module Pred = Homunculus_policy.Pred
 module Lower = Homunculus_policy.Lower
+
+(* Input files: a missing or malformed one is a one-line diagnosis and
+   cmdliner's "some error" exit (123), not an uncaught exception. Only the
+   load is guarded; [k] runs outside the handler. *)
+let with_input path load k =
+  let fail reason =
+    Printf.eprintf "homc: %s: %s\n" path reason;
+    Cmd.Exit.some_error
+  in
+  match load path with
+  | v -> k v
+  | exception (Sys_error msg | Failure msg | Invalid_argument msg) ->
+      (* [Sys_error] messages already start with the path. *)
+      let prefix = path ^ ": " in
+      fail
+        (if String.starts_with ~prefix msg then
+           String.sub msg (String.length prefix)
+             (String.length msg - String.length prefix)
+         else msg)
+  | exception Homunculus_util.Json.Parse_error { position; message } ->
+      fail (Printf.sprintf "JSON parse error at byte %d: %s" position message)
 
 (* The built-in applications: dataset generator, metric, and the algorithms
    [compile] searches. [tenant] is what [compose] uses instead: a
@@ -558,69 +579,6 @@ let datasets seed =
   show "botnet test (packets)" test;
   0
 
-(* sweep *)
-
-let sweep options =
-  let spec = spec_of (List.assoc "tc-kmeans" apps) options.Compiler.seed in
-  Printf.printf "%-4s %10s %6s\n" "K" "V-measure" "MATs";
-  List.iter
-    (fun tables ->
-      let platform = Platform.with_tables (Platform.tofino ()) tables in
-      let r = Compiler.search_model ~options platform spec in
-      let a = r.Compiler.artifact in
-      Printf.printf "K%-3d %10.2f %6d\n" tables
-        (100. *. a.Evaluator.objective)
-        (Homunculus_backends.Tofino.mats_used a.Evaluator.verdict))
-    [ 5; 4; 3; 2; 1 ];
-  0
-
-(* place and simulate: search an application for the default Taurus grid *)
-
-let taurus_winner app options =
-  let spec = spec_of (List.assoc app apps) options.Compiler.seed in
-  let result = Compiler.search_model ~options (Platform.taurus ()) spec in
-  (result.Compiler.artifact.Evaluator.model_ir, Homunculus_backends.Taurus.default_grid)
-
-(* place: search a model and show its grid floor plan *)
-
-let place app options =
-  let model, grid = taurus_winner app options in
-  Printf.printf "model: %s (%d params)\n"
-    (Homunculus_backends.Model_ir.algorithm model)
-    (Homunculus_backends.Model_ir.param_count model);
-  (match Homunculus_backends.Placement.place_model grid model with
-  | Ok p ->
-      Printf.printf "utilization %.0f%%, wirelength %.1f\n\n%s"
-        (100. *. Homunculus_backends.Placement.utilization p)
-        (Homunculus_backends.Placement.wirelength p)
-        (Homunculus_backends.Placement.render p)
-  | Error e -> Printf.printf "placement failed: %s\n" e);
-  0
-
-(* simulate: drive the mapped model with packet load *)
-
-let simulate app options rate packets =
-  let model, grid = taurus_winner app options in
-  let mapping = Homunculus_backends.Taurus.map_model grid model in
-  let config = Homunculus_backends.Pipeline_sim.config_of_mapping grid mapping in
-  let arrivals =
-    Homunculus_backends.Pipeline_sim.poisson_arrivals
-      (Rng.create options.Compiler.seed)
-      ~rate_gpps:rate ~n:packets
-  in
-  let s = Homunculus_backends.Pipeline_sim.simulate config ~arrivals_ns:arrivals in
-  Printf.printf
-    "II=%d, depth %d cycles; %d packets at %.2f Gpkt/s Poisson:\n\
-     delivered %.3f Gpkt/s, mean %.1f ns, p99 %.1f ns, %d drops, max queue %d\n"
-    mapping.Homunculus_backends.Taurus.ii
-    config.Homunculus_backends.Pipeline_sim.pipeline_cycles packets rate
-    s.Homunculus_backends.Pipeline_sim.achieved_gpps
-    s.Homunculus_backends.Pipeline_sim.mean_latency_ns
-    s.Homunculus_backends.Pipeline_sim.p99_latency_ns
-    s.Homunculus_backends.Pipeline_sim.packets_dropped
-    s.Homunculus_backends.Pipeline_sim.max_queue_depth;
-  0
-
 (* export-trace: freeze a synthetic flow population to disk *)
 
 let export_trace seed flows output =
@@ -639,16 +597,21 @@ let export_trace seed flows output =
 
 (* serve: replay a frozen trace through the online serving runtime *)
 
+let load_serve_trace path =
+  let flows = Homunculus_netdata.Trace.load ~path in
+  let n = Array.length flows in
+  if n < 10 then
+    failwith (Printf.sprintf "trace too small: %d flows, need at least 10" n);
+  flows
+
 let serve trace_path seed rate window_events label_delay (algorithm, quantized)
     train_frac (autopilot, no_update) inject_drift jsonl_out research_budget
     research_evals cooldown research_journal faults target =
   let module Serve = Homunculus_serve in
-  let module Trace = Homunculus_netdata.Trace in
   let module Botnet = Homunculus_netdata.Botnet in
   let module Autopilot = Homunculus_autopilot.Autopilot in
-  let flows = Trace.load ~path:trace_path in
+  with_input trace_path load_serve_trace @@ fun flows ->
   let n = Array.length flows in
-  if n < 10 then failwith "trace too small: need at least 10 flows";
   let rng = Rng.create seed in
   let n_train =
     Stdlib.max 1 (Stdlib.min (n - 1) (int_of_float (train_frac *. float_of_int n)))
@@ -952,7 +915,9 @@ let check seed trials backends families artifact_dir max_shrink replay =
   let module Check = Homunculus_check in
   match replay with
   | Some path ->
-      let outcome = Check.Harness.replay ~path in
+      with_input path (fun path -> Check.Harness.load_artifact ~path)
+      @@ fun artifact ->
+      let outcome = Check.Harness.replay artifact in
       print_string (Check.Harness.render_replay outcome);
       if Check.Harness.replay_ok outcome then 0 else 1
   | None ->
@@ -976,14 +941,6 @@ let check seed trials backends families artifact_dir max_shrink replay =
 let flows_arg =
   let doc = "Number of flows to synthesize." in
   Arg.(value & opt int 200 & info [ "flows" ] ~docv:"N" ~doc)
-
-let rate_arg =
-  let doc = "Offered load in Gpkt/s for the pipeline simulation." in
-  Arg.(value & opt float 0.9 & info [ "rate" ] ~docv:"GPPS" ~doc)
-
-let packets_arg =
-  let doc = "Number of packets to simulate." in
-  Arg.(value & opt int 20000 & info [ "packets" ] ~docv:"N" ~doc)
 
 (* Command wiring *)
 
@@ -1027,22 +984,6 @@ let inspect_cmd =
 let datasets_cmd =
   let doc = "Summarize the synthetic dataset generators." in
   Cmd.v (Cmd.info "datasets" ~doc) Term.(const datasets $ seed_arg)
-
-let sweep_cmd =
-  let doc = "Sweep the KMeans classifier across MAT budgets (Fig. 7)." in
-  Cmd.v (Cmd.info "sweep" ~doc)
-    Term.(const sweep $ options_t)
-
-let place_cmd =
-  let doc = "Show a searched model's floor plan on the Taurus grid." in
-  Cmd.v (Cmd.info "place" ~doc)
-    Term.(const place $ app_arg $ options_t)
-
-let simulate_cmd =
-  let doc = "Drive a searched model's pipeline with packet load." in
-  Cmd.v (Cmd.info "simulate" ~doc)
-    Term.(
-      const simulate $ app_arg $ options_t $ rate_arg $ packets_arg)
 
 let export_trace_cmd =
   let doc = "Synthesize a P2P flow population and write it as a trace file." in
@@ -1266,9 +1207,8 @@ let main_cmd =
   let doc = "Homunculus: auto-generating data-plane ML pipelines" in
   Cmd.group (Cmd.info "homc" ~version:"1.0.0" ~doc)
     [
-      compile_cmd; compose_cmd; inspect_cmd; datasets_cmd; sweep_cmd;
-      place_cmd; simulate_cmd; export_trace_cmd; serve_cmd; loadgen_cmd;
-      check_cmd;
+      compile_cmd; compose_cmd; inspect_cmd; datasets_cmd; export_trace_cmd;
+      serve_cmd; loadgen_cmd; check_cmd;
     ]
 
 let () = exit (Cmd.eval' main_cmd)

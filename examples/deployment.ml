@@ -82,36 +82,7 @@ let () =
     stats.Pipeline_sim.achieved_gpps stats.Pipeline_sim.mean_latency_ns
     stats.Pipeline_sim.p99_latency_ns stats.Pipeline_sim.packets_dropped;
 
-  (* 5. N2Net binarization for the MAT path. Binary weights need comparable
-     feature scales, so this path binarizes the standardized-space network
-     and keeps the normalization as a preceding pipeline step (absorbed by
-     table quantization on a real switch). *)
-  let scaler5, train5 = Homunculus_ml.Scaler.fit_dataset data.Model_spec.train in
-  let test5 = Homunculus_ml.Scaler.apply_dataset scaler5 data.Model_spec.test in
-  let mlp5 =
-    Homunculus_ml.Mlp.create (Rng.create 5) ~input_dim:7 ~hidden:[| 10; 8 |]
-      ~output_dim:5 ()
-  in
-  let _ =
-    Homunculus_ml.Train.fit (Rng.create 6)
-      mlp5
-      {
-        Homunculus_ml.Train.default_config with
-        Homunculus_ml.Train.epochs = 20;
-        Homunculus_ml.Train.patience = None;
-      }
-      train5
-  in
-  let scaled_ir = Model_ir.of_mlp ~name:"tc_scaled" mlp5 in
-  let full_acc, bin_acc =
-    Bnn.accuracy_cost scaled_ir ~x:test5.Dataset.x ~y:test5.Dataset.y
-  in
-  Printf.printf
-    "5. weight binarization: accuracy %.1f%% -> %.1f%%, MAT cost %d tables\n"
-    (100. *. full_acc) (100. *. bin_acc)
-    (Bnn.mats_for_binarized scaled_ir);
-
-  (* 6. The MAT runtime on a table-mappable model: train a KMeans variant,
+  (* 5. The MAT runtime on a table-mappable model: train a KMeans variant,
      fold the scaler so it consumes raw features, and execute it with
      quantized TCAM semantics (keys calibrated on the training sample). *)
   let scaler, train_s = Homunculus_ml.Scaler.fit_dataset data.Model_spec.train in
@@ -125,6 +96,6 @@ let () =
   let rt = Runtime.load ~calibration:data.Model_spec.train.Dataset.x km_ir in
   let fidelity = Runtime.fidelity rt km_ir ~x:data.Model_spec.test.Dataset.x in
   Printf.printf
-    "6. MAT runtime (quantized range tables): %.1f%% fidelity vs float \
+    "5. MAT runtime (quantized range tables): %.1f%% fidelity vs float \
      reference, %d cell misses\n"
     (100. *. fidelity) (Runtime.miss_count rt)

@@ -6,13 +6,12 @@
    between several objectives" — exactly the trade Table 5 surfaces, where
    the higher-F1 generated models burn more LUTs and watts. This example
    runs the compiler's random-scalarization mode and prints the resulting
-   accuracy-vs-footprint Pareto front with its hypervolume.
+   accuracy-vs-footprint Pareto front.
 
    Run with: dune exec examples/pareto_tradeoff.exe *)
 
 open Homunculus_alchemy
 open Homunculus_core
-module Bo = Homunculus_bo
 module Rng = Homunculus_util.Rng
 module Nslkdd = Homunculus_netdata.Nslkdd
 
@@ -41,17 +40,7 @@ let () =
         (Homunculus_backends.Taurus.cus_used a.Evaluator.verdict)
         p.Compiler.weight)
     points;
-  let front =
-    List.map
-      (fun p ->
-        ( [| p.Compiler.artifact.Evaluator.objective;
-             1. -. p.Compiler.resource_fraction |],
-          () ))
-      points
-  in
-  Printf.printf "\n%d non-dominated points; hypervolume %.4f\n"
-    (List.length points)
-    (Bo.Pareto.hypervolume2 ~reference:[| 0.; 0. |] front);
+  Printf.printf "\n%d non-dominated points\n" (List.length points);
   Printf.printf
     "read: the top row is \"accuracy at any cost\" (the Table 2 winner);\n\
      rows below it trade a little F1 for a lighter, cooler pipeline (the\n\

@@ -22,8 +22,8 @@ val load :
     observed range plus headroom (how real deployments pick quantization
     parameters); without it, keys use the plain 8.8 encoding, which
     saturates beyond |x| = 128. @raise Invalid_argument for DNNs — they do
-    not map to MATs; binarize first ({!Bnn.binarize_dnn}) and treat the
-    result as its own model. *)
+    not map to MATs; {!Iisy} only costs their binarized mapping, and no
+    runtime executes it. *)
 
 val feature_scales : t -> float array
 (** The per-feature key scale chosen at load time. *)

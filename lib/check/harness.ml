@@ -246,7 +246,9 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-let replay ~path =
+type artifact = { artifact_case : Case.t; artifact_backends : Oracle.backend list }
+
+let load_artifact ~path =
   let doc = Json.of_string (read_file path) in
   let case_doc = Option.value (Json.member_opt doc "case") ~default:doc in
   let case = Case.of_json case_doc in
@@ -258,8 +260,11 @@ let replay ~path =
         | None -> invalid_arg (Printf.sprintf "unknown backend %S in artifact" s))
     | _ -> Oracle.all_backends
   in
+  { artifact_case = case; artifact_backends = backends }
+
+let replay { artifact_case = case; artifact_backends } =
   let comparisons =
-    backends
+    artifact_backends
     |> List.filter (fun b -> Oracle.applicable b case.Case.model)
     |> List.map (fun b -> Oracle.compare b case)
   in

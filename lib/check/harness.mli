@@ -56,12 +56,18 @@ type replay_outcome = {
   invariant_failures : Oracle.invariant_failure list;
 }
 
-val replay : path:string -> replay_outcome
-(** Load a persisted artifact (either a bare case document or a failure
-    artifact with a ["case"] member) and re-run the oracle on it. When the
-    artifact names a backend, only that backend is re-checked; otherwise
-    every applicable one is. @raise Sys_error / Invalid_argument on
-    unreadable or malformed artifacts. *)
+type artifact = { artifact_case : Case.t; artifact_backends : Oracle.backend list }
+
+val load_artifact : path:string -> artifact
+(** Load a persisted artifact: either a bare case document or a failure
+    artifact with a ["case"] member. When the artifact names a backend, only
+    that backend is re-checked; otherwise every one is. @raise Sys_error,
+    {!Homunculus_util.Json.Parse_error} or Invalid_argument on unreadable or
+    malformed artifacts. *)
+
+val replay : artifact -> replay_outcome
+(** Re-run the oracle on a loaded artifact, over each of its backends that
+    applies to the case's model. *)
 
 val replay_ok : replay_outcome -> bool
 val render_replay : replay_outcome -> string

@@ -276,7 +276,9 @@ let member_opt t key =
       invalid_arg "Json.member: not an object"
 
 let member t key =
-  match member_opt t key with Some v -> v | None -> raise Not_found
+  match member_opt t key with
+  | Some v -> v
+  | None -> invalid_arg (Printf.sprintf "Json.member: missing member %S" key)
 
 let to_float = function
   | Number v -> v

@@ -27,8 +27,8 @@ val of_string : string -> t
 (** Parse a complete JSON document. @raise Parse_error with the byte offset
     of the failure. *)
 
-(** Accessors ([Invalid_argument] on shape mismatch, [Not_found] for missing
-    object members): *)
+(** Accessors ([Invalid_argument] on shape mismatch and on a missing object
+    member): *)
 
 val member : t -> string -> t
 val member_opt : t -> string -> t option

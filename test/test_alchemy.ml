@@ -183,71 +183,6 @@ let test_schedule_combine_resource_overflow () =
   let c = Schedule.combine s ~perf:Resource.line_rate ~estimate in
   Alcotest.(check bool) "200 CUs over 128" false c.Schedule.verdict.Resource.feasible
 
-(* Iomap *)
-
-let test_iomap_passthrough_single () =
-  let s = Schedule.model (spec ~name:"only" ()) in
-  let io = Iomap.passthrough s in
-  Alcotest.(check int) "in + out" 2 (List.length (Iomap.connections io));
-  Alcotest.(check bool) "validates" true (Iomap.validate io s = Ok ())
-
-let test_iomap_passthrough_seq () =
-  let a = spec ~name:"a" () and b = spec ~name:"b" () in
-  let s = Schedule.(model a >>> model b) in
-  let io = Iomap.passthrough s in
-  (* packet_in -> a, a -> b, b -> verdict_out. *)
-  Alcotest.(check int) "three wires" 3 (List.length (Iomap.connections io));
-  Alcotest.(check bool) "validates" true (Iomap.validate io s = Ok ())
-
-let test_iomap_passthrough_par () =
-  let a = spec ~name:"a" () and b = spec ~name:"b" () in
-  let s = Schedule.(model a ||| model b) in
-  let io = Iomap.passthrough s in
-  Alcotest.(check int) "two entries, two exits" 4 (List.length (Iomap.connections io));
-  Alcotest.(check bool) "validates" true (Iomap.validate io s = Ok ())
-
-let test_iomap_validate_catches_unknown_model () =
-  let s = Schedule.model (spec ~name:"real" ()) in
-  let io =
-    Iomap.connect Iomap.empty ~src:(Iomap.External "packet_in")
-      ~dst:(Iomap.Model_port { model = "ghost"; port = "in" })
-  in
-  match Iomap.validate io s with
-  | Error problems -> Alcotest.(check bool) "two problems" true (List.length problems >= 2)
-  | Ok () -> Alcotest.fail "expected validation errors"
-
-let test_iomap_validate_catches_duplicate_wire () =
-  let s = Schedule.model (spec ~name:"a" ()) in
-  let wire io = Iomap.connect io ~src:(Iomap.External "packet_in")
-      ~dst:(Iomap.Model_port { model = "a"; port = "in" }) in
-  let io = wire (wire Iomap.empty) in
-  (match Iomap.validate io s with
-  | Error [ msg ] ->
-      Alcotest.(check string) "message" "duplicate wire packet_in -> a.in" msg
-  | Error _ | Ok () -> Alcotest.fail "expected exactly one error");
-  (* Fan-in from two *different* sources is legal. *)
-  let fan_in =
-    Iomap.connect
-      (Iomap.connect Iomap.empty ~src:(Iomap.External "packet_in")
-         ~dst:(Iomap.Model_port { model = "a"; port = "in" }))
-      ~src:(Iomap.External "other_port")
-      ~dst:(Iomap.Model_port { model = "a"; port = "in" })
-  in
-  Alcotest.(check bool) "fan-in accepted" true (Iomap.validate fan_in s = Ok ())
-
-let test_iomap_rejects_self_wire () =
-  Alcotest.check_raises "self" (Invalid_argument "Iomap.connect: self-wire")
-    (fun () ->
-      ignore
-        (Iomap.connect Iomap.empty ~src:(Iomap.External "x")
-           ~dst:(Iomap.External "x")))
-
-let test_iomap_endpoint_to_string () =
-  Alcotest.(check string) "external" "packet_in"
-    (Iomap.endpoint_to_string (Iomap.External "packet_in"));
-  Alcotest.(check string) "port" "ad.out"
-    (Iomap.endpoint_to_string (Iomap.Model_port { model = "ad"; port = "out" }))
-
 let suite =
   [
     Alcotest.test_case "spec defaults" `Quick test_spec_defaults;
@@ -268,11 +203,4 @@ let suite =
     Alcotest.test_case "combine par latency" `Quick test_schedule_combine_par_max_latency;
     Alcotest.test_case "combine min throughput" `Quick test_schedule_combine_min_throughput;
     Alcotest.test_case "combine overflow" `Quick test_schedule_combine_resource_overflow;
-    Alcotest.test_case "iomap single" `Quick test_iomap_passthrough_single;
-    Alcotest.test_case "iomap seq" `Quick test_iomap_passthrough_seq;
-    Alcotest.test_case "iomap par" `Quick test_iomap_passthrough_par;
-    Alcotest.test_case "iomap unknown model" `Quick test_iomap_validate_catches_unknown_model;
-    Alcotest.test_case "iomap duplicate wire" `Quick test_iomap_validate_catches_duplicate_wire;
-    Alcotest.test_case "iomap self wire" `Quick test_iomap_rejects_self_wire;
-    Alcotest.test_case "iomap endpoint string" `Quick test_iomap_endpoint_to_string;
   ]

@@ -1,65 +1,7 @@
-(* Pareto archives, flow-trace persistence, and Verilog emission. *)
+(* Flow-trace persistence and Verilog emission. *)
 open Homunculus_backends
 open Homunculus_netdata
-module Bo = Homunculus_bo
 module Rng = Homunculus_util.Rng
-
-(* Pareto *)
-
-let test_pareto_add_and_evict () =
-  let archive = Bo.Pareto.create ~n_objectives:2 in
-  Alcotest.(check bool) "first accepted" true
-    (Bo.Pareto.add archive ~objectives:[| 1.; 1. |] "a");
-  Alcotest.(check bool) "dominated rejected" false
-    (Bo.Pareto.add archive ~objectives:[| 0.5; 0.5 |] "b");
-  Alcotest.(check bool) "duplicate rejected" false
-    (Bo.Pareto.add archive ~objectives:[| 1.; 1. |] "c");
-  Alcotest.(check bool) "incomparable accepted" true
-    (Bo.Pareto.add archive ~objectives:[| 2.; 0.5 |] "d");
-  Alcotest.(check int) "two on the front" 2 (Bo.Pareto.size archive);
-  Alcotest.(check bool) "dominator evicts" true
-    (Bo.Pareto.add archive ~objectives:[| 2.5; 1.5 |] "e");
-  Alcotest.(check int) "front collapsed" 1 (Bo.Pareto.size archive)
-
-let test_pareto_points_sorted () =
-  let archive = Bo.Pareto.create ~n_objectives:2 in
-  ignore (Bo.Pareto.add archive ~objectives:[| 1.; 3. |] "low-x");
-  ignore (Bo.Pareto.add archive ~objectives:[| 3.; 1. |] "high-x");
-  match Bo.Pareto.points archive with
-  | [ (first, _); (second, _) ] ->
-      Alcotest.(check (float 0.)) "descending x" 3. first.(0);
-      Alcotest.(check (float 0.)) "then lower x" 1. second.(0)
-  | _ -> Alcotest.fail "expected two points"
-
-let test_pareto_dominates () =
-  Alcotest.(check bool) "strict" true (Bo.Pareto.dominates [| 2.; 2. |] [| 1.; 2. |]);
-  Alcotest.(check bool) "equal" false (Bo.Pareto.dominates [| 1.; 1. |] [| 1.; 1. |]);
-  Alcotest.(check bool) "incomparable" false
-    (Bo.Pareto.dominates [| 2.; 0. |] [| 0.; 2. |])
-
-let test_hypervolume_known_values () =
-  Alcotest.(check (float 1e-9)) "single rectangle" 12.
-    (Bo.Pareto.hypervolume2 ~reference:[| 0.; 0. |] [ ([| 3.; 4. |], ()) ]);
-  Alcotest.(check (float 1e-9)) "staircase union" 16.
-    (Bo.Pareto.hypervolume2 ~reference:[| 0.; 0. |]
-       [ ([| 3.; 4. |], ()); ([| 2.; 6. |], ()) ]);
-  Alcotest.(check (float 1e-9)) "dominated adds nothing" 12.
-    (Bo.Pareto.hypervolume2 ~reference:[| 0.; 0. |]
-       [ ([| 3.; 4. |], ()); ([| 2.; 3. |], ()) ])
-
-let test_hypervolume_grows_with_front () =
-  let archive = Bo.Pareto.create ~n_objectives:2 in
-  ignore (Bo.Pareto.add archive ~objectives:[| 3.; 1. |] ());
-  let hv1 = Bo.Pareto.hypervolume archive ~reference:[| 0.; 0. |] in
-  ignore (Bo.Pareto.add archive ~objectives:[| 1.; 3. |] ());
-  let hv2 = Bo.Pareto.hypervolume archive ~reference:[| 0.; 0. |] in
-  Alcotest.(check bool) "monotone" true (hv2 > hv1)
-
-let test_hypervolume_validates () =
-  Alcotest.check_raises "below reference"
-    (Invalid_argument "Pareto.hypervolume2: point below the reference")
-    (fun () ->
-      ignore (Bo.Pareto.hypervolume2 ~reference:[| 0.; 0. |] [ ([| -1.; 1. |], ()) ]))
 
 (* Trace *)
 
@@ -187,12 +129,6 @@ let test_verilog_rejects_classical () =
 
 let suite =
   [
-    Alcotest.test_case "pareto add/evict" `Quick test_pareto_add_and_evict;
-    Alcotest.test_case "pareto sorted" `Quick test_pareto_points_sorted;
-    Alcotest.test_case "pareto dominates" `Quick test_pareto_dominates;
-    Alcotest.test_case "hypervolume values" `Quick test_hypervolume_known_values;
-    Alcotest.test_case "hypervolume monotone" `Quick test_hypervolume_grows_with_front;
-    Alcotest.test_case "hypervolume validates" `Quick test_hypervolume_validates;
     Alcotest.test_case "trace roundtrip" `Quick test_trace_roundtrip;
     Alcotest.test_case "trace file roundtrip" `Quick test_trace_file_roundtrip;
     Alcotest.test_case "trace preserves features" `Quick test_trace_features_survive;

@@ -92,7 +92,7 @@ let test_replay_artifact () =
       output_string oc
         (Homunculus_util.Json.to_string (Case.to_json case));
       close_out oc;
-      let outcome = Harness.replay ~path in
+      let outcome = Harness.replay (Harness.load_artifact ~path) in
       Alcotest.(check bool) "replayed case passes" true
         (Harness.replay_ok outcome);
       Alcotest.(check bool) "at least one backend compared" true

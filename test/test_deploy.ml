@@ -1,12 +1,11 @@
-(* Deployment-side passes: BNN binarization, the MAT runtime interpreter,
-   IR persistence, reaction-time analysis, and Hyperband search. *)
+(* Deployment-side passes: the MAT runtime interpreter, IR persistence, and
+   reaction-time analysis. *)
 open Homunculus_backends
 module Ml = Homunculus_ml
-module Bo = Homunculus_bo
 module Rng = Homunculus_util.Rng
 open Homunculus_netdata
 
-(* Bnn *)
+(* Runtime *)
 
 let trained_mlp_ir seed =
   let rng = Rng.create seed in
@@ -21,38 +20,6 @@ let trained_mlp_ir seed =
   let config = { Ml.Train.default_config with Ml.Train.epochs = 20; patience = None } in
   let _ = Ml.Train.fit (Rng.create 2) mlp config d in
   (Model_ir.of_mlp ~name:"blobs" mlp, x, y)
-
-let test_binarize_makes_weights_binary () =
-  let ir, _, _ = trained_mlp_ir 10 in
-  Alcotest.(check bool) "not binary before" true (Bnn.binary_fraction ir < 0.9);
-  let b = Bnn.binarize_dnn ir in
-  Alcotest.(check (float 1e-9)) "fully binary after" 1. (Bnn.binary_fraction b)
-
-let test_binarize_preserves_shape () =
-  let ir, _, _ = trained_mlp_ir 11 in
-  let b = Bnn.binarize_dnn ir in
-  Alcotest.(check int) "params" (Model_ir.param_count ir) (Model_ir.param_count b);
-  Alcotest.(check bool) "validates" true (Model_ir.validate b = Ok ())
-
-let test_binarize_accuracy_tradeoff () =
-  let ir, x, y = trained_mlp_ir 12 in
-  let full, binary = Bnn.accuracy_cost ir ~x ~y in
-  (* On easy blobs the binarized net stays usable but cannot beat full
-     precision by much; both must be far above chance. *)
-  Alcotest.(check bool) "full precision strong" true (full > 0.9);
-  Alcotest.(check bool) "binarized still works" true (binary > 0.7);
-  Alcotest.(check bool) "binarization never helps a lot" true (binary <= full +. 0.05)
-
-let test_binarize_rejects_non_dnn () =
-  Alcotest.check_raises "kmeans" (Invalid_argument "Bnn.binarize_dnn: not a DNN")
-    (fun () ->
-      ignore (Bnn.binarize_dnn (Model_ir.Kmeans { name = "k"; centroids = [| [| 0. |] |] })))
-
-let test_binarized_mats_counted () =
-  let ir, _, _ = trained_mlp_ir 13 in
-  Alcotest.(check bool) "MAT cost positive" true (Bnn.mats_for_binarized ir > 0)
-
-(* Runtime *)
 
 let test_runtime_rejects_dnn () =
   let ir, _, _ = trained_mlp_ir 14 in
@@ -283,66 +250,8 @@ let test_reaction_confirm_debounces () =
     (slow.Reaction.detected = 0
     || slow.Reaction.mean_packets >= fast.Reaction.mean_packets)
 
-(* Hyperband *)
-
-let quadratic_space =
-  Bo.Design_space.create
-    [ Bo.Param.real "x" ~lo:(-5.) ~hi:5.; Bo.Param.real "y" ~lo:(-5.) ~hi:5. ]
-
-let test_hyperband_budget_accounting () =
-  let s = Bo.Hyperband.default_settings in
-  Alcotest.(check int) "rungs" 4 (Bo.Hyperband.n_rungs s);
-  (* 27 + 9 + 3 + 1 *)
-  Alcotest.(check int) "evals" 40 (Bo.Hyperband.total_evaluations s)
-
-let test_hyperband_finds_good_point () =
-  let f config ~fidelity =
-    let x = Bo.Config.get_float config "x" and y = Bo.Config.get_float config "y" in
-    ignore fidelity;
-    {
-      Bo.Hyperband.objective = -.((x -. 2.) ** 2.) -. ((y +. 1.) ** 2.);
-      feasible = true;
-    }
-  in
-  let h = Bo.Hyperband.search (Rng.create 22) quadratic_space ~f in
-  Alcotest.(check int) "evaluation count" 40 (Bo.History.length h);
-  match Bo.History.best h with
-  | Some e -> Alcotest.(check bool) "found decent point" true (e.Bo.History.objective > -4.)
-  | None -> Alcotest.fail "expected a best"
-
-let test_hyperband_fidelity_grows () =
-  let fidelities = ref [] in
-  let f _config ~fidelity =
-    fidelities := fidelity :: !fidelities;
-    { Bo.Hyperband.objective = 0.; feasible = true }
-  in
-  let _ = Bo.Hyperband.search (Rng.create 23) quadratic_space ~f in
-  let fs = List.rev !fidelities in
-  Alcotest.(check bool) "starts low" true (List.hd fs < 0.5);
-  Alcotest.(check (float 1e-9)) "ends at full fidelity" 1.
-    (List.nth fs (List.length fs - 1))
-
-let test_hyperband_drops_infeasible () =
-  let f config ~fidelity =
-    ignore fidelity;
-    let x = Bo.Config.get_float config "x" in
-    { Bo.Hyperband.objective = x; feasible = x <= 0. }
-  in
-  let h = Bo.Hyperband.search (Rng.create 24) quadratic_space ~f in
-  match Bo.History.best h with
-  | Some e ->
-      Alcotest.(check bool) "best is feasible" true e.Bo.History.feasible;
-      Alcotest.(check bool) "x <= 0" true
-        (Bo.Config.get_float e.Bo.History.config "x" <= 0.)
-  | None -> Alcotest.fail "expected a feasible best"
-
 let suite =
   [
-    Alcotest.test_case "bnn binarizes" `Quick test_binarize_makes_weights_binary;
-    Alcotest.test_case "bnn shape" `Quick test_binarize_preserves_shape;
-    Alcotest.test_case "bnn accuracy tradeoff" `Quick test_binarize_accuracy_tradeoff;
-    Alcotest.test_case "bnn rejects non-dnn" `Quick test_binarize_rejects_non_dnn;
-    Alcotest.test_case "bnn MAT cost" `Quick test_binarized_mats_counted;
     Alcotest.test_case "runtime rejects dnn" `Quick test_runtime_rejects_dnn;
     Alcotest.test_case "runtime svm fidelity" `Quick test_runtime_svm_fidelity;
     Alcotest.test_case "runtime tree fidelity" `Quick test_runtime_tree_fidelity;
@@ -360,8 +269,4 @@ let suite =
     Alcotest.test_case "reaction curve" `Quick test_detection_curve_improves;
     Alcotest.test_case "reaction times" `Quick test_reaction_times_and_summary;
     Alcotest.test_case "reaction debounce" `Quick test_reaction_confirm_debounces;
-    Alcotest.test_case "hyperband budget" `Quick test_hyperband_budget_accounting;
-    Alcotest.test_case "hyperband optimizes" `Quick test_hyperband_finds_good_point;
-    Alcotest.test_case "hyperband fidelity" `Quick test_hyperband_fidelity_grows;
-    Alcotest.test_case "hyperband feasibility" `Quick test_hyperband_drops_infeasible;
   ]

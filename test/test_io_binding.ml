@@ -1,6 +1,5 @@
-(* Dataset CSV I/O and feature-to-header bindings. *)
+(* Dataset CSV I/O. *)
 open Homunculus_ml
-open Homunculus_backends
 module Rng = Homunculus_util.Rng
 
 let sample_dataset =
@@ -59,59 +58,6 @@ let test_csv_big_roundtrip () =
   let back = Dataset_io.of_csv (Dataset_io.to_csv d) in
   Alcotest.(check bool) "value-exact" true (back.Dataset.x = d.Dataset.x)
 
-(* Feature bindings *)
-
-let test_builtin_coverage_for_all_datasets () =
-  let check_schema names =
-    let bindings = Feature_binding.for_features names in
-    match Feature_binding.validate bindings ~feature_names:names with
-    | Ok () -> ()
-    | Error problems -> Alcotest.fail (String.concat "; " problems)
-  in
-  check_schema Homunculus_netdata.Nslkdd.feature_names;
-  check_schema Homunculus_netdata.Iot.feature_names;
-  check_schema (Homunculus_netdata.Botnet.feature_names Homunculus_netdata.Botnet.Fused)
-
-let test_unknown_feature_flagged () =
-  let bindings = Feature_binding.for_features [| "quantum_flux" |] in
-  match Feature_binding.validate bindings ~feature_names:[| "quantum_flux" |] with
-  | Error [ msg ] ->
-      Alcotest.(check bool) "mentions feature" true
-        (String.length msg > 0)
-  | Ok () | Error _ -> Alcotest.fail "expected one unbound-feature problem"
-
-let test_lookup () =
-  let bindings = Feature_binding.for_features [| "ttl"; "frame_size" |] in
-  (match Feature_binding.lookup bindings "ttl" with
-  | Some { Feature_binding.source = Feature_binding.Header_field { header; field; _ }; _ } ->
-      Alcotest.(check string) "header" "ipv4" header;
-      Alcotest.(check string) "field" "ttl" field
-  | _ -> Alcotest.fail "ttl should bind to a header field");
-  Alcotest.(check bool) "missing lookup" true
-    (Feature_binding.lookup bindings "nope" = None)
-
-let test_histogram_bins_bind_to_registers () =
-  let bindings = Feature_binding.for_features [| "pl_bin0"; "ipt_bin6" |] in
-  List.iter
-    (fun b ->
-      match b.Feature_binding.source with
-      | Feature_binding.Register _ -> ()
-      | _ -> Alcotest.fail "histogram bins need stateful registers")
-    bindings
-
-let test_emit_p4_metadata () =
-  let bindings = Feature_binding.for_features Homunculus_netdata.Iot.feature_names in
-  let code = Feature_binding.emit_p4_metadata bindings in
-  let has sub =
-    let n = String.length code and m = String.length sub in
-    let rec go i = i + m <= n && (String.sub code i m = sub || go (i + 1)) in
-    go 0
-  in
-  Alcotest.(check bool) "action block" true (has "action extract_features()");
-  Alcotest.(check bool) "header read" true (has "hdr.ipv4.ttl");
-  Alcotest.(check bool) "register decl" true (has "register<bit<32>>(65536) last_seen_us");
-  Alcotest.(check bool) "every feature keyed" true (has "meta.feature6_key")
-
 let suite =
   [
     Alcotest.test_case "csv roundtrip" `Quick test_csv_roundtrip;
@@ -121,9 +67,4 @@ let suite =
     Alcotest.test_case "csv rejects bad label" `Quick test_csv_rejects_bad_label;
     Alcotest.test_case "csv rejects non-numeric" `Quick test_csv_rejects_non_numeric;
     Alcotest.test_case "csv big roundtrip" `Quick test_csv_big_roundtrip;
-    Alcotest.test_case "bindings cover datasets" `Quick test_builtin_coverage_for_all_datasets;
-    Alcotest.test_case "unknown feature flagged" `Quick test_unknown_feature_flagged;
-    Alcotest.test_case "binding lookup" `Quick test_lookup;
-    Alcotest.test_case "histogram bins registers" `Quick test_histogram_bins_bind_to_registers;
-    Alcotest.test_case "emit p4 metadata" `Quick test_emit_p4_metadata;
   ]

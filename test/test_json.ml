@@ -82,6 +82,9 @@ let test_accessors () =
   Alcotest.(check string) "get_string" "v" (Json.get_string (Json.member doc "s"));
   Alcotest.(check int) "to_list" 1 (List.length (Json.to_list (Json.member doc "l")));
   Alcotest.(check bool) "member_opt" true (Json.member_opt doc "zz" = None);
+  Alcotest.check_raises "missing member"
+    (Invalid_argument "Json.member: missing member \"zz\"") (fun () ->
+      ignore (Json.member doc "zz"));
   Alcotest.check_raises "to_int non-integral"
     (Invalid_argument "Json.to_int: not an integer") (fun () ->
       ignore (Json.to_int (Json.member doc "x")))

@@ -142,17 +142,6 @@ let prop_schedule_counts_consistent =
       && Schedule.width s <= n
       && List.length (Schedule.models s) = n)
 
-let prop_schedule_passthrough_iomap_valid =
-  QCheck.Test.make ~name:"passthrough iomap validates for any schedule" ~count:100
-    (QCheck.make schedule_gen)
-    (fun s ->
-      (* Duplicate model names make input-drive counting ambiguous; the
-         compiler dedupes specs first, so only test distinct-name DAGs. *)
-      let names = List.map Model_spec.name (Schedule.models s) in
-      QCheck.assume
-        (List.length (List.sort_uniq compare names) = List.length names);
-      Iomap.validate (Iomap.passthrough s) s = Ok ())
-
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_stage_alloc_sound;
@@ -161,5 +150,4 @@ let suite =
     QCheck_alcotest.to_alcotest prop_taurus_estimate_deterministic;
     QCheck_alcotest.to_alcotest prop_tree_runtime_high_fidelity;
     QCheck_alcotest.to_alcotest prop_schedule_counts_consistent;
-    QCheck_alcotest.to_alcotest prop_schedule_passthrough_iomap_valid;
   ]
