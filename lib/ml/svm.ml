@@ -2,9 +2,9 @@ module Rng = Homunculus_util.Rng
 
 type binary = { w : float array; b : float }
 
-(* Pegasos, written so a step allocates nothing per feature (only
-   [Rng.int]'s boxed [Int64] remains): the margin and the bias live in local
-   [float ref]s no closure captures, so ocamlopt keeps them unboxed. When the
+(* Pegasos, written so a step allocates nothing: the margin and the bias
+   live in local [float ref]s no closure captures, so ocamlopt keeps them
+   unboxed, and [Rng.int] draws without boxing. When the
    hinge is violated the shrink and the sub-gradient step are one store,
    [w.(j) <- (w.(j) *. shrink) +. (s *. x.(j))]: each product is still
    rounded to a double before the add, in the same order as a shrink pass

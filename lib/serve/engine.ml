@@ -93,7 +93,17 @@ type t = {
   monitor : Monitor.t;
   updater : Updater.t option;
   research : research_hook option;
-  queue : Stream.event Queue.t;
+  record : float array -> int -> unit;
+      (* feeds a labeled event to the updater's example buffer (a no-op
+         without one); built once so releasing a label allocates nothing *)
+  (* The admission queue: a FIFO ring of [queue_capacity] slots holding
+     [q_len] events from [q_head] (wrapping). *)
+  queue : Stream.event array;
+  mutable q_head : int;
+  mutable q_len : int;
+  slot : float;
+      (* one service slot, [1 / service_rate_pps]; stored once, because a
+         float computed per batch would box when passed to the monitor *)
   mutable srv : float;  (* virtual time the server is next free *)
   mutable offered : int;
   mutable served : int;
@@ -107,6 +117,7 @@ type t = {
      popped events' feature arrays, never copies. *)
   batch_ev : Stream.event array;
   batch_x : float array array;
+  batch_truth : int array;
   verdicts : int array;
   (* Preallocated trace ring (first [trace_capacity] served packets). *)
   trace_arrival : float array;
@@ -165,7 +176,14 @@ let create ?(config = default_config) ~model ~monitor ?updater ?research () =
     monitor;
     updater;
     research;
-    queue = Queue.create ();
+    record =
+      (match updater with
+      | None -> fun _ _ -> ()
+      | Some u -> fun features label -> Updater.record u ~features ~label);
+    queue = Array.make config.queue_capacity dummy_event;
+    q_head = 0;
+    q_len = 0;
+    slot = 1. /. config.service_rate_pps;
     srv = 0.;
     offered = 0;
     served = 0;
@@ -176,6 +194,7 @@ let create ?(config = default_config) ~model ~monitor ?updater ?research () =
     rev_epoch_models = [];
     batch_ev = Array.make config.batch_size dummy_event;
     batch_x = Array.make config.batch_size [||];
+    batch_truth = Array.make config.batch_size 0;
     verdicts = Array.make config.batch_size 0;
     trace_arrival = Array.make cap 0.;
     trace_done = Array.make cap 0.;
@@ -230,16 +249,6 @@ let classify_batch_into t k =
             t.verdicts.(i) <- Inference.predict t.model_ir t.batch_x.(i)
           done)
 
-(* Feed newly labeled events to the updater's example buffer. *)
-let absorb_labeled t labeled =
-  match t.updater with
-  | None -> ()
-  | Some u ->
-      List.iter
-        (fun l ->
-          Updater.record u ~features:l.Monitor.lfeatures ~label:l.Monitor.ltruth)
-        labeled
-
 (* Drift reaction: retrain + validate; install the challenger between
    batches without touching the queue. Swap atomicity contract: the epoch
    counter, the classifier reference, and its rebuilt workspace (the
@@ -253,7 +262,7 @@ let absorb_labeled t labeled =
    the monitor. The queue is untouched. *)
 let install t ~now ~reason ~incumbent_f1 ~challenger_f1 challenger =
   let drops_before = t.dropped in
-  let queue_len = Queue.length t.queue in
+  let queue_len = t.q_len in
   t.rev_epoch_models <- t.model_ir :: t.rev_epoch_models;
   t.model_ir <- challenger;
   (match t.config.mode with
@@ -320,39 +329,46 @@ let maybe_swap t ~now =
               install t ~now ~reason:drift.Monitor.reason ~incumbent_f1
                 ~challenger_f1 challenger))
 
+(* Pop the oldest queued packet. *)
+let pop t =
+  let i = t.q_head in
+  let e = t.queue.(i) in
+  t.queue.(i) <- dummy_event;
+  t.q_head <- (if i + 1 = Array.length t.queue then 0 else i + 1);
+  t.q_len <- t.q_len - 1;
+  e
+
 (* Serve one batch of up to [batch_size] queued packets, advancing virtual
    time by one service slot per packet. *)
 let serve_one_batch t =
-  let k = Stdlib.min t.config.batch_size (Queue.length t.queue) in
+  let k = Int.min t.config.batch_size t.q_len in
   for i = 0 to k - 1 do
-    let e = Queue.pop t.queue in
+    let e = pop t in
     t.batch_ev.(i) <- e;
-    t.batch_x.(i) <- e.Stream.features
+    t.batch_x.(i) <- e.Stream.features;
+    t.batch_truth.(i) <- e.Stream.label
   done;
   classify_batch_into t k;
-  let slot = 1. /. t.config.service_rate_pps in
-  let depth = Queue.length t.queue in
+  let slot = t.slot in
+  let depth = t.q_len in
+  Monitor.observe_batch t.monitor ~start:t.srv ~slot ~queue_depth:depth ~n:k
+    ~features:t.batch_x ~preds:t.verdicts ~truths:t.batch_truth;
   let cap = Array.length t.trace_arrival in
-  for i = 0 to k - 1 do
+  for i = 0 to Int.min k (cap - t.trace_len) - 1 do
     let e = t.batch_ev.(i) in
-    let done_ts = t.srv +. (float_of_int (i + 1) *. slot) in
-    Monitor.observe t.monitor ~ts:done_ts ~queue_depth:depth
-      ~features:e.Stream.features ~pred:t.verdicts.(i) ~truth:e.Stream.label;
-    if t.trace_len < cap then begin
-      let j = t.trace_len in
-      t.trace_arrival.(j) <- e.Stream.ts;
-      t.trace_done.(j) <- done_ts;
-      t.trace_verdict.(j) <- t.verdicts.(i);
-      t.trace_epoch.(j) <- t.epoch;
-      t.trace_truth.(j) <- e.Stream.label;
-      t.trace_x.(j) <- e.Stream.features;
-      t.trace_len <- j + 1
-    end
+    let j = t.trace_len in
+    t.trace_arrival.(j) <- e.Stream.ts;
+    (* [Monitor.observe_batch]'s completion time for packet [i]. *)
+    t.trace_done.(j) <- t.srv +. (float_of_int (i + 1) *. slot);
+    t.trace_verdict.(j) <- t.verdicts.(i);
+    t.trace_epoch.(j) <- t.epoch;
+    t.trace_truth.(j) <- e.Stream.label;
+    t.trace_x.(j) <- e.Stream.features;
+    t.trace_len <- j + 1
   done;
   t.srv <- t.srv +. (float_of_int k *. slot);
   t.served <- t.served + k;
-  let labeled = Monitor.advance t.monitor ~now:t.srv in
-  absorb_labeled t labeled;
+  ignore (Monitor.advance t.monitor ~now:t.srv t.record : int);
   maybe_swap t ~now:t.srv;
   k
 
@@ -361,11 +377,11 @@ let drain_until t ~now =
   let budget =
     int_of_float ((now -. t.srv) *. t.config.service_rate_pps)
   in
-  let budget = ref (Stdlib.max 0 budget) in
+  let budget = ref (Int.max 0 budget) in
   let continue = ref true in
-  while !continue && !budget > 0 && not (Queue.is_empty t.queue) do
-    let saved_batch = Stdlib.min t.config.batch_size !budget in
-    if saved_batch < t.config.batch_size && Queue.length t.queue > saved_batch
+  while !continue && !budget > 0 && t.q_len > 0 do
+    let saved_batch = Int.min t.config.batch_size !budget in
+    if saved_batch < t.config.batch_size && t.q_len > saved_batch
     then begin
       (* Not enough service slots before [now] for a full batch on a deep
          queue — stop and let the next arrival re-open the budget. *)
@@ -377,30 +393,32 @@ let drain_until t ~now =
     end
   done;
   (* An idle server does not bank service slots. *)
-  if Queue.is_empty t.queue && t.srv < now then t.srv <- now
+  if t.q_len = 0 && t.srv < now then t.srv <- now
 
 let drain_all t =
-  while not (Queue.is_empty t.queue) do
+  while t.q_len > 0 do
     ignore (serve_one_batch t)
   done
 
 let offer t (e : Stream.event) =
   t.offered <- t.offered + 1;
-  if Queue.length t.queue >= t.config.queue_capacity then
-    t.dropped <- t.dropped + 1
-  else Queue.add e t.queue
+  let cap = Array.length t.queue in
+  if t.q_len >= cap then t.dropped <- t.dropped + 1
+  else begin
+    let i = t.q_head + t.q_len in
+    t.queue.(if i >= cap then i - cap else i) <- e;
+    t.q_len <- t.q_len + 1
+  end
 
 let step t (e : Stream.event) =
   drain_until t ~now:e.Stream.ts;
-  let labeled = Monitor.advance t.monitor ~now:e.Stream.ts in
-  absorb_labeled t labeled;
+  ignore (Monitor.advance t.monitor ~now:e.Stream.ts t.record : int);
   maybe_swap t ~now:e.Stream.ts;
   offer t e
 
 let finish t =
   drain_all t;
-  let labeled = Monitor.drain t.monitor in
-  absorb_labeled t labeled;
+  ignore (Monitor.drain t.monitor t.record : int);
   {
     offered = t.offered;
     served = t.served;

@@ -34,32 +34,40 @@ type window = {
 
 type drift = { ts : float; window : int; reason : string; value : float }
 
-type labeled = {
-  lts : float;
-  lfeatures : float array;
-  lpred : int;
-  ltruth : int;
+(* Float state lives in an all-float record, stored flat: a store into a
+   [mutable] float field of the mixed [t] would box the value. *)
+type floats = {
+  mutable w_t_start : float;
+  mutable w_t_end : float;
+  mutable ph_mean : float;
+  mutable ph_m : float;
+  mutable ph_min : float;
 }
 
 type t = {
   config : config;
   n_classes : int;
-  pending : (float * int * labeled) Queue.t;  (* label-arrival ts, queue depth *)
+  (* Pending labels: a FIFO ring of parallel arrays, [p_len] entries from
+     [p_head] (wrapping). Grows by doubling; nothing is allocated per
+     observed packet once it has reached its working size. *)
+  mutable p_ts : float array;  (* label-arrival time *)
+  mutable p_depth : int array;  (* queue depth at service *)
+  mutable p_features : float array array;
+  mutable p_pred : int array;
+  mutable p_truth : int array;
+  mutable p_head : int;
+  mutable p_len : int;
+  fl : floats;
   (* current window accumulators *)
   mutable w_count : int;
   mutable w_correct : int;
   mutable w_confusion : int array array;
-  mutable w_t_start : float;
-  mutable w_t_end : float;
   mutable w_queue_sum : int;
   mutable w_queue_max : int;
   mutable next_window : int;
   mutable rev_windows : window list;
-  (* Page–Hinkley state over the error indicator *)
+  (* Page–Hinkley state over the error indicator (floats in [fl]) *)
   mutable ph_n : int;
-  mutable ph_mean : float;
-  mutable ph_m : float;
-  mutable ph_min : float;
   (* drift baseline and alarm latch *)
   mutable baseline_accs : float list;  (* oldest first, capped *)
   mutable baseline : float option;
@@ -72,31 +80,40 @@ type t = {
   mutable forced_windows : int list;  (* injected-drift window indices *)
 }
 
+(* 512 slots puts each ring array past the largest minor-heap block (256
+   words), so it and every doubling are allocated directly in the major
+   heap: a minor GC never copies or promotes pending labels. *)
+let initial_pending = 512
+
 let create ?(config = default_config) ~n_classes () =
   if config.window_events <= 0 then
     invalid_arg "Monitor.create: window_events <= 0";
   if config.label_delay_s < 0. then
     invalid_arg "Monitor.create: negative label_delay_s";
+  if config.baseline_windows <= 0 then
+    invalid_arg "Monitor.create: baseline_windows <= 0";
   if config.cooldown_windows < 0 then
     invalid_arg "Monitor.create: negative cooldown_windows";
   if n_classes <= 0 then invalid_arg "Monitor.create: n_classes <= 0";
   {
     config;
     n_classes;
-    pending = Queue.create ();
+    p_ts = Array.make initial_pending 0.;
+    p_depth = Array.make initial_pending 0;
+    p_features = Array.make initial_pending [||];
+    p_pred = Array.make initial_pending 0;
+    p_truth = Array.make initial_pending 0;
+    p_head = 0;
+    p_len = 0;
+    fl = { w_t_start = 0.; w_t_end = 0.; ph_mean = 0.; ph_m = 0.; ph_min = 0. };
     w_count = 0;
     w_correct = 0;
     w_confusion = Array.make_matrix n_classes n_classes 0;
-    w_t_start = 0.;
-    w_t_end = 0.;
     w_queue_sum = 0;
     w_queue_max = 0;
     next_window = 0;
     rev_windows = [];
     ph_n = 0;
-    ph_mean = 0.;
-    ph_m = 0.;
-    ph_min = 0.;
     baseline_accs = [];
     baseline = None;
     armed = true;
@@ -106,16 +123,61 @@ let create ?(config = default_config) ~n_classes () =
     forced_windows = [];
   }
 
-let observe t ~ts ~queue_depth ~features ~pred ~truth =
+(* Double the ring, unwrapping it so the oldest entry lands at index 0. *)
+let grow t =
+  let cap = Array.length t.p_ts in
+  let unwrap a fill =
+    let b = Array.make (2 * cap) fill in
+    let first = cap - t.p_head in
+    Array.blit a t.p_head b 0 first;
+    Array.blit a 0 b first t.p_head;
+    b
+  in
+  t.p_ts <- unwrap t.p_ts 0.;
+  t.p_depth <- unwrap t.p_depth 0;
+  t.p_features <- unwrap t.p_features [||];
+  t.p_pred <- unwrap t.p_pred 0;
+  t.p_truth <- unwrap t.p_truth 0;
+  t.p_head <- 0
+
+(* Inlined into both observers so [label_ts] is never boxed. *)
+let[@inline] push t ~label_ts ~queue_depth ~features ~pred ~truth =
+  if t.p_len = Array.length t.p_ts then grow t;
+  let cap = Array.length t.p_ts in
+  let i = t.p_head + t.p_len in
+  let i = if i >= cap then i - cap else i in
+  t.p_ts.(i) <- label_ts;
+  t.p_depth.(i) <- queue_depth;
+  t.p_features.(i) <- features;
+  t.p_pred.(i) <- pred;
+  t.p_truth.(i) <- truth;
+  t.p_len <- t.p_len + 1
+
+let check_classes t fn ~pred ~truth =
   if pred < 0 || pred >= t.n_classes then
-    invalid_arg "Monitor.observe: pred out of range";
+    invalid_arg (fn ^ ": pred out of range");
   if truth < 0 || truth >= t.n_classes then
-    invalid_arg "Monitor.observe: truth out of range";
-  Queue.add
-    ( ts +. t.config.label_delay_s,
-      queue_depth,
-      { lts = ts +. t.config.label_delay_s; lfeatures = features; lpred = pred; ltruth = truth } )
-    t.pending
+    invalid_arg (fn ^ ": truth out of range")
+
+let observe t ~ts ~queue_depth ~features ~pred ~truth =
+  check_classes t "Monitor.observe" ~pred ~truth;
+  push t ~label_ts:(ts +. t.config.label_delay_s) ~queue_depth ~features ~pred
+    ~truth
+
+let observe_batch t ~start ~slot ~queue_depth ~n ~features ~preds ~truths =
+  if
+    n < 0 || n > Array.length features || n > Array.length preds
+    || n > Array.length truths
+  then invalid_arg "Monitor.observe_batch: n out of range";
+  for i = 0 to n - 1 do
+    check_classes t "Monitor.observe_batch" ~pred:preds.(i) ~truth:truths.(i)
+  done;
+  for i = 0 to n - 1 do
+    (* The engine's completion time for the [i]th packet of the batch. *)
+    let ts = start +. (float_of_int (i + 1) *. slot) in
+    push t ~label_ts:(ts +. t.config.label_delay_s) ~queue_depth
+      ~features:features.(i) ~pred:preds.(i) ~truth:truths.(i)
+  done
 
 (* F1 from a confusion matrix: binary (positive class 1) for two classes,
    macro otherwise — the convention of Ml.Train.evaluate_f1. *)
@@ -157,12 +219,12 @@ let fire t ~ts ~window ~reason ~value =
 let close_window t =
   let n = t.w_count in
   let accuracy = float_of_int t.w_correct /. float_of_int n in
-  let span = t.w_t_end -. t.w_t_start in
+  let span = t.fl.w_t_end -. t.fl.w_t_start in
   let w =
     {
       index = t.next_window;
-      t_start = t.w_t_start;
-      t_end = t.w_t_end;
+      t_start = t.fl.w_t_start;
+      t_end = t.fl.w_t_end;
       events = n;
       accuracy;
       f1 = f1_of_confusion t.w_confusion;
@@ -196,53 +258,59 @@ let close_window t =
   if t.armed && List.mem w.index t.forced_windows then
     fire t ~ts:w.t_end ~window:w.index ~reason:"injected" ~value:w.accuracy
 
-let fold_labeled t (label_ts, queue_depth, l) =
-  if t.w_count = 0 then t.w_t_start <- label_ts;
-  t.w_t_end <- label_ts;
+(* Fold ring slot [i] into the current window and the detectors. *)
+let fold_labeled t i =
+  let label_ts = t.p_ts.(i) and queue_depth = t.p_depth.(i) in
+  let pred = t.p_pred.(i) and truth = t.p_truth.(i) in
+  let fl = t.fl in
+  if t.w_count = 0 then fl.w_t_start <- label_ts;
+  fl.w_t_end <- label_ts;
   t.w_count <- t.w_count + 1;
-  if l.lpred = l.ltruth then t.w_correct <- t.w_correct + 1;
-  t.w_confusion.(l.ltruth).(l.lpred) <-
-    t.w_confusion.(l.ltruth).(l.lpred) + 1;
+  if pred = truth then t.w_correct <- t.w_correct + 1;
+  t.w_confusion.(truth).(pred) <- t.w_confusion.(truth).(pred) + 1;
   t.w_queue_sum <- t.w_queue_sum + queue_depth;
-  t.w_queue_max <- Stdlib.max t.w_queue_max queue_depth;
+  t.w_queue_max <- Int.max t.w_queue_max queue_depth;
   (* Page–Hinkley on the error indicator. *)
-  let x = if l.lpred = l.ltruth then 0. else 1. in
+  let x = if pred = truth then 0. else 1. in
   t.ph_n <- t.ph_n + 1;
-  t.ph_mean <- t.ph_mean +. ((x -. t.ph_mean) /. float_of_int t.ph_n);
-  t.ph_m <- t.ph_m +. (x -. t.ph_mean -. t.config.ph_delta);
-  t.ph_min <- Stdlib.min t.ph_min t.ph_m;
+  fl.ph_mean <- fl.ph_mean +. ((x -. fl.ph_mean) /. float_of_int t.ph_n);
+  fl.ph_m <- fl.ph_m +. (x -. fl.ph_mean -. t.config.ph_delta);
+  (* [Stdlib.min]'s rule, written on floats so nothing boxes. *)
+  if not (fl.ph_min <= fl.ph_m) then fl.ph_min <- fl.ph_m;
   if
     t.armed && t.baseline <> None
-    && t.ph_m -. t.ph_min > t.config.ph_lambda
+    && fl.ph_m -. fl.ph_min > t.config.ph_lambda
   then
     fire t ~ts:label_ts ~window:t.next_window ~reason:"page_hinkley"
-      ~value:(t.ph_m -. t.ph_min);
+      ~value:(fl.ph_m -. fl.ph_min);
   if t.w_count >= t.config.window_events then close_window t
 
-let advance t ~now =
-  let out = ref [] in
-  let continue = ref true in
-  while !continue do
-    match Queue.peek_opt t.pending with
-    | Some ((label_ts, _, _) as entry) when label_ts <= now ->
-        ignore (Queue.pop t.pending);
-        fold_labeled t entry;
-        let _, _, l = entry in
-        out := l :: !out
-    | Some _ | None -> continue := false
-  done;
-  List.rev !out
+(* Pop the oldest pending entry, fold it, and hand it to [f]. The slot's
+   features pointer is cleared so the ring does not keep it alive. *)
+let release t f =
+  let i = t.p_head in
+  let features = t.p_features.(i) and truth = t.p_truth.(i) in
+  t.p_features.(i) <- [||];
+  t.p_head <- (if i + 1 = Array.length t.p_ts then 0 else i + 1);
+  t.p_len <- t.p_len - 1;
+  fold_labeled t i;
+  f features truth
 
-let drain t =
-  let out = ref [] in
-  while not (Queue.is_empty t.pending) do
-    let entry = Queue.pop t.pending in
-    fold_labeled t entry;
-    let _, _, l = entry in
-    out := l :: !out
+let advance t ~now f =
+  let released = ref 0 in
+  while t.p_len > 0 && t.p_ts.(t.p_head) <= now do
+    release t f;
+    incr released
+  done;
+  !released
+
+let drain t f =
+  let released = t.p_len in
+  while t.p_len > 0 do
+    release t f
   done;
   if t.w_count > 0 then close_window t;
-  List.rev !out
+  released
 
 let poll_drift t =
   let d = t.pending_alarm in
@@ -262,9 +330,9 @@ let force_drift_at t ~window =
 
 let reset_ph t =
   t.ph_n <- 0;
-  t.ph_mean <- 0.;
-  t.ph_m <- 0.;
-  t.ph_min <- 0.
+  t.fl.ph_mean <- 0.;
+  t.fl.ph_m <- 0.;
+  t.fl.ph_min <- 0.
 
 let rebaseline t =
   reset_ph t;

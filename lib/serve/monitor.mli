@@ -63,34 +63,43 @@ type drift = {
   value : float;  (** the statistic that crossed its threshold *)
 }
 
-type labeled = {
-  lts : float;  (** when the label arrived *)
-  lfeatures : float array;
-  lpred : int;
-  ltruth : int;
-}
-
 type t
 
 val create : ?config:config -> n_classes:int -> unit -> t
-(** @raise Invalid_argument on non-positive [window_events], [n_classes],
-    or negative [label_delay_s]. *)
+(** @raise Invalid_argument on non-positive [window_events],
+    [baseline_windows] or [n_classes], or on a negative [label_delay_s] or
+    [cooldown_windows]. *)
 
 val observe :
   t -> ts:float -> queue_depth:int -> features:float array -> pred:int ->
   truth:int -> unit
 (** Record one served packet; its label becomes visible at
-    [ts + label_delay_s]. *)
+    [ts + label_delay_s]. [features] is kept by reference, not copied.
+    @raise Invalid_argument if [pred] or [truth] is not a class index. *)
 
-val advance : t -> now:float -> labeled list
-(** Release every buffered event whose label has arrived by [now], folding
-    each into the current window and the drift detectors. Returns the newly
-    labeled events in arrival order — the engine feeds them to the updater's
-    example buffer. *)
+val observe_batch :
+  t -> start:float -> slot:float -> queue_depth:int -> n:int ->
+  features:float array array -> preds:int array -> truths:int array -> unit
+(** Record a served batch: packet [i < n] completed at
+    [start +. float_of_int (i + 1) *. slot] — the engine's completion-time
+    expression, so the label times are bit-identical to [n] {!observe}
+    calls — with [features.(i)], [preds.(i)] and [truths.(i)]; every packet
+    shares [queue_depth]. The pending labels sit in a ring of parallel
+    arrays that grows by doubling, so a steady stream allocates nothing.
+    @raise Invalid_argument if [n] exceeds an array's length, or on a
+    [pred]/[truth] out of range (then nothing is recorded). *)
 
-val drain : t -> labeled list
-(** End of stream: release everything still pending and close the current
-    partial window if non-empty. *)
+val advance : t -> now:float -> (float array -> int -> unit) -> int
+(** [advance t ~now f] releases every buffered event whose label has
+    arrived by [now], in arrival order: each is folded into the current
+    window and the drift detectors, then handed to [f features truth] — the
+    engine feeds the updater's example buffer this way. Returns how many
+    were released. *)
+
+val drain : t -> (float array -> int -> unit) -> int
+(** End of stream: release everything still pending exactly as {!advance}
+    does, close the current partial window if non-empty, and return the
+    count released. *)
 
 val poll_drift : t -> drift option
 (** The alarm raised since the last poll, if any. Reading clears the

@@ -1,24 +1,34 @@
-type t = { mutable state : int64; mutable cached_gaussian : float option }
+(* The splitmix64 counter lives in [bits] at offset 0 and the spare
+   Gaussian's IEEE bits at offset 8, read and written through
+   [Bytes.get/set_int64_ne]. A [mutable] [int64] or [float option] field
+   would box on every store; the bytes are stored in place, so no draw
+   allocates inside this module. A [float]/[gaussian] result still boxes
+   (2 words) on its way back to a caller in another module. *)
+type t = { bits : Bytes.t; mutable has_spare : bool }
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let mix z =
+let[@inline] mix z =
   let z = Int64.(mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L) in
   let z = Int64.(mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL) in
   Int64.(logxor z (shift_right_logical z 31))
 
-let create seed =
-  { state = Int64.of_int seed; cached_gaussian = None }
+let of_state state =
+  let bits = Bytes.create 16 in
+  Bytes.set_int64_ne bits 0 state;
+  Bytes.set_int64_ne bits 8 0L;
+  { bits; has_spare = false }
 
-let copy t = { state = t.state; cached_gaussian = t.cached_gaussian }
+let create seed = of_state (Int64.of_int seed)
 
-let int64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix t.state
+let copy t = { bits = Bytes.copy t.bits; has_spare = t.has_spare }
 
-let split t =
-  let s = int64 t in
-  { state = mix s; cached_gaussian = None }
+let[@inline] int64 t =
+  let state = Int64.add (Bytes.get_int64_ne t.bits 0) golden_gamma in
+  Bytes.set_int64_ne t.bits 0 state;
+  mix state
+
+let split t = of_state (mix (int64 t))
 
 let split_n t n =
   if n < 0 then invalid_arg "Rng.split_n: n < 0";
@@ -34,41 +44,44 @@ let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
   (* Rejection sampling over the 62 low bits avoids modulo bias. *)
   let mask = 0x3FFF_FFFF_FFFF_FFFF in
-  let rec draw () =
+  let r = ref (-1) in
+  while !r < 0 do
     let v = Int64.to_int (int64 t) land mask in
-    let r = v mod bound in
-    if v - r + (bound - 1) >= 0 then r else draw ()
-  in
-  draw ()
+    let x = v mod bound in
+    if v - x + (bound - 1) >= 0 then r := x
+  done;
+  !r
 
-let float t bound =
+let[@inline] float t bound =
   (* 53 random bits -> uniform in [0, 1), then scale. *)
   let bits = Int64.shift_right_logical (int64 t) 11 in
   Int64.to_float bits *. (1.0 /. 9007199254740992.0) *. bound
 
-let uniform t lo hi = lo +. float t (hi -. lo)
+let[@inline] uniform t lo hi = lo +. float t (hi -. lo)
 
 let bool t = Int64.logand (int64 t) 1L = 1L
 
 let bernoulli t p = float t 1.0 < p
 
 let gaussian t ?(mu = 0.) ?(sigma = 1.) () =
-  match t.cached_gaussian with
-  | Some z ->
-      t.cached_gaussian <- None;
-      mu +. (sigma *. z)
-  | None ->
-      let rec polar () =
-        let u = uniform t (-1.) 1. and v = uniform t (-1.) 1. in
-        let s = (u *. u) +. (v *. v) in
-        if s >= 1. || s = 0. then polar ()
-        else
-          let f = sqrt (-2. *. log s /. s) in
-          (u *. f, v *. f)
-      in
-      let z0, z1 = polar () in
-      t.cached_gaussian <- Some z1;
-      mu +. (sigma *. z0)
+  if t.has_spare then begin
+    t.has_spare <- false;
+    mu +. (sigma *. Int64.float_of_bits (Bytes.get_int64_ne t.bits 8))
+  end
+  else begin
+    (* Marsaglia's polar method: two deviates per accepted pair, the
+       second cached as the spare. *)
+    let u = ref 0. and v = ref 0. and s = ref 0. in
+    while !s >= 1. || !s = 0. do
+      u := uniform t (-1.) 1.;
+      v := uniform t (-1.) 1.;
+      s := (!u *. !u) +. (!v *. !v)
+    done;
+    let f = sqrt (-2. *. log !s /. !s) in
+    Bytes.set_int64_ne t.bits 8 (Int64.bits_of_float (!v *. f));
+    t.has_spare <- true;
+    mu +. (sigma *. (!u *. f))
+  end
 
 let exponential t rate =
   if rate <= 0. then invalid_arg "Rng.exponential: rate must be positive";

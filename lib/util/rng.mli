@@ -15,7 +15,8 @@ val create : int -> t
     streams. *)
 
 val copy : t -> t
-(** [copy t] duplicates the state; the copy evolves independently. *)
+(** [copy t] duplicates the state, including a cached spare {!gaussian}
+    deviate; the copy evolves independently. *)
 
 val split : t -> t
 (** [split t] derives a new, statistically independent generator and advances
@@ -48,7 +49,9 @@ val bernoulli : t -> float -> bool
 (** [bernoulli t p] is [true] with probability [p]. *)
 
 val gaussian : t -> ?mu:float -> ?sigma:float -> unit -> float
-(** Normal deviate via Box–Muller; defaults [mu = 0.], [sigma = 1.]. *)
+(** Normal deviate via Marsaglia's polar method, which yields two per
+    accepted pair: the second is cached and returned by the next call.
+    Defaults [mu = 0.], [sigma = 1.]. *)
 
 val exponential : t -> float -> float
 (** [exponential t rate] samples Exp(rate). @raise Invalid_argument if

@@ -207,9 +207,10 @@ let test_svm_fit_binary_matches_literal () =
       ~seed ~lambda:1. ~epochs:2 ~x ~y:[| 1; 1 |]
   done
 
-(* The step loop allocates nothing per feature: what remains per step is
-   [Rng.int]'s boxed [Int64]. The two-pass kernel above allocates about 142
-   words per step at this width (a boxed float per feature in the margin). *)
+(* The step loop allocates nothing: [Rng.int] keeps its state unboxed, so
+   what remains is the fit's constant setup spread over 2,000 steps. The
+   two-pass kernel above allocates about 142 words per step at this width
+   (a boxed float per feature in the margin). *)
 let test_svm_fit_allocation () =
   let gen = Rng.create 12 in
   let n = 400 and d = 30 and epochs = 5 in
@@ -219,8 +220,8 @@ let test_svm_fit_allocation () =
   let before = Gc.minor_words () in
   ignore (Svm.fit_binary rng ~epochs ~x ~y ());
   let per_step = (Gc.minor_words () -. before) /. float_of_int (n * epochs) in
-  if per_step > 32. then
-    Alcotest.failf "%.1f minor words per step at d = %d (limit 32)" per_step d
+  if per_step > 1. then
+    Alcotest.failf "%.2f minor words per step at d = %d (limit 1)" per_step d
 
 let test_svm_rejects_ragged () =
   let rng = Rng.create 14 in

@@ -41,6 +41,7 @@ let suites =
     ("resilience", Test_resilience.suite);
     ("autopilot", Test_autopilot.suite);
     ("serve", Test_serve.suite);
+    ("monitor_model", Test_monitor_model.suite);
     ("serve_quantized", Test_serve_quantized.suite);
     ("loadgen", Test_loadgen.suite);
     ("policy", Test_policy.suite);

@@ -184,6 +184,87 @@ let test_sample_indices_rejects () =
   Alcotest.check_raises "k > n" (Invalid_argument "Rng.sample_indices: k > n")
     (fun () -> ignore (Rng.sample_indices rng ~n:3 ~k:4))
 
+let test_golden_streams () =
+  List.iter
+    (fun (g : Rng_golden.stream) ->
+      let stream f =
+        let rng = Rng.create g.seed in
+        Array.init 64 (fun _ -> f rng)
+      in
+      let name what = Printf.sprintf "seed %d %s" g.seed what in
+      Alcotest.(check (array int64)) (name "int64") g.int64s (stream Rng.int64);
+      Alcotest.(check (array int))
+        (name "int 1000") g.ints
+        (stream (fun r -> Rng.int r 1000));
+      Alcotest.(check (array int64))
+        (name "float bits") g.float_bits
+        (stream (fun r -> Int64.bits_of_float (Rng.float r 1.)));
+      Alcotest.(check (array int64))
+        (name "gaussian bits") g.gaussian_bits
+        (stream (fun r -> Int64.bits_of_float (Rng.gaussian r ()))))
+    Rng_golden.streams
+
+let test_copy_carries_spare_gaussian () =
+  (* One polar step yields two deviates and caches the second. A copy taken
+     while it is cached hands out that spare next, then stays in lockstep
+     with the original. *)
+  let g = List.hd Rng_golden.streams in
+  let a = Rng.create g.Rng_golden.seed in
+  ignore (Rng.gaussian a ());
+  let b = Rng.copy a in
+  let draws r =
+    List.init 6 (fun i ->
+        if i mod 3 = 1 then Rng.int64 r
+        else Int64.bits_of_float (Rng.gaussian r ()))
+  in
+  let from_copy = draws b in
+  Alcotest.(check int64) "the copy's first deviate is the cached spare"
+    g.Rng_golden.gaussian_bits.(1) (List.hd from_copy);
+  Alcotest.(check (list int64)) "copy continues identically" (draws a)
+    from_copy
+
+(* [Gc.minor_words] returns an unboxed float, so the probes add nothing.
+   The loops are written out so no closure or captured accumulator boxes
+   anything of its own. *)
+
+let test_int_allocates_nothing () =
+  let rng = Rng.create 5 in
+  let sink = ref 0 in
+  let before = Gc.minor_words () in
+  for _ = 1 to 100_000 do
+    sink := !sink lxor Rng.int rng 1000
+  done;
+  let words = Gc.minor_words () -. before in
+  ignore (Sys.opaque_identity !sink);
+  Alcotest.(check bool)
+    (Printf.sprintf "100k Rng.int draws allocate 0 words (got %.0f)" words)
+    true (words = 0.)
+
+let test_float_draws_box_only_result () =
+  (* Under [-opaque] (dune's dev profile) a float returned across modules is
+     boxed: 2 words, the result itself. Nothing else may allocate — not the
+     state, not the cached spare Gaussian, not a polar-loop tuple. *)
+  let rng = Rng.create 6 in
+  let n = 100_000 in
+  let acc = ref 0. in
+  let before = Gc.minor_words () in
+  for _ = 1 to n do
+    acc := !acc +. Rng.float rng 1.
+  done;
+  let float_words = (Gc.minor_words () -. before) /. float_of_int n in
+  let before = Gc.minor_words () in
+  for _ = 1 to n do
+    acc := !acc +. Rng.gaussian rng ()
+  done;
+  let gaussian_words = (Gc.minor_words () -. before) /. float_of_int n in
+  ignore (Sys.opaque_identity !acc);
+  Alcotest.(check bool)
+    (Printf.sprintf "float <= 2 words per draw (got %.2f)" float_words)
+    true (float_words <= 2.);
+  Alcotest.(check bool)
+    (Printf.sprintf "gaussian <= 2 words per draw (got %.2f)" gaussian_words)
+    true (gaussian_words <= 2.)
+
 let () = ignore check_float
 
 let suite =
@@ -213,4 +294,10 @@ let suite =
     Alcotest.test_case "sample indices distinct" `Quick test_sample_indices_distinct;
     Alcotest.test_case "sample indices full" `Quick test_sample_indices_full;
     Alcotest.test_case "sample indices rejects" `Quick test_sample_indices_rejects;
+    Alcotest.test_case "golden streams" `Quick test_golden_streams;
+    Alcotest.test_case "copy carries spare gaussian" `Quick
+      test_copy_carries_spare_gaussian;
+    Alcotest.test_case "int allocates nothing" `Quick test_int_allocates_nothing;
+    Alcotest.test_case "float draws box only the result" `Quick
+      test_float_draws_box_only_result;
   ]
