@@ -29,22 +29,28 @@ let run () =
         (Homunculus_ml.Dataset.n_features
            (Model_spec.load spec).Model_spec.train)
   in
-  let eval rng config =
+  (* Each evaluation's RNG is derived from its config, as the compiler
+     derives it: a candidate measures the same whichever strategy proposed
+     it and whatever trained before it. *)
+  let eval_on platform ~seed config =
     Evaluator.to_bo_evaluation
-      (Evaluator.evaluate rng platform spec Model_spec.Dnn config)
+      (Evaluator.evaluate
+         (Rng.create (seed lxor Bo.Config.hash config))
+         platform spec Model_spec.Dnn config)
   in
+  let eval = eval_on platform in
   let indexed f ~index:_ config = f config in
 
   (* 1. BO vs random search, same budget, same seed. *)
   let bo_rng = Rng.create 71 in
   let bo_history =
     Bo.Optimizer.maximize bo_rng ~settings space
-      ~f:(indexed (eval (Rng.create 72)))
+      ~f:(indexed (eval ~seed:72))
   in
   let rs_rng = Rng.create 71 in
   let rs_history =
     Bo.Optimizer.random_search rs_rng ~n:(budget settings) space
-      ~f:(eval (Rng.create 72))
+      ~f:(eval ~seed:72)
   in
   Printf.printf "budget %d evals:\n" (budget settings);
   Printf.printf "  %-28s best F1 %.4f (feasible frac %.2f)\n" "BO (RF + EI + feas)"
@@ -63,17 +69,14 @@ let run () =
         (Homunculus_ml.Dataset.n_features
            (Model_spec.load spec).Model_spec.train)
   in
-  let tiny_eval rng config =
-    Evaluator.to_bo_evaluation
-      (Evaluator.evaluate rng tiny spec Model_spec.Dnn config)
-  in
+  let tiny_eval = eval_on tiny in
   let bo_tiny =
     Bo.Optimizer.maximize (Rng.create 73) ~settings tiny_space
-      ~f:(indexed (tiny_eval (Rng.create 74)))
+      ~f:(indexed (tiny_eval ~seed:74))
   in
   let rs_tiny =
     Bo.Optimizer.random_search (Rng.create 73) ~n:(budget settings) tiny_space
-      ~f:(tiny_eval (Rng.create 74))
+      ~f:(tiny_eval ~seed:74)
   in
   Printf.printf "\n8x8 grid (feasibility-constrained space):\n";
   Printf.printf "  %-28s feasible evals %.0f%%, best F1 %.4f\n" "BO"
@@ -90,7 +93,7 @@ let run () =
       let s = { settings with Bo.Optimizer.local_search_frac = frac } in
       let h =
         Bo.Optimizer.maximize (Rng.create 75) ~settings:s space
-          ~f:(indexed (eval (Rng.create 76)))
+          ~f:(indexed (eval ~seed:76))
       in
       Printf.printf "  frac %.2f: best F1 %.4f\n" frac (best_feasible h))
     [ 0.0; 0.5; 0.9 ];

@@ -17,8 +17,12 @@ let run () =
     (fun e ->
       if e.Bo.History.feasible && e.Bo.History.objective > !best then
         best := e.Bo.History.objective;
-      Printf.printf "%3d, %7.4f, %7.4f, %b\n" e.Bo.History.iteration
-        e.Bo.History.objective
+      (* An infeasible entry's objective is a placeholder (a DNN whose shape
+         cannot fit is never trained), not a measured F1. *)
+      Printf.printf "%3d, %7s, %7.4f, %b\n" e.Bo.History.iteration
+        (if e.Bo.History.feasible then
+           Printf.sprintf "%.4f" e.Bo.History.objective
+         else "-")
         (if !best = neg_infinity then Float.nan else !best)
         e.Bo.History.feasible)
     (Bo.History.entries history);

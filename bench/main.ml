@@ -1,5 +1,5 @@
 (* Reproduction harness: one entry per table and figure of the paper's
-   evaluation (section 5), plus ablations and the serving, training and DSE
+   evaluation (section 5), plus ablations and the serving and training
    checks. Every BENCH_*.json an experiment writes holds deterministic results
    only; speed is measured by perfbench.
 
@@ -21,7 +21,6 @@ let experiments =
     ("serve", Serve_bench.run);
     ("loadgen", Loadgen_bench.run);
     ("ablation", Ablation.run);
-    ("dse", Dse_bench.run);
     ("train", Train_bench.run);
     ("compose", Compose_bench.run);
   ]

@@ -16,8 +16,10 @@
      check     differential conformance: random models through every
                deployment path, compared against the FP reference
 
-   Malformed or contradictory arguments are usage errors (exit 124); a
-   missing or malformed input file exits 123 with a diagnosis. *)
+   Malformed, out-of-range or contradictory arguments are usage errors
+   (exit 124); a missing or malformed input file exits 123 with a
+   diagnosis; a compile or compose whose search finds no feasible model
+   exits 3 with "homc: no feasible model: REASON". *)
 
 open Cmdliner
 open Homunculus_alchemy
@@ -147,6 +149,31 @@ let faultplan =
   in
   Arg.conv (parse, print)
 
+(* Numbers whose out-of-range values would otherwise be clamped or
+   meaningless: rejected at parse time as usage errors. *)
+let int_at_least lo =
+  let parse text =
+    match int_of_string_opt text with
+    | Some n when n >= lo -> Ok n
+    | Some _ | None ->
+        Error
+          (`Msg
+             (Printf.sprintf "invalid value '%s', expected an integer >= %d"
+                text lo))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
+let positive_float =
+  let parse text =
+    match float_of_string_opt text with
+    | Some x when x > 0. -> Ok x
+    | Some _ | None ->
+        Error
+          (`Msg
+             (Printf.sprintf "invalid value '%s', expected a number > 0" text))
+  in
+  Arg.conv (parse, Format.pp_print_float)
+
 let app_arg =
   let doc = "Application: ad, tc, tc-kmeans, or bd." in
   Arg.(value & pos 0 (one_of (List.map fst apps)) "ad" & info [] ~docv:"APP" ~doc)
@@ -164,7 +191,9 @@ let seed_arg =
 
 let budget_arg =
   let doc = "Total optimization evaluations (warm-up + guided)." in
-  Arg.(value & opt int 25 & info [ "budget" ] ~docv:"N" ~doc)
+  (* Below 4 the warm-up floor of 3 plus one guided evaluation would
+     silently run 4 anyway. *)
+  Arg.(value & opt (int_at_least 4) 25 & info [ "budget" ] ~docv:"N" ~doc)
 
 let output_arg =
   let doc = "Write generated backend code to this file." in
@@ -209,8 +238,8 @@ let faults_arg =
   let doc =
     "Deterministic fault plan for resilience testing: comma-separated \
      raise@K[:N] (exception on candidate K's first N attempts), nan@K:E \
-     (NaN loss at epoch E), timeout@K, infeasible@K, kill@N (crash after N \
-     journal records)."
+     (NaN loss at epoch E, if candidate K trains), timeout@K, infeasible@K, \
+     kill@N (crash after N journal records)."
   in
   Arg.(value & opt (some faultplan) None & info [ "faults" ] ~docv:"PLAN" ~doc)
 
@@ -219,7 +248,7 @@ let retries_arg =
     "Retries for transient (backend-class) evaluation failures. Divergence \
      and budget exhaustion are never retried."
   in
-  Arg.(value & opt int 1 & info [ "retries" ] ~docv:"N" ~doc)
+  Arg.(value & opt (int_at_least 0) 1 & info [ "retries" ] ~docv:"N" ~doc)
 
 let eval_budget_arg =
   let doc =
@@ -228,45 +257,8 @@ let eval_budget_arg =
   in
   Arg.(
     value
-    & opt (some float) None
+    & opt (some positive_float) None
     & info [ "eval-budget" ] ~docv:"SECONDS" ~doc)
-
-let cost_model_arg =
-  let doc =
-    "Learned cost-model pre-filter for the search ($(b,on) or $(b,off), \
-     default off): a random-forest feasibility/cost model trained online on \
-     the exact evaluations the search pays for anyway skips training for \
-     candidates it is confident are infeasible. Boundary candidates and any \
-     potential winner still evaluate exactly — the final artifact is never \
-     chosen on a prediction. Composes with --journal/--resume: replayed \
-     candidates bypass the filter."
-  in
-  Arg.(
-    value
-    & opt (enum [ ("on", true); ("off", false) ]) false
-    & info [ "cost-model" ] ~docv:"on|off" ~doc)
-
-let cm_margin_arg =
-  let doc =
-    "Cost-model decision margin: skip only when the predicted probability \
-     of feasibility is below 0.5 - MARGIN. Larger is more conservative; \
-     $(b,inf) disables skipping while keeping the filter's accounting."
-  in
-  Arg.(value & opt float 0.15 & info [ "cm-margin" ] ~docv:"MARGIN" ~doc)
-
-let cm_min_obs_arg =
-  let doc =
-    "Exact evaluations the cost model observes before it starts filtering."
-  in
-  Arg.(value & opt int 12 & info [ "cm-min-obs" ] ~docv:"N" ~doc)
-
-let cm_conviction_arg =
-  let doc =
-    "Cost-model conviction floor: below this predicted probability of \
-     feasibility the would-be-winner guard is waived (the model is sure \
-     enough that the candidate's predicted objective is moot)."
-  in
-  Arg.(value & opt float 0.02 & info [ "cm-conviction" ] ~docv:"P" ~doc)
 
 (* Shared DSE terms *)
 
@@ -291,22 +283,6 @@ let options_t =
     }
   in
   Term.(const make $ seed_arg $ budget_arg $ jobs_arg $ prune_arg)
-
-let cost_model_t =
-  let make on margin min_obs conviction =
-    if not on then None
-    else
-      Some
-        {
-          Bo.Cost_model.default_settings with
-          Bo.Cost_model.margin;
-          min_observations = Stdlib.max 2 min_obs;
-          conviction;
-        }
-  in
-  Term.(
-    const make $ cost_model_arg $ cm_margin_arg $ cm_min_obs_arg
-    $ cm_conviction_arg)
 
 (* Supervision: --journal, --resume, --faults, --retries and --eval-budget. *)
 type supervision = {
@@ -365,6 +341,12 @@ let open_supervision { journal_dir; resume; faults; retries; eval_budget } =
 
 (* compile *)
 
+(* "No feasible solution exists" is an outcome, not a crash: the same exit
+   code [compose] gives an infeasible composed pipeline. *)
+let no_feasible_model reason =
+  Printf.eprintf "homc: no feasible model: %s\n%!" reason;
+  3
+
 (* The searched-result report, shared by [compile] and [search]: everything
    deterministic goes to stdout (so inline, resumed, and distributed runs of
    the same seed diff clean), accounting goes to stderr. *)
@@ -388,26 +370,17 @@ let print_search_result ~target ~output result =
       | None, _ -> ())
   | _ -> ()
 
-let compile app target options cost_model supervision output =
+let compile app target options supervision output =
   let spec = spec_of (List.assoc app apps) options.Compiler.seed in
   let supervisor, journal = open_supervision supervision in
-  let options = { options with Compiler.supervisor; cost_model } in
+  let options = { options with Compiler.supervisor } in
   let run () =
     let result =
       Compiler.generate ~options (platform_of_name target) (Schedule.model spec)
     in
     print_search_result ~target ~output result;
     (* Accounting goes to stderr so an interrupted-then-resumed run's stdout
-       diffs clean against an uninterrupted one: the cost model's counters
-       restart on resume (replayed candidates bypass the filter) even though
-       the search's stdout result is identical. *)
-    List.iter
-      (fun (m : Compiler.model_result) ->
-        match m.Compiler.cost_stats with
-        | Some s ->
-            Printf.eprintf "cost model: %s\n%!" (Bo.Cost_model.stats_summary s)
-        | None -> ())
-      result.Compiler.models;
+       diffs clean against an uninterrupted one. *)
     (match supervisor with
     | Some sup
       when Resilience.Supervisor.replayed_count sup > 0
@@ -421,11 +394,12 @@ let compile app target options cost_model supervision output =
   Fun.protect
     ~finally:(fun () -> Option.iter Resilience.Journal.close journal)
     (fun () ->
-      try run ()
-      with Resilience.Faultplan.Killed n ->
-        Printf.eprintf "search killed after %d journal records (simulated)\n%!"
-          n;
-        10)
+      try run () with
+      | Resilience.Faultplan.Killed n ->
+          Printf.eprintf "search killed after %d journal records (simulated)\n%!"
+            n;
+          10
+      | Compiler.No_feasible_model reason -> no_feasible_model reason)
 
 (* compose: many guarded models, one shared data plane *)
 
@@ -454,6 +428,7 @@ let compose tenants target options samples output =
   in
   Printf.printf "policy: %s\n" (Policy.to_string (Policy.normalize policy));
   match Compiler.compile_policy ~options platform policy with
+  | exception Compiler.No_feasible_model reason -> no_feasible_model reason
   | Error e ->
       Printf.printf "composition rejected: %s\n" (Lower.error_to_string e);
       2
@@ -948,7 +923,7 @@ let compile_cmd =
   let doc = "Search, train, and compile an application for a data-plane target." in
   Cmd.v (Cmd.info "compile" ~doc)
     Term.(
-      const compile $ app_arg $ target_arg $ options_t $ cost_model_t
+      const compile $ app_arg $ target_arg $ options_t
       $ supervision_t $ output_arg)
 
 let compose_cmd =
@@ -969,8 +944,9 @@ let compose_cmd =
   let doc =
     "Compose guarded tenant models into one shared data-plane pipeline. \
      Exits 1 on a differential-oracle violation, 2 when the lowering \
-     rejects the composition, 3 when the composed pipeline is infeasible \
-     at the platform's performance target."
+     rejects the composition, 3 when a tenant's search finds no feasible \
+     model or the composed pipeline is infeasible at the platform's \
+     performance target."
   in
   Cmd.v (Cmd.info "compose" ~doc)
     Term.(

@@ -27,7 +27,6 @@ type config = {
   min_examples : int;
   holdout_frac : float;
   min_gain : float;
-  cost_model : Bo.Cost_model.settings option;
   max_retries : int;
   backoff_windows : int;
   backoff_max_windows : int;
@@ -48,7 +47,6 @@ let default_config ~platform ~journal_dir =
     min_examples = 60;
     holdout_frac = 0.3;
     min_gain = 0.02;
-    cost_model = None;
     max_retries = 1;
     backoff_windows = 1;
     backoff_max_windows = 8;
@@ -288,7 +286,6 @@ let run_research t ~window ~reason ~incumbent ~xs ~ys =
       bo_settings = settings;
       emit_code = false;
       supervisor = Some supervisor;
-      cost_model = cfg.cost_model;
     }
   in
   let spec = spec_of_snapshot cfg ~xs ~ys in

@@ -67,10 +67,6 @@ type config = {
   holdout_frac : float;  (** fraction of the snapshot held out as the
                              spec's test split *)
   min_gain : float;  (** {!Homunculus_serve.Updater.accepts} margin *)
-  cost_model : Homunculus_bo.Cost_model.settings option;
-      (** when set, the re-search reuses the learned pre-filter — trained
-          from the same replayed observations the surrogate warm-starts
-          from *)
   max_retries : int;  (** supervisor retries per candidate *)
   backoff_windows : int;
       (** base of the exponential backoff after a failed search, in monitor
@@ -87,8 +83,8 @@ val default_config :
   platform:Homunculus_alchemy.Platform.t -> journal_dir:string -> config
 (** seed 42, spec ["autopilot"], tree-only shortlist (cheap to retrain,
     MAT-mappable for quantized serving), 2 classes, 3 warm-up + 4 fresh
-    evaluations, no budget, min 60 examples, 30% holdout, 0.02 margin, no
-    cost model, 1 retry, backoff 1 doubling up to 8 windows, no faults. *)
+    evaluations, no budget, min 60 examples, 30% holdout, 0.02 margin, 1
+    retry, backoff 1 doubling up to 8 windows, no faults. *)
 
 type outcome =
   | Installed of { incumbent_f1 : float; challenger_f1 : float }

@@ -44,18 +44,16 @@ type evaluation = {
   metadata : (string * float) list;
 }
 
-let record history space config { objective; feasible; pruned; metadata }
-    ~on_commit =
+let record history space config { objective; feasible; pruned; metadata } =
   History.add history ~config
     ~encoded:(Design_space.encode space config)
-    ~objective ~feasible ~pruned ~metadata ();
-  Option.iter (on_commit (History.length history)) (History.last history)
+    ~objective ~feasible ~pruned ~metadata ()
 
 let random_search rng ~n space ~f =
   let history = History.create () in
   for _ = 1 to n do
     let config = Design_space.sample rng space in
-    record history space config (f config) ~on_commit:(fun _ _ -> ())
+    record history space config (f config)
   done;
   history
 
@@ -78,50 +76,24 @@ type exec =
   | Pool of Par.pool
   | Dispatch of ((int * Config.t) array -> evaluation array)
 
-type observer = {
-  on_batch_start : unit -> unit;
-  on_commit : int -> History.entry -> unit;
-  on_refit : int -> unit;
-}
+type observer = { on_batch_start : unit -> unit; on_refit : int -> unit }
 
-let no_observer =
-  {
-    on_batch_start = (fun () -> ());
-    on_commit = (fun _ _ -> ());
-    on_refit = (fun _ -> ());
-  }
+let no_observer = { on_batch_start = (fun () -> ()); on_refit = (fun _ -> ()) }
 
 (* Evaluate a batch of proposals concurrently, then commit the results to the
    history in proposal order. The black box runs on pool workers, so all the
-   ordering the caller can observe (History contents, [on_commit]
-   callbacks) is fixed by the proposal order, not by scheduling. Each
-   candidate's index is its eventual position in the history (commits happen
-   per batch, so the base is the history length at dispatch time), giving
-   the black box a schedule-independent identity for the proposal. *)
-(* The pre-filter (when present) judges each proposal sequentially on the
-   caller's domain, before the batch is dispatched — so its decisions depend
-   only on proposal order, never on worker scheduling. Skipped candidates
-   commit the filter's predicted evaluation in proposal order alongside the
-   exact results. *)
-(* A [Dispatch] exec replaces the in-process pool for the exact
-   evaluations: the surviving (index, config) pairs are handed over en bloc
-   and the dispatcher returns their evaluations in the same order. Because
-   proposals, pre-filter decisions, and commits all stay on the calling
-   domain in proposal order, the history is identical whether the batch ran
-   inline, on a pool, or through the dispatcher. *)
-let evaluate_batch ~exec ?prefilter ~observer history space ~f batch =
+   ordering the caller can observe (History contents) is fixed by the
+   proposal order, not by scheduling. Each candidate's index is its eventual
+   position in the history (commits happen per batch, so the base is the
+   history length at dispatch time), giving the black box a
+   schedule-independent identity for the proposal. A [Dispatch] exec
+   replaces the in-process pool: the (index, config) pairs are handed over
+   en bloc and the dispatcher returns their evaluations in the same order,
+   so the history is identical whether the batch ran inline, on a pool, or
+   through the dispatcher. *)
+let evaluate_batch ~exec history space ~f batch =
   let base = History.length history in
-  let decisions =
-    match prefilter with
-    | None -> Array.map (fun _ -> None) batch
-    | Some judge -> Array.mapi (fun i config -> judge ~index:(base + i) config) batch
-  in
-  let work = ref [] in
-  Array.iteri
-    (fun i config ->
-      if Option.is_none decisions.(i) then work := (base + i, config) :: !work)
-    batch;
-  let work = Array.of_list (List.rev !work) in
+  let work = Array.mapi (fun i config -> (base + i, config)) batch in
   let evals =
     match exec with
     | Pool par ->
@@ -134,21 +106,9 @@ let evaluate_batch ~exec ?prefilter ~observer history space ~f batch =
           invalid_arg "Bo.Optimizer: dispatch returned wrong arity";
         evals
   in
-  let next = ref 0 in
-  Array.iteri
-    (fun i config ->
-      let eval =
-        match decisions.(i) with
-        | Some predicted -> predicted
-        | None ->
-            let e = evals.(!next) in
-            incr next;
-            e
-      in
-      record history space config eval ~on_commit:observer.on_commit)
-    batch
+  Array.iteri (fun i config -> record history space config evals.(i)) batch
 
-let maximize rng ?(settings = default_settings) ?exec ?prefilter
+let maximize rng ?(settings = default_settings) ?exec
     ?(observer = no_observer) space ~f =
   if settings.n_init <= 0 then invalid_arg "Bo.Optimizer.maximize: n_init <= 0";
   if settings.batch_size <= 0 then
@@ -171,7 +131,7 @@ let maximize rng ?(settings = default_settings) ?exec ?prefilter
       let k = Stdlib.min settings.batch_size !remaining in
       let batch = propose k in
       observer.on_batch_start ();
-      evaluate_batch ~exec ?prefilter ~observer history space ~f batch;
+      evaluate_batch ~exec history space ~f batch;
       remaining := !remaining - k
     done
   in
@@ -203,7 +163,7 @@ let maximize rng ?(settings = default_settings) ?exec ?prefilter
           let x, y, feasible_flags = History.training_arrays history in
           (* The objective model learns from the feasible slice only:
              infeasible entries carry placeholder objectives (failure tags,
-             predicted-infeasible commits) that nothing downstream consumes.
+             shape-check rejections) that nothing downstream consumes.
              The feasibility model still sees every entry. *)
           let keep = ref [] in
           Array.iteri

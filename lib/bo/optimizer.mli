@@ -61,12 +61,11 @@ type exec =
   | Pool of Homunculus_par.Par.pool
       (** exact evaluations run as [f] on this in-process pool *)
   | Dispatch of ((int * Config.t) array -> evaluation array)
-      (** each batch's surviving [(index, config)] pairs (after pre-filter
-          skips) are handed over in proposal order and the dispatcher must
-          return their evaluations in the same order; [f] is never called.
-          Since proposals, pre-filter decisions, and commits all stay on the
-          calling domain, the history remains bit-identical to an inline
-          run. *)
+      (** each batch's [(index, config)] pairs are handed over in proposal
+          order and the dispatcher must return their evaluations in the same
+          order; [f] is never called. Since proposals and commits stay on
+          the calling domain, the history remains bit-identical to an
+          inline run. *)
 
 type observer = {
   on_batch_start : unit -> unit;
@@ -75,12 +74,9 @@ type observer = {
           it to freeze the pruning thresholds a whole batch is judged
           against, which is what keeps pruning decisions independent of
           worker count. *)
-  on_commit : int -> History.entry -> unit;
-      (** fires with the history length after each entry is committed, in
-          proposal order, on the calling domain *)
   on_refit : int -> unit;
       (** fires (with the history length) each time the surrogate pair is
-          actually fitted — the refit-cadence benches count these *)
+          actually fitted (the refit-cadence tests count these) *)
 }
 
 val no_observer : observer
@@ -90,7 +86,6 @@ val maximize :
   Homunculus_util.Rng.t ->
   ?settings:settings ->
   ?exec:exec ->
-  ?prefilter:(index:int -> Config.t -> evaluation option) ->
   ?observer:observer ->
   Design_space.t ->
   f:(index:int -> Config.t -> evaluation) ->
@@ -110,16 +105,6 @@ val maximize :
     returned history is identical at any worker count, because all random
     draws happen sequentially on the caller's RNG and results are committed
     in proposal order.
-
-    [prefilter] is consulted for every proposal, sequentially in proposal
-    order on the calling domain, after [observer.on_batch_start] and before
-    the batch is dispatched. Returning [Some evaluation] commits that
-    evaluation in the candidate's history slot without calling [f] (the
-    learned cost model's predicted-infeasible skip); [None] evaluates
-    exactly. Because decisions precede dispatch, they depend on the batch
-    boundary (a batch-mate's outcome is not yet observable) but never on
-    worker scheduling — the ASHA freeze rule, applied to filtering. [index]
-    is the same proposal-order history index [f] would have received.
 
     @raise Invalid_argument if a [Dispatch] returns an array whose length
     differs from the batch's. *)

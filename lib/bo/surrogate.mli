@@ -4,7 +4,7 @@
     spread doubles as the predictive uncertainty, exactly as in HyperMapper's
     RF mode (paper §5). The optimizer fits it on the {e feasible} slice of
     the history — infeasible entries carry placeholder objectives (failure
-    tags, predicted-infeasible commits), and nothing downstream ever
+    tags, shape-check rejections), and nothing downstream ever
     consumes an infeasible entry's objective. *)
 
 type t

@@ -14,7 +14,6 @@ type options = {
   fusion_threshold : float option;
   prune : Bo.Asha.settings option;
   supervisor : Supervisor.t option;
-  cost_model : Bo.Cost_model.settings option;
   dispatch :
     (scope:string -> (int * Bo.Config.t) array -> Bo.Optimizer.evaluation array)
     option;
@@ -28,7 +27,6 @@ let default_options =
     fusion_threshold = None;
     prune = None;
     supervisor = None;
-    cost_model = None;
     dispatch = None;
   }
 
@@ -50,7 +48,6 @@ type model_result = {
   history : Bo.History.t;
   histories : (Model_spec.algorithm * Bo.History.t) list;
   code : string option;
-  cost_stats : Bo.Cost_model.stats option;
 }
 
 type result = {
@@ -97,8 +94,8 @@ let evaluate_candidate ~seed ?supervisor ?sched ~scope ~index ~score platform
       Supervisor.supervise sup ~scope ~index ~config (fun ctx ->
           run ~guard:(Supervisor.epoch_guard ctx) ())
 
-let search_algorithm rng ~seed ~settings ?prune ?supervisor ?cost_model
-    ?dispatch ?deadline ?(score = Evaluator.to_bo_evaluation) platform spec
+let search_algorithm rng ~seed ~settings ?prune ?supervisor ?dispatch
+    ?deadline ?(score = Evaluator.to_bo_evaluation) platform spec
     algorithm =
   let data = Model_spec.load spec in
   let input_dim =
@@ -107,27 +104,6 @@ let search_algorithm rng ~seed ~settings ?prune ?supervisor ?cost_model
   let space = Space_builder.build platform algorithm ~input_dim in
   let scope =
     Model_spec.name spec ^ "/" ^ Model_spec.algorithm_to_string algorithm
-  in
-  (* The learned pre-filter judges candidates on the design-space encoding
-     concatenated with the skeleton's analytic architecture features. Its
-     seed is scope-derived (not the search RNG): the filter owns a private
-     stream, so enabling it never perturbs the proposal sequence. *)
-  let cm =
-    Option.map
-      (fun cm_settings ->
-        let n_classes =
-          data.Model_spec.train.Homunculus_ml.Dataset.n_classes
-        in
-        let features config =
-          Array.append
-            (Bo.Design_space.encode space config)
-            (Evaluator.features_of_candidate platform algorithm ~input_dim
-               ~n_classes config)
-        in
-        Bo.Cost_model.create ~settings:cm_settings
-          ~seed:(seed lxor Hashtbl.hash scope)
-          ~features ())
-      cost_model
   in
   (* Rung pruning only pays off where training is epoch-iterative. *)
   let sched =
@@ -172,65 +148,24 @@ let search_algorithm rng ~seed ~settings ?prune ?supervisor ?cost_model
     | Some _ | None -> ());
     Option.iter Bo.Asha.freeze sched
   in
-  (* Pre-filter plumbing. Replayed candidates bypass the filter entirely —
-     the supervisor returns the recorded outcome (exact or predicted)
-     verbatim — so a resumed run's history matches the uninterrupted one
-     even though the filter's counters start over. Fresh skips are journaled
-     durably before they are committed. *)
-  let prefilter =
-    Option.map
-      (fun cm ~index config ->
-        match supervisor with
-        | Some sup when Supervisor.recorded sup ~scope ~config -> None
-        | Some _ | None ->
-            let skip = Bo.Cost_model.prefilter cm ~index config in
-            (match (skip, supervisor) with
-            | Some eval, Some sup ->
-                Supervisor.record_predicted sup ~scope ~index ~config ~eval
-            | (Some _ | None), _ -> ());
-            skip)
-      cm
-  in
-  (* Feed every committed exact outcome back as a training example. Fires in
-     proposal order on the calling domain, so the filter's model state is a
-     pure function of the committed sequence — identical on resume.
-     Predicted commits and failure-tagged entries are not observations: the
-     former were never measured, the latter's infeasibility is a training
-     accident (divergence, timeout), not a property of the architecture. *)
-  let on_commit (_ : int) (e : Bo.History.entry) =
-    Option.iter
-      (fun cm ->
-        if
-          not
-            (Bo.Cost_model.is_predicted e.Bo.History.metadata
-            || List.mem_assoc Supervisor.failure_key e.Bo.History.metadata)
-        then
-          Bo.Cost_model.observe cm ~config:e.Bo.History.config
-            ~objective:e.Bo.History.objective ~feasible:e.Bo.History.feasible
-            ~pruned:e.Bo.History.pruned)
-      cm
-  in
   (* Dispatch: batches go to the caller's hook instead of the in-process
      pool; [eval] then only runs for the winner rebuild. *)
   let exec = Option.map (fun d -> Bo.Optimizer.Dispatch (d ~scope)) dispatch in
   let history =
-    Bo.Optimizer.maximize rng ~settings ?exec ?prefilter
-      ~observer:{ Bo.Optimizer.no_observer with on_batch_start; on_commit }
+    Bo.Optimizer.maximize rng ~settings ?exec
+      ~observer:{ Bo.Optimizer.no_observer with on_batch_start }
       space ~f:(eval ?supervisor)
   in
   (* The winner comes from the history, whose order mirrors
      [compare_artifacts]. Replayed or dispatched evaluations never produced
      an artifact here, so a winner missing from [best] is rebuilt from its
-     config-derived seed. A failure-tagged winner has no artifact —
-     rebuilding would just fail again — and a predicted-infeasible winner
-     was never evaluated at all: the final artifact is never chosen on a
-     prediction. *)
+     config-derived seed. A failure-tagged winner has no artifact:
+     rebuilding would just fail again. *)
   let winner =
     match Bo.History.best_entry history with
     | None -> None
-    | Some e
-      when List.mem_assoc Supervisor.failure_key e.Bo.History.metadata
-           || Bo.Cost_model.is_predicted e.Bo.History.metadata ->
+    | Some e when List.mem_assoc Supervisor.failure_key e.Bo.History.metadata
+      ->
         None
     | Some e -> (
         match !best with
@@ -242,7 +177,7 @@ let search_algorithm rng ~seed ~settings ?prune ?supervisor ?cost_model
             ignore (eval ~index:(e.Bo.History.iteration - 1) e.Bo.History.config);
             Option.map snd !best)
   in
-  (winner, history, Option.map Bo.Cost_model.stats cm)
+  (winner, history)
 
 (* [deadline] is not an option: only [research] sets one. *)
 let search_model_until ?deadline options platform spec =
@@ -273,26 +208,17 @@ let search_model_until ?deadline options platform spec =
     List.map
       (fun algorithm ->
         let rng = Rng.split master in
-        let best, history, stats =
+        let best, history =
           search_algorithm rng ~seed:options.seed ~settings
             ?prune:options.prune ?supervisor:options.supervisor
-            ?cost_model:options.cost_model ?dispatch:options.dispatch
-            ?deadline platform spec algorithm
+            ?dispatch:options.dispatch ?deadline platform spec algorithm
         in
-        (algorithm, best, history, stats))
+        (algorithm, best, history))
       candidates
-  in
-  let cost_stats =
-    List.fold_left
-      (fun acc (_, _, _, stats) ->
-        match (acc, stats) with
-        | None, s | s, None -> s
-        | Some a, Some b -> Some (Bo.Cost_model.merge_stats a b))
-      None runs
   in
   let best =
     List.fold_left
-      (fun acc (_, candidate, _, _) ->
+      (fun acc (_, candidate, _) ->
         match candidate with
         | Some c -> Evaluator.better_artifact acc c
         | None -> acc)
@@ -313,7 +239,7 @@ let search_model_until ?deadline options platform spec =
   | Some artifact ->
       let winning_history =
         List.find_map
-          (fun (algorithm, _, history, _) ->
+          (fun (algorithm, _, history) ->
             if algorithm = artifact.Evaluator.algorithm then Some history
             else None)
           runs
@@ -323,12 +249,11 @@ let search_model_until ?deadline options platform spec =
         spec;
         artifact;
         history = winning_history;
-        histories = List.map (fun (a, _, h, _) -> (a, h)) runs;
+        histories = List.map (fun (a, _, h) -> (a, h)) runs;
         code =
           (if options.emit_code then
              Some (emit_code platform artifact.Evaluator.model_ir)
            else None);
-        cost_stats;
       }
 
 let search_model ?(options = default_options) platform spec =
@@ -339,9 +264,8 @@ let search_model ?(options = default_options) platform spec =
    everything positional ("<spec-name>/<algorithm>"); the config-derived
    seed carries everything stochastic — so every call produces the same
    evaluation for the same candidate. No ASHA (incompatible with dispatch),
-   no cost model (the pre-filter runs before dispatch, skips are never
-   dispatched), no best-artifact tracking (the search picks the winner from
-   the history and rebuilds it). *)
+   no best-artifact tracking (the search picks the winner from the history
+   and rebuilds it). *)
 let worker_eval ~options ~platform ~specs ~scope ~index ~config =
   let name, algorithm =
     match String.rindex_opt scope '/' with
@@ -437,10 +361,10 @@ let search_tradeoff ?(options = default_options) ?(n_scalarizations = 5)
       search_algorithm run_rng ~seed:options.seed
         ~settings:options.bo_settings ~score platform spec algorithm
     with
-    | Some artifact, _, _ when artifact.Evaluator.verdict.Resource.feasible ->
+    | Some artifact, _ when artifact.Evaluator.verdict.Resource.feasible ->
         let resource_fraction = resource_fraction artifact.Evaluator.verdict in
         points := { artifact; resource_fraction; weight } :: !points
-    | (Some _ | None), _, _ -> ()
+    | (Some _ | None), _ -> ()
   done;
   if !points = [] then
     raise

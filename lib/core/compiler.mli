@@ -35,18 +35,6 @@ type options = {
           ({!Bo.History.best_entry}) and rebuilt from its config-derived
           seed if the evaluation was replayed. [None] lets exceptions
           propagate, as before. *)
-  cost_model : Bo.Cost_model.settings option;
-      (** when set, every per-algorithm search runs behind a learned
-          feasibility/cost pre-filter ({!Bo.Cost_model}) trained online on
-          the exact evaluations the search pays for anyway: candidates the
-          filter is confident are infeasible skip training entirely and
-          enter the history as tagged predicted-infeasible entries.
-          Boundary candidates fall back to the exact evaluator, and the
-          winning artifact is never chosen on a prediction (a
-          predicted-tagged best entry is vetoed like a failure-tagged one).
-          Composes with the supervisor: journal-replayed candidates bypass
-          the filter, fresh skips are journaled with kind [predicted].
-          [None] evaluates every candidate exactly, as before. *)
   dispatch :
     (scope:string -> (int * Bo.Config.t) array -> Bo.Optimizer.evaluation array)
     option;
@@ -75,9 +63,6 @@ type model_result = {
   histories : (Model_spec.algorithm * Bo.History.t) list;
       (** one search per surviving candidate algorithm *)
   code : string option;  (** backend source for the winner *)
-  cost_stats : Bo.Cost_model.stats option;
-      (** pre-filter counters merged across the per-algorithm searches;
-          [None] when [options.cost_model] was off *)
 }
 
 type result = {
@@ -105,10 +90,8 @@ val worker_eval :
     record) selects the model, and the config-derived seed makes the result
     identical wherever it runs. Runs under [options.supervisor] when present
     (retries and budgets; give that supervisor no journal when the
-    [dispatch] hook journals its own appends). [options.prune] and
-    [options.cost_model] are ignored: pruning is incompatible with dispatch
-    and the cost-model pre-filter runs before the batch is dispatched, so
-    every dispatched candidate is evaluated exactly.
+    [dispatch] hook journals its own appends). [options.prune] is ignored:
+    pruning is incompatible with dispatch.
     @raise Invalid_argument on an unparseable scope or unknown spec name. *)
 
 val search_model :

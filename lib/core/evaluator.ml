@@ -17,8 +17,8 @@ type artifact = {
 (* Process-wide accounting of where exact evaluations spend their time.
    Mutex-guarded (evaluations run on pool workers); kept out of History
    metadata so enabling the counters cannot perturb a search's determinism.
-   The [estimates] count is the bench's "exact simulator invocations"
-   metric: one per [Platform.estimate] call made on a trained model. *)
+   The [estimates] count is one per [Platform.estimate] call made on a
+   trained model; a candidate the shape check rejects is not charged. *)
 module Timing = struct
   type snapshot = {
     evaluations : int;
@@ -193,51 +193,13 @@ let train_tree rng config ~train ~test =
   in
   (ir, pred)
 
-let evaluate rng ?prune ?guard platform spec algorithm config =
-  let data = Model_spec.load spec in
-  let scaler, train = Scaler.fit_dataset data.Model_spec.train in
-  let test = Scaler.apply_dataset scaler data.Model_spec.test in
-  let t0 = Unix.gettimeofday () in
-  let model_ir, pred, pruned, epochs_trained =
-    match algorithm with
-    | Model_spec.Dnn -> train_dnn rng ?prune ?guard config ~train ~test
-    | Model_spec.Kmeans ->
-        let ir, pred = train_kmeans rng config ~train ~test in
-        (ir, pred, false, 0)
-    | Model_spec.Svm ->
-        let ir, pred = train_svm rng config ~train ~test in
-        (ir, pred, false, 0)
-    | Model_spec.Tree ->
-        let ir, pred = train_tree rng config ~train ~test in
-        (ir, pred, false, 0)
-  in
-  let t1 = Unix.gettimeofday () in
-  let model_ir = Model_ir.with_name model_ir (Model_spec.name spec) in
-  (* Deployed pipelines parse raw packet features; absorb the training-time
-     standardization into the model so the artifact is self-contained. *)
-  let model_ir =
-    Model_ir.fold_standardization ~mean:(Scaler.mean scaler)
-      ~stddev:(Scaler.stddev scaler) model_ir
-  in
-  let objective =
-    metric_value (Model_spec.metric spec) ~n_classes:test.Dataset.n_classes
-      ~pred ~truth:test.Dataset.y
-  in
-  let t2 = Unix.gettimeofday () in
-  let verdict = Platform.estimate platform model_ir in
-  let t3 = Unix.gettimeofday () in
-  Timing.charge ~train:(t1 -. t0) ~lower:(t2 -. t1) ~estimate:(t3 -. t2);
-  { algorithm; config; model_ir; verdict; objective; pruned; epochs_trained }
-
-(* A zero-weight model with the candidate's exact shape: everything the
-   backend estimators charge for (layer dimensions, centroid/table counts,
-   parameter footprints) is determined by the configuration alone, so the
-   skeleton's analytic verdict is computable without training anything. For
-   trees — whose trained shape is data-dependent — the skeleton is the
-   configured upper bound (a full tree at [max_depth], capped), so its
-   features bound the real artifact rather than equal it; the learned filter
-   absorbs the difference. *)
-let skeleton_ir algorithm ~input_dim ~n_classes config =
+(* A zero-weight model with the candidate's exact shape, for the algorithms
+   whose verdict that shape decides. Every backend estimator charges a DNN
+   for its layer dimensions and a k-means model for k x input width, and
+   none reads a weight, so the skeleton's verdict is the trained model's.
+   SVMs and trees have none: Tofino drops the table of an all-zero SVM
+   weight column, and a tree's shape is learned from the data. *)
+let skeleton_ir algorithm ~name ~input_dim ~n_classes config =
   match algorithm with
   | Model_spec.Dnn ->
       let hidden = Space_builder.hidden_layers_of_config config in
@@ -262,57 +224,75 @@ let skeleton_ir algorithm ~input_dim ~n_classes config =
               biases = Array.make dims.(i + 1) 0.;
             })
       in
-      Model_ir.Dnn { name = "candidate"; layers }
+      Some (Model_ir.Dnn { name; layers })
   | Model_spec.Kmeans ->
       let k = Bo.Config.get_int config "k" in
-      Model_ir.Kmeans
-        { name = "candidate"; centroids = Array.make_matrix k input_dim 0. }
-  | Model_spec.Svm ->
-      Model_ir.Svm
-        {
-          name = "candidate";
-          class_weights = Array.make_matrix n_classes input_dim 0.;
-          biases = Array.make n_classes 0.;
-        }
-  | Model_spec.Tree ->
-      let depth = Stdlib.min (Bo.Config.get_int config "max_depth") 12 in
-      let rec full d =
-        if d = 0 then
-          Decision_tree.Leaf { distribution = Array.make n_classes 0. }
-        else
-          Decision_tree.Split
-            { feature = 0; threshold = 0.; left = full (d - 1); right = full (d - 1) }
-      in
-      Model_ir.Tree
-        { name = "candidate"; root = full depth; n_features = input_dim; n_classes }
+      Some (Model_ir.Kmeans { name; centroids = Array.make_matrix k input_dim 0. })
+  | Model_spec.Svm | Model_spec.Tree -> None
 
-let features_of_candidate platform algorithm ~input_dim ~n_classes config =
-  let ir = skeleton_ir algorithm ~input_dim ~n_classes config in
-  let v = Platform.estimate platform ir in
-  let perf = Platform.perf platform in
-  let usage_features =
-    List.concat_map
-      (fun u ->
-        [
-          u.Resource.used;
-          u.Resource.available;
-          (if u.Resource.available > 0. then u.Resource.used /. u.Resource.available
-           else 1.);
-        ])
-      v.Resource.usages
-  in
-  Array.of_list
-    ([
-       float_of_int (Model_ir.param_count ir);
-       float_of_int input_dim;
-       float_of_int n_classes;
-       v.Resource.latency_ns;
-       v.Resource.throughput_gpps;
-       (if v.Resource.feasible then 1. else 0.);
-       perf.Resource.max_latency_ns;
-       perf.Resource.min_throughput_gpps;
-     ]
-    @ usage_features)
+(* The shape check: a DNN or k-means candidate whose skeleton cannot fit
+   would be judged infeasible after training too, so it is never trained. *)
+let infeasible_shape platform spec algorithm config ~(train : Dataset.t) =
+  match
+    skeleton_ir algorithm ~name:(Model_spec.name spec)
+      ~input_dim:(Dataset.n_features train) ~n_classes:train.Dataset.n_classes
+      config
+  with
+  | None -> None
+  | Some ir ->
+      let verdict = Platform.estimate platform ir in
+      if verdict.Resource.feasible then None else Some (ir, verdict)
+
+let evaluate rng ?prune ?guard platform spec algorithm config =
+  let data = Model_spec.load spec in
+  match
+    infeasible_shape platform spec algorithm config ~train:data.Model_spec.train
+  with
+  | Some (model_ir, verdict) ->
+      {
+        algorithm;
+        config;
+        model_ir;
+        verdict;
+        objective = 0.;
+        pruned = false;
+        epochs_trained = 0;
+      }
+  | None ->
+      let scaler, train = Scaler.fit_dataset data.Model_spec.train in
+      let test = Scaler.apply_dataset scaler data.Model_spec.test in
+      let t0 = Unix.gettimeofday () in
+      let model_ir, pred, pruned, epochs_trained =
+        match algorithm with
+        | Model_spec.Dnn -> train_dnn rng ?prune ?guard config ~train ~test
+        | Model_spec.Kmeans ->
+            let ir, pred = train_kmeans rng config ~train ~test in
+            (ir, pred, false, 0)
+        | Model_spec.Svm ->
+            let ir, pred = train_svm rng config ~train ~test in
+            (ir, pred, false, 0)
+        | Model_spec.Tree ->
+            let ir, pred = train_tree rng config ~train ~test in
+            (ir, pred, false, 0)
+      in
+      let t1 = Unix.gettimeofday () in
+      let model_ir = Model_ir.with_name model_ir (Model_spec.name spec) in
+      (* Deployed pipelines parse raw packet features; absorb the
+         training-time standardization into the model so the artifact is
+         self-contained. *)
+      let model_ir =
+        Model_ir.fold_standardization ~mean:(Scaler.mean scaler)
+          ~stddev:(Scaler.stddev scaler) model_ir
+      in
+      let objective =
+        metric_value (Model_spec.metric spec) ~n_classes:test.Dataset.n_classes
+          ~pred ~truth:test.Dataset.y
+      in
+      let t2 = Unix.gettimeofday () in
+      let verdict = Platform.estimate platform model_ir in
+      let t3 = Unix.gettimeofday () in
+      Timing.charge ~train:(t1 -. t0) ~lower:(t2 -. t1) ~estimate:(t3 -. t2);
+      { algorithm; config; model_ir; verdict; objective; pruned; epochs_trained }
 
 let compare_artifacts a b =
   (* Total order: feasible before infeasible, then fully trained before

@@ -19,14 +19,14 @@ type artifact = {
       (** epochs the fit actually ran (0 for non-epoch algorithms) *)
 }
 
-(** Process-wide accounting of what exact evaluations cost, split into the
-    three phases the DSE bench reports: training, lowering (name/
-    standardization folding + objective), and backend estimation. Counters
-    are mutex-guarded (evaluations run on pool workers) and deliberately
-    kept out of history metadata, so reading them never perturbs a search's
-    determinism. [estimates] is the "exact simulator invocations" metric:
-    one per {!Homunculus_alchemy.Platform.estimate} call on a trained
-    model ({!features_of_candidate}'s skeleton estimates are not charged). *)
+(** Process-wide accounting of what trained evaluations cost, split into
+    three phases: training, lowering (name/standardization folding +
+    objective), and backend estimation. Counters are mutex-guarded
+    (evaluations run on pool workers) and deliberately kept out of history
+    metadata, so reading them never perturbs a search's determinism.
+    [estimates] counts {!Homunculus_alchemy.Platform.estimate} calls on
+    trained models; a candidate {!evaluate}'s shape check rejects is not
+    charged. *)
 module Timing : sig
   type snapshot = {
     evaluations : int;
@@ -58,6 +58,15 @@ val evaluate :
     data for early stopping so the test split stays untouched during
     training.
 
+    Shape check: a DNN or k-means candidate is first judged on a zero-weight
+    model of its exact shape (layer sizes, or k x input width). Every
+    backend estimator reads only that shape for these algorithms, so when
+    the skeleton is infeasible the trained model would be too: nothing is
+    trained, and the artifact carries the skeleton (named after the spec),
+    its verdict, objective [0.], [pruned = false] and [epochs_trained = 0].
+    {!Timing} is not charged. SVMs and trees always train, since their
+    verdict depends on learned values.
+
     With [?prune], DNN training reports its validation metric to the shared
     rung scheduler at each rung of the candidate's own epoch budget and
     stops early when the scheduler says so; the artifact then carries
@@ -69,23 +78,6 @@ val evaluate :
     supervisor uses it for divergence detection (non-finite loss) and
     wall-clock budget enforcement — it aborts the evaluation by raising.
     Non-DNN algorithms never call it. *)
-
-val features_of_candidate :
-  Platform.t ->
-  Model_spec.algorithm ->
-  input_dim:int ->
-  n_classes:int ->
-  Homunculus_bo.Config.t ->
-  float array
-(** Pure architecture/placement features for the learned cost-model
-    pre-filter — computed {e without training anything}: a zero-weight
-    skeleton model with the candidate's exact shape is lowered through
-    {!Homunculus_alchemy.Platform.estimate}, and the resulting analytic
-    verdict becomes the feature vector: [param_count; input_dim; n_classes;
-    latency_ns; throughput_gpps; skeleton-feasible; perf targets] followed
-    by [used; available; used/available] per backend resource. Fixed-length
-    for a fixed (platform, algorithm, dataset); deterministic; does not
-    touch {!Timing}. Callers typically prepend the design-space encoding. *)
 
 val compare_artifacts : artifact -> artifact -> int
 (** Total order used to rank search results: feasible before infeasible,

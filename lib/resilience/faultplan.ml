@@ -23,7 +23,8 @@ type fault =
           in quarantine), [1] a transient failure the first retry clears *)
   | Nan_loss_on of { index : int; epoch : int }
       (** make candidate [index]'s training loss read as NaN at [epoch],
-          triggering the supervisor's divergence detection *)
+          triggering the supervisor's divergence detection (only if the
+          candidate trains) *)
   | Timeout_on of { index : int }
       (** candidate [index] exhausts its wall-clock budget immediately *)
   | Infeasible_on of { index : int; objective : float; pruned : bool }

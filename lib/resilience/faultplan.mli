@@ -23,7 +23,9 @@ type fault =
           quarantined); [1] is a transient failure one retry clears. *)
   | Nan_loss_on of { index : int; epoch : int }
       (** Candidate [index]'s training loss reads as NaN at [epoch],
-          triggering the supervisor's divergence detection. *)
+          triggering the supervisor's divergence detection. Fires only if
+          the candidate trains: a DNN the shape check rejects never
+          does. *)
   | Timeout_on of { index : int }
       (** Candidate [index] exhausts its wall-clock budget immediately. *)
   | Infeasible_on of { index : int; objective : float; pruned : bool }

@@ -2,7 +2,7 @@ module Json = Homunculus_util.Json
 module Bo = Homunculus_bo
 
 type failure = { failure_class : string; message : string; retries : int }
-type kind = Exact | Predicted
+type kind = Exact
 
 type record = {
   scope : string;
@@ -59,9 +59,6 @@ let record_to_json r =
        Json.Object (List.map (fun (k, v) -> (k, Json.Number v)) r.metadata));
       ("failure",
        match r.failure with None -> Json.Null | Some f -> failure_to_json f);
-      ("kind",
-       Json.String
-         (match r.kind with Exact -> "exact" | Predicted -> "predicted"));
     ]
 
 let record_of_json json =
@@ -82,14 +79,14 @@ let record_of_json json =
       | Json.Null -> None
       | f -> Some (failure_of_json f));
     kind =
-      (* Journals written before the cost-model pre-filter carry no kind
-         member: every one of their records was an exact evaluation. *)
+      (* Older journals tagged each record "exact", or "predicted" for a
+         learned pre-filter's skip; the latter replays as the infeasible
+         entry it recorded. Any other kind (the lease/release lines an
+         earlier distributed coordinator interleaved with results) is not an
+         evaluation; the loader drops the line rather than replaying it as
+         one. *)
       (match Json.member_opt json "kind" with
-      | Some (Json.String "predicted") -> Predicted
-      | Some (Json.String "exact") | None -> Exact
-      (* Any other kind (the lease/release lines an earlier distributed
-         coordinator interleaved with results) is not an evaluation; the
-         loader drops the line rather than replaying it as one. *)
+      | Some (Json.String ("exact" | "predicted")) | None -> Exact
       | Some _ -> invalid_arg "Journal: unknown record kind");
   }
 

@@ -22,13 +22,15 @@ type failure = { failure_class : string; message : string; retries : int }
     [backend], [budget]), human-readable message, and how many retries were
     burned before giving up. *)
 
-type kind = Exact | Predicted
-(** How the record came to be. [Exact] ran the full train/lower/estimate
-    pipeline; [Predicted] is a cost-model predicted-infeasible skip; both
-    enter the replay table. Journals written before this field existed omit
-    the member and parse as [Exact] — back-compatible both ways, since the
-    loader's checksum covers the raw line, not the re-serialized record.
-    A line with any other kind is not an evaluation and is dropped. *)
+type kind = Exact
+(** Every record is an evaluation outcome, and the writer no longer emits a
+    kind member; the type stays for code that builds records (perfbench's
+    traced search). The loader reads lines without the member, and the
+    ["exact"] and ["predicted"] lines of older journals, as [Exact]: a
+    predicted line was a learned pre-filter's skip and replays as the
+    infeasible entry it recorded. The checksum covers the parsed line, not
+    the re-serialized record, so old lines still verify. A line with any
+    other kind is not an evaluation and is dropped. *)
 
 type record = {
   scope : string;  (** search scope, e.g. ["spec-name/dnn"] *)

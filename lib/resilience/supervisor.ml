@@ -75,7 +75,6 @@ type t = {
   faults : Faultplan.t option;
   replayed : int Atomic.t;
   failures : int Atomic.t;
-  predicted : int Atomic.t;
 }
 
 let create ?(settings = default_settings) ?journal ?replay ?faults () =
@@ -86,17 +85,10 @@ let create ?(settings = default_settings) ?journal ?replay ?faults () =
     faults;
     replayed = Atomic.make 0;
     failures = Atomic.make 0;
-    predicted = Atomic.make 0;
   }
 
 let replayed_count t = Atomic.get t.replayed
 let failure_count t = Atomic.get t.failures
-let predicted_count t = Atomic.get t.predicted
-
-let recorded t ~scope ~config =
-  match t.replay with
-  | None -> false
-  | Some replay -> Option.is_some (Journal.find replay ~scope ~config)
 
 let eval_of_record (r : Journal.record) : Bo.Optimizer.evaluation =
   {
@@ -106,8 +98,7 @@ let eval_of_record (r : Journal.record) : Bo.Optimizer.evaluation =
     metadata = r.metadata;
   }
 
-let commit t ~scope ~index ~config ~(eval : Bo.Optimizer.evaluation) ~failure
-    ~kind =
+let commit t ~scope ~index ~config ~(eval : Bo.Optimizer.evaluation) ~failure =
   (match t.journal with
   | None -> ()
   | Some journal ->
@@ -122,16 +113,11 @@ let commit t ~scope ~index ~config ~(eval : Bo.Optimizer.evaluation) ~failure
             pruned = eval.pruned;
             metadata = eval.metadata;
             failure;
-            kind;
+            kind = Journal.Exact;
           }
       in
       Option.iter (fun plan -> Faultplan.check_kill plan ~records:count) t.faults);
   eval
-
-let record_predicted t ~scope ~index ~config ~eval =
-  Atomic.incr t.predicted;
-  ignore
-    (commit t ~scope ~index ~config ~eval ~failure:None ~kind:Journal.Predicted)
 
 let supervise t ~scope ~index ~config thunk =
   match
@@ -152,7 +138,7 @@ let supervise t ~scope ~index ~config thunk =
              the failure machinery involved. *)
           commit t ~scope ~index ~config
             ~eval:{ objective; feasible = false; pruned; metadata = [] }
-            ~failure:None ~kind:Journal.Exact
+            ~failure:None
       | None ->
           let fail ~attempt cls message ~objective ~pruned =
             Atomic.incr t.failures;
@@ -170,7 +156,6 @@ let supervise t ~scope ~index ~config thunk =
                      message;
                      retries = attempt;
                    })
-              ~kind:Journal.Exact
           in
           let rec attempt_loop attempt =
             let started = Monotonic.now () in
@@ -197,7 +182,6 @@ let supervise t ~scope ~index ~config thunk =
             with
             | eval ->
                 commit t ~scope ~index ~config ~eval ~failure:None
-                  ~kind:Journal.Exact
             | exception ((Out_of_memory | Stack_overflow | Sys.Break) as e) ->
                 raise e
             | exception (Faultplan.Killed _ as e) -> raise e

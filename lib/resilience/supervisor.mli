@@ -90,27 +90,5 @@ val supervise :
     are distinguishable from merely-infeasible evaluations in the history.
     Thread-safe; called concurrently from evaluation-pool workers. *)
 
-val recorded : t -> scope:string -> config:Bo.Config.t -> bool
-(** Does the replay cache hold a record for this (scope, config)? The
-    cost-model pre-filter consults this first: a recorded candidate must be
-    replayed verbatim through {!supervise} (whatever its recorded kind),
-    never re-judged by the filter — which is what keeps a resumed search's
-    history identical to the uninterrupted one. *)
-
-val record_predicted :
-  t ->
-  scope:string ->
-  index:int ->
-  config:Bo.Config.t ->
-  eval:Bo.Optimizer.evaluation ->
-  unit
-(** Journal a cost-model predicted-infeasible skip (kind [Predicted]) — the
-    evaluation never ran, so none of {!supervise}'s failure machinery
-    applies. Durable before the skip is committed to the history, like every
-    other outcome. *)
-
 val replayed_count : t -> int
 val failure_count : t -> int
-
-val predicted_count : t -> int
-(** Predicted-infeasible skips journaled by {!record_predicted} this run. *)

@@ -452,7 +452,9 @@ let test_optimizer_respects_feasibility () =
   | None -> Alcotest.fail "expected a feasible best"
 
 let test_optimizer_callback_invoked () =
-  let calls = ref 0 in
+  (* [on_batch_start] fires once per batch, after the previous batch's
+     evaluations and before any of its own. *)
+  let batches = ref 0 and evals = ref 0 in
   let settings =
     { Bo.Optimizer.default_settings with Bo.Optimizer.n_init = 3; n_iter = 2 }
   in
@@ -461,14 +463,17 @@ let test_optimizer_callback_invoked () =
       ~observer:
         {
           Bo.Optimizer.no_observer with
-          on_commit =
-            (fun i entry ->
-              incr calls;
-              Alcotest.(check int) "iteration matches" i entry.Bo.History.iteration);
+          on_batch_start =
+            (fun () ->
+              Alcotest.(check int) "earlier batches evaluated" !batches !evals;
+              incr batches);
         }
-      quadratic_space ~f:(fun ~index:_ c -> quadratic_eval c)
+      quadratic_space
+      ~f:(fun ~index:_ c ->
+        incr evals;
+        quadratic_eval c)
   in
-  Alcotest.(check int) "5 callbacks" 5 !calls
+  Alcotest.(check int) "5 callbacks" 5 !batches
 
 let test_optimizer_batched_budget_exact () =
   (* Batching regroups evaluations into concurrent rounds but must not change
@@ -549,6 +554,74 @@ let test_optimizer_deterministic_across_worker_counts () =
         [ 2; 4 ])
     [ ("refit every round", base); ("refit every 4", sparse_refits) ]
 
+(* The surrogate refit cadence, on a cleanly separable synthetic black box:
+   the upper half of the x axis is infeasible, and the objective rises away
+   from the boundary. *)
+module Refit_cadence = struct
+  let space =
+    Bo.Design_space.create
+      [ Bo.Param.real "x" ~lo:0. ~hi:1.; Bo.Param.real "y" ~lo:0. ~hi:1. ]
+
+  let eval config : Bo.Optimizer.evaluation =
+    let x = Bo.Config.get_float config "x" in
+    let y = Bo.Config.get_float config "y" in
+    let feasible = x < 0.5 in
+    {
+      objective = (if feasible then y *. (1. -. x) else 0.);
+      feasible;
+      pruned = false;
+      metadata = [];
+    }
+
+  let settings ?(n_iter = 30) () =
+    {
+      Bo.Optimizer.default_settings with
+      Bo.Optimizer.n_init = 10;
+      n_iter;
+      pool_size = 40;
+      surrogate_trees = 10;
+    }
+
+  let entries_equal (a : Bo.History.entry) (b : Bo.History.entry) =
+    Bo.Config.equal a.Bo.History.config b.Bo.History.config
+    && Int64.bits_of_float a.Bo.History.objective
+       = Int64.bits_of_float b.Bo.History.objective
+    && a.Bo.History.feasible = b.Bo.History.feasible
+    && a.Bo.History.pruned = b.Bo.History.pruned
+    && a.Bo.History.metadata = b.Bo.History.metadata
+
+  let histories_equal a b =
+    Bo.History.length a = Bo.History.length b
+    && List.for_all2 entries_equal (Bo.History.entries a) (Bo.History.entries b)
+
+  let test_refit_cadence () =
+    (* With refit_every = 4 past the warm-up threshold, the surrogate pair is
+       fitted a fraction of the times the classic loop fits it — and the run
+       stays deterministic for the same settings. *)
+    let run ~refit_every ~refit_threshold =
+      let refits = ref 0 in
+      let settings =
+        { (settings ~n_iter:16 ()) with Bo.Optimizer.refit_every; refit_threshold }
+      in
+      let history =
+        Bo.Optimizer.maximize (Rng.create 11) ~settings
+          ~observer:{ Bo.Optimizer.no_observer with on_refit = (fun _ -> incr refits) }
+          space ~f:(fun ~index:_ c -> eval c)
+      in
+      (history, !refits)
+    in
+    let h_every, n_every = run ~refit_every:1 ~refit_threshold:0 in
+    let h_cadence, n_cadence = run ~refit_every:4 ~refit_threshold:10 in
+    let h_cadence', n_cadence' = run ~refit_every:4 ~refit_threshold:10 in
+    Alcotest.(check int) "classic loop refits every round" 16 n_every;
+    Alcotest.(check bool) "cadence amortizes refits" true (n_cadence <= 5);
+    Alcotest.(check int) "cadence is deterministic" n_cadence n_cadence';
+    Alcotest.(check bool) "same-settings runs are bit-identical" true
+      (histories_equal h_cadence h_cadence');
+    Alcotest.(check int) "same budget spent" (Bo.History.length h_every)
+      (Bo.History.length h_cadence)
+end
+
 let test_random_search_budget () =
   let count = ref 0 in
   let f config =
@@ -611,5 +684,7 @@ let suite =
       test_optimizer_batched_budget_exact;
     Alcotest.test_case "optimizer deterministic across workers" `Quick
       test_optimizer_deterministic_across_worker_counts;
+    Alcotest.test_case "surrogate refit cadence" `Quick
+      Refit_cadence.test_refit_cadence;
     Alcotest.test_case "random search budget" `Quick test_random_search_budget;
   ]

@@ -418,7 +418,8 @@ let test_dispatch_prune_refused () =
 
 (* Rung pruning keeps the --jobs guarantee: the ASHA thresholds are frozen
    per proposal batch, so which candidates stop early, and at which epoch,
-   cannot depend on how many workers ran the batch. *)
+   cannot depend on how many workers ran the batch. On FPGA, where every
+   candidate's shape fits and so every candidate trains. *)
 let test_pruned_search_deterministic_across_worker_counts () =
   let options =
     {
@@ -439,10 +440,14 @@ let test_pruned_search_deterministic_across_worker_counts () =
     Fun.protect
       ~finally:(fun () -> Par.set_default_jobs (Par.recommended_jobs ()))
       (fun () ->
-        Compiler.search_model ~options (Platform.taurus ())
+        Compiler.search_model ~options (Platform.fpga ())
           (blob_spec ~name:"pblobs" ~algorithms:[ Model_spec.Dnn ] ()))
   in
   let h1 = (run 1).Compiler.history and h4 = (run 4).Compiler.history in
+  Alcotest.(check bool) "every candidate trained" true
+    (List.for_all
+       (fun e -> List.assoc "epochs_trained" e.Bo.History.metadata > 0.)
+       (Bo.History.entries h1));
   Alcotest.(check bool) "some candidates pruned" true
     (List.exists (fun e -> e.Bo.History.pruned) (Bo.History.entries h1));
   Alcotest.(check bool) "history bit-identical at 1 and 4 workers" true
@@ -492,6 +497,77 @@ let test_evaluator_deterministic_per_config () =
   let b = Evaluator.evaluate (Rng.create 42) platform spec Model_spec.Tree config in
   Alcotest.(check (float 0.)) "same objective" a.Evaluator.objective
     b.Evaluator.objective
+
+(* The shape check: a DNN too big for a 2x2 grid is judged on its shape and
+   never trained. The artifact is the skeleton, named after the spec, with
+   the placeholder objective, and no evaluation is charged. *)
+let test_evaluator_shape_check () =
+  let tiny = Platform.with_resources (Platform.taurus ()) ~rows:2 ~cols:2 in
+  let space = Space_builder.build (Platform.taurus ()) Model_spec.Dnn ~input_dim:2 in
+  let config = Bo.Design_space.sample (Rng.create 5) space in
+  Evaluator.Timing.reset ();
+  let a = Evaluator.evaluate (Rng.create 1) tiny (blob_spec ()) Model_spec.Dnn config in
+  Alcotest.(check bool) "infeasible" false a.Evaluator.verdict.Resource.feasible;
+  Alcotest.(check string) "named after the spec" "blobs"
+    (Model_ir.name a.Evaluator.model_ir);
+  Alcotest.(check (float 0.)) "placeholder objective" 0. a.Evaluator.objective;
+  Alcotest.(check bool) "not pruned" false a.Evaluator.pruned;
+  Alcotest.(check int) "never trained" 0 a.Evaluator.epochs_trained;
+  Alcotest.(check int) "nothing charged" 0
+    (Evaluator.Timing.snapshot ()).Evaluator.Timing.evaluations
+
+(* Skipping shape-infeasible DNNs must change nothing the search decides:
+   the history of a search on a 10x10 grid, where most of the DNN space
+   cannot fit, matches the one recorded when every candidate trained
+   (Dse_golden), proposal for proposal. Every infeasible entry was skipped,
+   since a DNN's verdict is its shape's. *)
+let test_shape_check_golden_search () =
+  let platform = Platform.with_resources (Platform.taurus ()) ~rows:10 ~cols:10 in
+  let spec =
+    Model_spec.make ~name:"AD-10x10" ~metric:Model_spec.F1
+      ~algorithms:[ Model_spec.Dnn ]
+      ~loader:(fun () ->
+        let train, test =
+          Homunculus_netdata.Nslkdd.generate_split (Rng.create 2023) ~n_train:300
+            ~n_test:150 ()
+        in
+        Model_spec.data ~train ~test)
+      ()
+  in
+  let options =
+    {
+      Compiler.default_options with
+      Compiler.seed = 2023;
+      bo_settings =
+        {
+          Bo.Optimizer.default_settings with
+          Bo.Optimizer.n_init = 16;
+          n_iter = 8;
+          pool_size = 64;
+          batch_size = 1;
+        };
+      emit_code = false;
+    }
+  in
+  let r = Compiler.search_model ~options platform spec in
+  let entries = Bo.History.entries r.Compiler.history in
+  Alcotest.(check (list (triple string bool (option int64))))
+    "configs, verdicts and feasible objectives" Dse_golden.entries
+    (List.map
+       (fun (e : Bo.History.entry) ->
+         ( Bo.Serialize.config_key e.config,
+           e.feasible,
+           if e.feasible then Some (Int64.bits_of_float e.objective) else None ))
+       entries);
+  Alcotest.(check string) "winner" Dse_golden.winner_key
+    (Bo.Serialize.config_key r.Compiler.artifact.Evaluator.config);
+  Alcotest.(check int64) "winner objective" Dse_golden.winner_objective_bits
+    (Int64.bits_of_float r.Compiler.artifact.Evaluator.objective);
+  List.iter
+    (fun (e : Bo.History.entry) ->
+      Alcotest.(check bool) "infeasible exactly when untrained" (not e.feasible)
+        (List.assoc "epochs_trained" e.metadata = 0.))
+    entries
 
 (* Regression: an artifact whose objective came back NaN (degenerate metric)
    must rank strictly below every real-valued artifact — feasible or not —
@@ -587,6 +663,9 @@ let suite =
       test_compare_artifacts_nan_ranks_last;
     Alcotest.test_case "evaluator deterministic" `Quick
       test_evaluator_deterministic_per_config;
+    Alcotest.test_case "evaluator shape check" `Quick test_evaluator_shape_check;
+    Alcotest.test_case "shape check golden search" `Quick
+      test_shape_check_golden_search;
     Alcotest.test_case "report rendering" `Quick test_report_rendering;
     Alcotest.test_case "report regret monotone" `Quick test_report_regret_series_monotone;
   ]

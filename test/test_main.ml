@@ -16,7 +16,6 @@ let suites =
     ("classical", Test_classical.suite);
     ("bo", Test_bo.suite);
     ("bo_properties", Test_bo_properties.suite);
-    ("cost_model", Test_cost_model.suite);
     ("netdata", Test_netdata.suite);
     ("par", Test_par.suite);
     ("backends", Test_backends.suite);

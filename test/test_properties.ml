@@ -1,5 +1,6 @@
 (* Cross-module property tests: random DAG stage allocation, random DNN
-   shapes through the grid simulator, runtime fidelity, schedule algebra. *)
+   shapes through the grid simulator, weight-blind estimators, runtime
+   fidelity, schedule algebra. *)
 open Homunculus_backends
 open Homunculus_alchemy
 module Rng = Homunculus_util.Rng
@@ -85,6 +86,69 @@ let prop_taurus_estimate_deterministic =
       Taurus.estimate Taurus.default_grid Resource.line_rate model
       = Taurus.estimate Taurus.default_grid Resource.line_rate model)
 
+(* The evaluator's shape check rests on this: for DNNs and k-means, every
+   backend estimator reads the model's shape and never a weight, so a model
+   with random nonzero weights gets the verdict of the zero-weight model of
+   the same shape. Platforms: the default and 10x10 Taurus grids and their
+   [Compiler.shared_budget] slices, Tofino (k-means only, the one of the two
+   it maps) and its slices, and FPGA. *)
+let shape_check_platforms =
+  let taurus = Platform.taurus () and tofino = Platform.tofino () in
+  let small = Platform.with_resources taurus ~rows:10 ~cols:10 in
+  let slices p = List.map (Homunculus_core.Compiler.shared_budget p) [ 2; 3; 4 ] in
+  let both = [ Model_spec.Dnn; Model_spec.Kmeans ] in
+  List.concat
+    [
+      List.map (fun p -> (p, both)) ((taurus :: slices taurus) @ (small :: slices small));
+      List.map (fun p -> (p, [ Model_spec.Kmeans ])) (tofino :: slices tofino);
+      [ (Platform.fpga (), both) ];
+    ]
+  |> List.concat_map (fun (p, algos) -> List.map (fun a -> (p, a)) algos)
+
+let weighted_and_zero algorithm ~seed ~input_dim ~widths =
+  let rng = Rng.create seed in
+  let nonzero () =
+    let v = Rng.uniform rng 0.05 2. in
+    if Rng.bool rng then v else -.v
+  in
+  let matrix rows cols fill = Array.init rows (fun _ -> Array.init cols (fun _ -> fill ())) in
+  let model fill =
+    match algorithm with
+    | Model_spec.Dnn ->
+        let dims = Array.of_list ((input_dim :: widths) @ [ 3 ]) in
+        let layers =
+          Array.init
+            (Array.length dims - 1)
+            (fun i ->
+              {
+                Model_ir.n_in = dims.(i);
+                n_out = dims.(i + 1);
+                activation = (if i = Array.length dims - 2 then "linear" else "relu");
+                weights = matrix dims.(i + 1) dims.(i) fill;
+                biases = Array.init dims.(i + 1) (fun _ -> fill ());
+              })
+        in
+        Model_ir.Dnn { name = "m"; layers }
+    | Model_spec.Kmeans ->
+        Model_ir.Kmeans { name = "m"; centroids = matrix (List.hd widths) input_dim fill }
+    | Model_spec.Svm | Model_spec.Tree -> invalid_arg "weighted_and_zero"
+  in
+  let weighted = model nonzero in
+  (weighted, model (fun () -> 0.))
+
+let prop_estimate_ignores_weight_values =
+  QCheck.Test.make ~name:"dnn/kmeans estimate ignores weight values" ~count:200
+    QCheck.(
+      quad
+        (int_range 0 (List.length shape_check_platforms - 1))
+        (int_range 1 40)
+        (list_of_size Gen.(int_range 1 5) (int_range 2 64))
+        small_nat)
+    (fun (which, input_dim, widths, seed) ->
+      let platform, algorithm = List.nth shape_check_platforms which in
+      let weighted, zero = weighted_and_zero algorithm ~seed ~input_dim ~widths in
+      Platform.estimate platform weighted = Platform.estimate platform zero)
+
 (* Runtime fidelity: quantized trees on bounded data agree with the float
    reference almost everywhere (ties at quantization boundaries aside). *)
 let prop_tree_runtime_high_fidelity =
@@ -148,6 +212,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_stage_alloc_critical_path_lower_bound;
     QCheck_alcotest.to_alcotest prop_grid_sim_matches_analytic;
     QCheck_alcotest.to_alcotest prop_taurus_estimate_deterministic;
+    QCheck_alcotest.to_alcotest prop_estimate_ignores_weight_values;
     QCheck_alcotest.to_alcotest prop_tree_runtime_high_fidelity;
     QCheck_alcotest.to_alcotest prop_schedule_counts_consistent;
   ]

@@ -181,8 +181,8 @@ let test_journal_later_record_wins () =
   | None -> Alcotest.fail "record missing");
   Sys.remove path
 
-(* Evaluation-kind field: predicted records round-trip, and journals written
-   before the field existed (no "kind" member) load as Exact. *)
+(* Evaluation-kind field: the writer no longer emits one, and the lines
+   older journals hold still load. *)
 
 let fnv1a64 s =
   let h = ref 0xcbf29ce484222325L in
@@ -193,19 +193,16 @@ let fnv1a64 s =
   !h
 
 let test_journal_kind_roundtrip () =
-  let predicted =
-    {
-      (List.hd sample_records) with
-      Journal.feasible = false;
-      metadata = [ ("cm_predicted", 1.); ("cm_p_feasible", 0.12) ];
-      kind = Journal.Predicted;
-    }
-  in
-  match Journal.record_of_line (Journal.line_of_record predicted) with
-  | None -> Alcotest.fail "predicted record dropped"
-  | Some r ->
-      Alcotest.(check bool) "kind survives" true (r.Journal.kind = Journal.Predicted);
-      Alcotest.(check bool) "payload survives" true (record_equal predicted r)
+  let module Json = Homunculus_util.Json in
+  let base = List.hd sample_records in
+  (match Journal.record_to_json base with
+  | Json.Object members ->
+      Alcotest.(check bool) "no kind member written" false
+        (List.mem_assoc "kind" members)
+  | _ -> Alcotest.fail "record_to_json must produce an object");
+  match Journal.record_of_line (Journal.line_of_record base) with
+  | None -> Alcotest.fail "kind-less line dropped"
+  | Some r -> Alcotest.(check bool) "payload survives" true (record_equal base r)
 
 (* A checksummed journal line around an arbitrary record object, built the
    way [Journal.line_of_record] builds one. *)
@@ -217,51 +214,65 @@ let line_of_rec_json rec_json =
        (Json.String (Printf.sprintf "%016Lx" (fnv1a64 rec_text))))
     rec_text
 
-let test_journal_kind_legacy_lines () =
-  let module Json = Homunculus_util.Json in
-  (* Re-create the pre-kind line format: serialize a record, drop the "kind"
-     member, and re-checksum — byte-for-byte what an old journal holds. *)
-  let base = List.hd sample_records in
-  let legacy_rec =
-    match Journal.record_to_json base with
-    | Json.Object members ->
-        Json.Object (List.filter (fun (k, _) -> k <> "kind") members)
-    | _ -> Alcotest.fail "record_to_json must produce an object"
-  in
-  match Journal.record_of_line (line_of_rec_json legacy_rec) with
-  | None -> Alcotest.fail "legacy line dropped"
-  | Some r ->
-      Alcotest.(check bool) "missing kind parses as Exact" true
-        (r.Journal.kind = Journal.Exact);
-      Alcotest.(check bool) "payload survives" true (record_equal base r)
+(* Two lines as the journal writer emitted them while the learned
+   pre-filter existed: an exact evaluation and one of the filter's
+   predicted-infeasible skips, each with its "kind" member. *)
+let tagged_exact_line =
+  {|{"sum":"972b6bacfe2549c3","rec":{"scope":"blobs/dnn","index":0,"config":{"alpha":{"real":0.125},"depth":{"int":7},"kind":{"index":2}},"objective":0.875,"feasible":true,"pruned":false,"metadata":{"latency_ns":350,"params":42},"failure":null,"kind":"exact"}}|}
 
-(* Record kinds: every kind survives the line round trip, and a line with
-   any other kind — the lease/release lines an earlier distributed
-   coordinator interleaved with its results, say — is not an evaluation, so
-   loading drops it instead of replaying it as an exact result. *)
+let tagged_predicted_line =
+  {|{"sum":"f3b399bd15cbc113","rec":{"scope":"blobs/dnn","index":1,"config":{"alpha":{"real":3.5},"depth":{"int":2}},"objective":0.25,"feasible":false,"pruned":false,"metadata":{"cm_predicted":1,"cm_p_feasible":0.125},"failure":null,"kind":"predicted"}}|}
+
+let test_journal_kind_legacy_lines () =
+  let path = temp_journal () in
+  Out_channel.with_open_text path (fun oc ->
+      Out_channel.output_string oc
+        (tagged_exact_line ^ "\n" ^ tagged_predicted_line ^ "\n"));
+  let replay = Journal.load path in
+  Sys.remove path;
+  Alcotest.(check int) "both lines load" 2 (Journal.loaded replay);
+  Alcotest.(check int) "nothing dropped" 0 (Journal.dropped replay);
+  (* A predicted line replays verbatim as the infeasible entry it
+     recorded: no evaluation runs. *)
+  let sup = Supervisor.create ~replay () in
+  let replayed config =
+    Supervisor.supervise sup ~scope:"blobs/dnn" ~index:0 ~config (fun _ ->
+        Alcotest.fail "a recorded candidate must not be evaluated")
+  in
+  let exact = replayed some_config and predicted = replayed other_config in
+  Alcotest.(check bool) "exact line is feasible" true exact.Bo.Optimizer.feasible;
+  Alcotest.(check (float 0.)) "exact objective" 0.875 exact.Bo.Optimizer.objective;
+  Alcotest.(check bool) "predicted line is infeasible" false
+    predicted.Bo.Optimizer.feasible;
+  Alcotest.(check (float 0.)) "predicted objective" 0.25
+    predicted.Bo.Optimizer.objective;
+  Alcotest.(check (list (pair string (float 0.))))
+    "predicted metadata"
+    [ ("cm_predicted", 1.); ("cm_p_feasible", 0.125) ]
+    predicted.Bo.Optimizer.metadata;
+  Alcotest.(check int) "both replayed" 2 (Supervisor.replayed_count sup)
+
+(* Record kinds: "exact" and "predicted" lines are evaluations, and a line
+   with any other kind — the lease/release lines an earlier distributed
+   coordinator interleaved with its results, say — is not, so loading drops
+   it instead of replaying it as an exact result. *)
 let test_journal_record_kinds () =
   let module Json = Homunculus_util.Json in
   let base = List.hd sample_records in
-  List.iter
-    (fun kind ->
-      match
-        Journal.record_of_line (Journal.line_of_record { base with Journal.kind })
-      with
-      | Some back ->
-          Alcotest.(check bool) "kind survives the line round trip" true
-            (back.Journal.kind = kind)
-      | None -> Alcotest.fail "round-tripped line did not parse")
-    [ Journal.Exact; Journal.Predicted ];
   let line_of_kind name =
     match Journal.record_to_json base with
     | Json.Object members ->
-        line_of_rec_json
-          (Json.Object
-             (List.map
-                (fun (k, v) -> if k = "kind" then (k, Json.String name) else (k, v))
-                members))
+        line_of_rec_json (Json.Object (members @ [ ("kind", Json.String name) ]))
     | _ -> Alcotest.fail "record_to_json must produce an object"
   in
+  List.iter
+    (fun name ->
+      match Journal.record_of_line (line_of_kind name) with
+      | Some back ->
+          Alcotest.(check bool) (name ^ " line loads its payload") true
+            (record_equal base back)
+      | None -> Alcotest.failf "%s line did not parse" name)
+    [ "exact"; "predicted" ];
   let foreign = [ "lease"; "release"; "bogus" ] in
   List.iter
     (fun name ->
@@ -287,13 +298,12 @@ let test_journal_record_kinds () =
 (* Group commit, the single-pass read, and cross-journal merge. Records
    get distinct configs per index so their replay keys differ. *)
 
-let indexed_record ?(objective = 0.5) ?(kind = Journal.Exact) index =
+let indexed_record ?(objective = 0.5) index =
   {
     (List.hd sample_records) with
     Journal.index;
     config = Bo.Config.make [ ("depth", Bo.Param.Int_value index) ];
     objective;
-    kind;
   }
 
 let test_journal_group_commit () =
@@ -318,7 +328,7 @@ let test_journal_read_single_pass () =
   let path = temp_journal () in
   let j = Journal.open_ path in
   ignore (Journal.append j (indexed_record ~objective:1.0 0));
-  ignore (Journal.append j (indexed_record ~kind:Journal.Predicted 1));
+  ignore (Journal.append j (indexed_record 1));
   ignore (Journal.append j (indexed_record ~objective:2.0 0));
   Journal.close j;
   Out_channel.with_open_gen [ Open_append; Open_text ] 0o644 path (fun oc ->
@@ -572,14 +582,16 @@ let test_search_with_injected_timeout () =
 (* NaN divergence on a real DNN training run: the loss fault aborts epoch 1,
    the entry lands infeasible + pruned with the divergence tag, and the
    search still finds the same winner as a run where that candidate was
-   infeasible with the same partial observation. *)
+   infeasible with the same partial observation. On FPGA, because the
+   victim's shape cannot fit the 16x16 Taurus grid, so there it would never
+   train and the fault would never fire. *)
 let test_search_with_injected_nan_loss () =
   let faulty =
     Supervisor.create ~faults:(Faultplan.of_string "nan@2:1") ()
   in
   let r =
     run_search ~supervisor:faulty ~spec:(dnn_spec ())
-      ~platform:(Platform.taurus ()) ~seed:3 ()
+      ~platform:(Platform.fpga ()) ~seed:3 ()
   in
   Alcotest.(check int) "search completed" 7 (Bo.History.length r.Compiler.history);
   let victim = List.nth (Bo.History.entries r.Compiler.history) 2 in
@@ -604,7 +616,7 @@ let test_search_with_injected_nan_loss () =
   in
   let c =
     run_search ~supervisor:control ~spec:(dnn_spec ())
-      ~platform:(Platform.taurus ()) ~seed:3 ()
+      ~platform:(Platform.fpga ()) ~seed:3 ()
   in
   Alcotest.(check bool) "winner matches merely-infeasible run" true
     (Bo.Config.equal r.Compiler.artifact.Evaluator.config
