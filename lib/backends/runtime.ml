@@ -1,11 +1,25 @@
 module Decision_tree = Homunculus_ml.Decision_tree
-module Mathx = Homunculus_util.Mathx
 
-let clamp16 v = Mathx.clamp_int ~lo:(-32768) ~hi:32767 v
+(* The one fixed-point key function: [v] rounded half away from zero and
+   saturated to the signed 16-bit key range; NaN maps to 0. Table keys
+   built in [load] and packet keys built in [encode_into] both come from
+   here. Inside the range, truncation is exact and so is [v - t] (both are
+   below 2^15), and the two comparisons turn into flag-to-integer moves, so
+   the common case has no C call and no data-dependent branch. Wherever
+   [int_of_float (Float.round v)] is defined (finite |v| < 2^62) the key is
+   that value clamped; beyond it, and at the infinities, the key saturates. *)
+let[@inline] key v =
+  if v >= 32767.5 then 32767
+  else if v > -32768.5 then
+    let t = int_of_float v in
+    let d = v -. float_of_int t in
+    t + Bool.to_int (d >= 0.5) - Bool.to_int (d <= -0.5)
+  else if v <= -32768.5 then -32768
+  else 0 (* NaN *)
 
-let quantize v = clamp16 (int_of_float (Float.round (v *. 256.)))
+let quantize_scaled scale v = key (v *. scale)
 
-let quantize_scaled scale v = clamp16 (int_of_float (Float.round (v *. scale)))
+let quantize v = quantize_scaled 256. v
 
 type kmeans_pipeline = {
   (* Per cluster: per-feature inclusive [lo, hi] ranges in key space, plus
@@ -118,6 +132,9 @@ let load ?(entries_per_feature = 64) ?calibration model =
         scales;
       }
   | Model_ir.Svm { class_weights; biases; _ } ->
+      (* [lookup] reads weight rows unchecked up to [n_features]. *)
+      if Array.exists (fun w -> Array.length w <> n_features) class_weights then
+        invalid_arg "Runtime.load: SVM weight rows differ in length";
       {
         pipeline =
           Svm_tables
@@ -165,9 +182,11 @@ let check_input t x =
    per-engine [workspace]; none of the three may allocate in steady state
    (asserted by a [Gc.minor_words] test). Everything below is written as
    plain counted loops over pre-existing arrays: local [ref]s are compiled
-   to mutable stack slots (they never escape), `Float.round` is an unboxed
-   [@@noalloc] external, and all intermediate floats stay unboxed because
-   they are consumed immediately within the same function body. *)
+   to mutable stack slots (they never escape), intermediate floats stay
+   unboxed because they are consumed within the same function body, and
+   [key] is inlined, so encoding a packet makes no C call. Each entry point
+   checks the workspace length once; the per-feature loops then read the
+   key buffer, the scales and the SVM weight rows unchecked. *)
 
 type workspace = { keys : int array }
 
@@ -175,20 +194,21 @@ let make_workspace t = { keys = Array.make (max 1 t.n_features) 0 }
 
 let workspace_keys ws = Array.copy ws.keys
 
+let check_workspace t ws fn =
+  if Array.length ws.keys < t.n_features then
+    invalid_arg (fn ^ ": workspace from a different runtime")
+
 let encode_into t ws x =
   check_input t x;
-  if Array.length ws.keys < t.n_features then
-    invalid_arg "Runtime.encode_into: workspace from a different runtime";
+  check_workspace t ws "Runtime.encode_into";
   let scales = t.scales and keys = ws.keys in
   for f = 0 to t.n_features - 1 do
-    (* Inlined [quantize_scaled scales.(f) x.(f)]: round, truncate, clamp —
-       in that order, so keys are bit-identical to [classify]'s. *)
-    let k = int_of_float (Float.round (x.(f) *. scales.(f))) in
-    let k = if k < -32768 then -32768 else if k > 32767 then 32767 else k in
-    keys.(f) <- k
+    Array.unsafe_set keys f
+      (key (Array.unsafe_get x f *. Array.unsafe_get scales f))
   done
 
 let lookup t ws =
+  check_workspace t ws "Runtime.lookup";
   let keys = ws.keys in
   let nf = t.n_features in
   match t.pipeline with
@@ -202,7 +222,7 @@ let lookup t ws =
         let ok = ref true and f = ref 0 in
         while !ok && !f < nf do
           let lo, hi = cell.(!f) in
-          let key = keys.(!f) in
+          let key = Array.unsafe_get keys !f in
           if key < lo || key > hi then ok := false else incr f
         done;
         if !ok then hit := !c else incr c
@@ -216,7 +236,7 @@ let lookup t ws =
           let centroid = p.centroids_q.(c) in
           let d = ref 0 in
           for f = 0 to nf - 1 do
-            let delta = keys.(f) - centroid.(f) in
+            let delta = Array.unsafe_get keys f - centroid.(f) in
             d := !d + (delta * delta)
           done;
           if !d < !best_d then begin
@@ -234,7 +254,7 @@ let lookup t ws =
         let w = p.weights_q.(c) in
         let acc = ref p.biases_q.(c) in
         for f = 0 to nf - 1 do
-          acc := !acc + (w.(f) * keys.(f))
+          acc := !acc + (Array.unsafe_get w f * Array.unsafe_get keys f)
         done;
         if !acc > !best_s then begin
           best := c;

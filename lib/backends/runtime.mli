@@ -23,7 +23,8 @@ val load :
     parameters); without it, keys use the plain 8.8 encoding, which
     saturates beyond |x| = 128. @raise Invalid_argument for DNNs — they do
     not map to MATs; {!Iisy} only costs their binarized mapping, and no
-    runtime executes it. *)
+    runtime executes it — and for SVMs whose weight rows differ in
+    length. *)
 
 val feature_scales : t -> float array
 (** The per-feature key scale chosen at load time. *)
@@ -60,16 +61,18 @@ val workspace_keys : workspace -> int array
 
 val encode_into : t -> workspace -> float array -> unit
 (** Quantize one feature vector into the workspace's key buffer using the
-    runtime's per-feature scales — bit-identical to the keys [classify]
-    derives. @raise Invalid_argument on dimension mismatch or a workspace
-    from a smaller runtime. *)
+    runtime's per-feature scales, with the key rounding of {!quantize}; the
+    table keys built by {!load} use the same function, and the keys are
+    bit-identical to the ones [classify] derives. @raise Invalid_argument
+    on dimension mismatch or a workspace from a smaller runtime. *)
 
 val lookup : t -> workspace -> int
 (** Table lookup on the keys most recently encoded into [workspace]:
     TCAM first-match over cluster cells (nearest quantized centroid on
     miss, counted in {!miss_count}), integer SVM vote, or quantized tree
     walk. First-match / first-maximum tie-breaking is identical to
-    {!classify}. *)
+    {!classify}. @raise Invalid_argument on a workspace from a smaller
+    runtime. *)
 
 val classify_into : t -> workspace -> src:float array array -> n:int -> dst:int array -> unit
 (** Drain [src.(0 .. n-1)] through encode+lookup, writing verdicts to
@@ -86,4 +89,8 @@ val fidelity : t -> Model_ir.t -> x:float array array -> float
     reference {!Inference.predict} on the given inputs. *)
 
 val quantize : float -> int
-(** The shared 8.8 fixed-point key encoding (signed, clamped to 16 bits). *)
+(** The shared 8.8 fixed-point key encoding: [v *. 256.] rounded half away
+    from zero and saturated to the signed 16-bit range, NaN to 0. Every
+    finite scaled value with |v| < 2^62, and NaN, keeps the key of the
+    earlier [clamp (int_of_float (Float.round v))]; larger values and the
+    infinities, which that expression wrapped, now saturate. *)

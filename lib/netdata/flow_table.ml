@@ -18,13 +18,15 @@ let mix v =
   v lxor (v lsr 31)
 
 let hash_key k =
-  let h =
-    List.fold_left
-      (fun acc v -> mix (acc lxor mix v))
-      0x51ed270b (* arbitrary non-zero seed *)
-      [ k.src; k.dst; k.src_port; k.dst_port; k.proto ]
-  in
+  let step acc v = mix (acc lxor mix v) in
+  let h = 0x51ed270b (* arbitrary non-zero seed *) in
+  let h = step (step (step h k.src) k.dst) k.src_port in
+  let h = step (step h k.dst_port) k.proto in
   h land max_int
+
+let key_equal a b =
+  a.src = b.src && a.dst = b.dst && a.src_port = b.src_port
+  && a.dst_port = b.dst_port && a.proto = b.proto
 
 let create ~sram_bytes ~marker_bins ?(bytes_per_bin = 2) () =
   if sram_bytes <= 0 || marker_bins <= 0 || bytes_per_bin <= 0 then
@@ -47,7 +49,7 @@ let record t key ~value ~bin =
   if bin < 0 || bin >= t.marker_bins then invalid_arg "Flow_table.record: bad bin";
   let slot = slot_of t key in
   (match slot.owner with
-  | Some owner when owner = key -> ()
+  | Some owner when key_equal owner key -> ()
   | Some _ ->
       t.evictions <- t.evictions + 1;
       Array.fill slot.bins 0 t.marker_bins 0.;
@@ -58,7 +60,7 @@ let record t key ~value ~bin =
 let marker t key =
   let slot = slot_of t key in
   match slot.owner with
-  | Some owner when owner = key -> Some (Array.copy slot.bins)
+  | Some owner when key_equal owner key -> Some (Array.copy slot.bins)
   | Some _ | None -> None
 
 let active_flows t =

@@ -29,10 +29,10 @@ let bin_of spec v =
   Homunculus_util.Mathx.clamp_int ~lo:0 ~hi:(spec.Histogram.n_bins - 1) i
 
 (* Normalize the two halves of a raw marker independently, the way
-   Flow.flowmarker normalizes its two histograms. *)
-let features_of_marker ~pl_bins marker =
-  let n = Array.length marker in
-  let out = Array.make n 0. in
+   Flow.flowmarker normalizes its two histograms. In place: [marker] is the
+   table's fresh copy. Bins are non-negative counts, so a half whose sum is
+   not positive is already all zeros. *)
+let normalize_marker ~pl_bins marker =
   let normalize lo hi =
     let sum = ref 0. in
     for i = lo to hi - 1 do
@@ -40,12 +40,11 @@ let features_of_marker ~pl_bins marker =
     done;
     if !sum > 0. then
       for i = lo to hi - 1 do
-        out.(i) <- marker.(i) /. !sum
+        marker.(i) <- marker.(i) /. !sum
       done
   in
   normalize 0 pl_bins;
-  normalize pl_bins n;
-  out
+  normalize pl_bins (Array.length marker)
 
 let events_scheduled ?(config = default_config) scheduled =
   let pl_spec, ipt_spec = specs_of_bins config.bins in
@@ -54,48 +53,89 @@ let events_scheduled ?(config = default_config) scheduled =
   let table =
     Flow_table.create ~sram_bytes:config.sram_bytes ~marker_bins ()
   in
-  (* One timeline entry per packet, sorted by arrival time. *)
-  let arrivals =
-    Array.to_list scheduled
-    |> List.concat_map (fun (start, flow) ->
-           if start < 0. then invalid_arg "Stream.events_scheduled: negative start";
-           Array.to_list flow.Flow.packets
-           |> List.mapi (fun i p -> (start +. p.Packet.ts, flow, i)))
-    |> List.sort (fun (t1, f1, i1) (t2, f2, i2) ->
-           compare (t1, f1.Flow.id, i1) (t2, f2.Flow.id, i2))
+  let flow_ids =
+    Array.map
+      (fun (start, flow) ->
+        if start < 0. then invalid_arg "Stream.events_scheduled: negative start";
+        flow.Flow.id)
+      scheduled
   in
-  let last_ts : (int, float) Hashtbl.t = Hashtbl.create 256 in
+  let keys = Array.map (fun id -> Flow_table.key_of_ints id id) flow_ids in
+  (* Inter-arrival state lives in one slot per distinct id, shared by every
+     scheduled flow with that id. *)
+  let ids : (int, int) Hashtbl.t = Hashtbl.create 256 in
+  let id_slot =
+    Array.map
+      (fun id ->
+        match Hashtbl.find_opt ids id with
+        | Some slot -> slot
+        | None ->
+            let slot = Hashtbl.length ids in
+            Hashtbl.add ids id slot;
+            slot)
+      flow_ids
+  in
+  (* One timeline entry per packet in flat arrays, then a stable sort of
+     their positions by (arrival time, flow id, packet index). *)
+  let n =
+    Array.fold_left (fun acc (_, flow) -> acc + Array.length flow.Flow.packets) 0 scheduled
+  in
+  let ts = Array.make n 0. and owner = Array.make n 0 and index = Array.make n 0 in
+  let pos = ref 0 in
+  Array.iteri
+    (fun s (start, flow) ->
+      Array.iteri
+        (fun i p ->
+          ts.(!pos) <- start +. p.Packet.ts;
+          owner.(!pos) <- s;
+          index.(!pos) <- i;
+          incr pos)
+        flow.Flow.packets)
+    scheduled;
+  let order = Array.init n Fun.id in
+  Array.stable_sort
+    (fun a b ->
+      let c = Float.compare ts.(a) ts.(b) in
+      if c <> 0 then c
+      else
+        let c = Int.compare flow_ids.(owner.(a)) flow_ids.(owner.(b)) in
+        if c <> 0 then c else Int.compare index.(a) index.(b))
+    order;
+  let last_ts = Array.make (Hashtbl.length ids) 0. in
+  let seen = Array.make (Hashtbl.length ids) false in
   let out = ref [] in
-  List.iter
-    (fun (ts, flow, i) ->
-      let id = flow.Flow.id in
-      let key = Flow_table.key_of_ints id id in
+  Array.iter
+    (fun k ->
+      let s = owner.(k) and i = index.(k) and ts = ts.(k) in
+      let flow = snd scheduled.(s) and key = keys.(s) and slot = id_slot.(s) in
       let size = float_of_int flow.Flow.packets.(i).Packet.size in
       Flow_table.record table key ~value:1. ~bin:(bin_of pl_spec size);
-      (match Hashtbl.find_opt last_ts id with
-      | Some prev ->
-          let gap = ts -. prev in
-          Flow_table.record table key ~value:1.
-            ~bin:(pl_bins + bin_of ipt_spec gap)
-      | None -> ());
-      Hashtbl.replace last_ts id ts;
+      if seen.(slot) then begin
+        let gap = ts -. last_ts.(slot) in
+        Flow_table.record table key ~value:1.
+          ~bin:(pl_bins + bin_of ipt_spec gap)
+      end;
+      seen.(slot) <- true;
+      last_ts.(slot) <- ts;
       if i + 1 >= config.min_packets then
-        let marker =
+        let features =
           match Flow_table.marker table key with
-          | Some m -> m
+          | Some m ->
+              normalize_marker ~pl_bins m;
+              m
           | None -> Array.make marker_bins 0.
         in
         out :=
           {
             ts;
-            flow_id = id;
+            flow_id = flow_ids.(s);
             app = flow.Flow.app;
             label = Flow.label_to_int flow.Flow.label;
             packet_index = i + 1;
-            features = features_of_marker ~pl_bins marker;
+            features;
           }
           :: !out)
-    arrivals;
+    order;
   Array.of_list (List.rev !out)
 
 let events rng ?(config = default_config) ?(start_window_s = 600.) flows =

@@ -72,10 +72,99 @@ let test_runtime_kmeans_cells_and_misses () =
   Alcotest.(check int) "default action used" 1 (Runtime.miss_count rt);
   Alcotest.(check int) "default = nearest centroid" (Inference.predict ir far) verdict
 
+(* A one-feature SVM that predicts class 0 iff x > threshold: scores are
+   [x - t] and [t - x], so the decision boundary sits exactly at [t]. *)
+let step_svm ~threshold =
+  Model_ir.Svm
+    {
+      name = "step";
+      class_weights = [| [| 1. |]; [| -1. |] |];
+      biases = [| -.threshold; threshold |];
+    }
+
 let test_runtime_quantize () =
   Alcotest.(check int) "unit scale" 256 (Runtime.quantize 1.);
   Alcotest.(check int) "clamps" 32767 (Runtime.quantize 1e9);
-  Alcotest.(check int) "negative clamps" (-32768) (Runtime.quantize (-1e9))
+  Alcotest.(check int) "negative clamps" (-32768) (Runtime.quantize (-1e9));
+  (* Beyond int_of_float's defined range the key saturates instead of
+     wrapping: the old expression gave 0 at the infinities and 1e300, and
+     -32768 at 4.7e18 / 256. *)
+  Alcotest.(check int) "+inf saturates" 32767 (Runtime.quantize infinity);
+  Alcotest.(check int) "-inf saturates" (-32768) (Runtime.quantize neg_infinity);
+  Alcotest.(check int) "1e300 saturates" 32767 (Runtime.quantize 1e300);
+  Alcotest.(check int) "-1e300 saturates" (-32768) (Runtime.quantize (-1e300));
+  Alcotest.(check int) "4.7e18 saturates high" 32767
+    (Runtime.quantize (4.7e18 /. 256.));
+  Alcotest.(check int) "nan is key 0" 0 (Runtime.quantize Float.nan)
+
+(* The key function before it was made branch-free, kept as the oracle:
+   round half away from zero, truncate, clamp. *)
+let legacy_key v =
+  Homunculus_util.Mathx.clamp_int ~lo:(-32768) ~hi:32767
+    (int_of_float (Float.round v))
+
+(* Scaled values [v] where the legacy expression is defined: random bit
+   patterns with finite |v| < 2^62, values across the key range, the
+   neighbours of every rounding tie, and the named edge cases. *)
+let key_value_gen =
+  let open QCheck.Gen in
+  let two62 = ldexp 1. 62 in
+  let bits =
+    map
+      (fun b ->
+        let v = Int64.float_of_bits b in
+        if Float.is_finite v && Float.abs v < two62 then v else 0.)
+      ui64
+  in
+  let tie =
+    map3
+      (fun k sign step ->
+        let v = float_of_int k +. (if sign then 0.5 else -0.5) in
+        match step with 0 -> Float.pred v | 1 -> v | _ -> Float.succ v)
+      (int_range (-33000) 33000) bool (int_bound 2)
+  in
+  frequency
+    [
+      (3, bits);
+      (3, float_range (-40000.) 40000.);
+      (3, tie);
+      ( 1,
+        oneofl
+          [
+            0.; -0.; 0.49999999999999994; -0.49999999999999994; 32767.5;
+            -32768.5; Float.pred 32767.5; Float.succ (-32768.5); Float.nan;
+          ] );
+    ]
+
+(* Dividing by 256 is exact here (no value in range underflows to a
+   different key), so [quantize (v / 256)] keys exactly [v]. The encode
+   path is checked on the same value through a 1-feature 8.8 runtime. *)
+let prop_key_matches_legacy =
+  let rt = Runtime.load (step_svm ~threshold:0.) in
+  let ws = Runtime.make_workspace rt in
+  QCheck.Test.make ~name:"runtime key equals the legacy rounding" ~count:20_000
+    (QCheck.make ~print:(Printf.sprintf "%h") key_value_gen)
+    (fun v ->
+      let x = v /. 256. in
+      Runtime.encode_into rt ws [| x |];
+      Runtime.quantize x = legacy_key v
+      && (Runtime.workspace_keys ws).(0) = legacy_key v)
+
+let test_runtime_lookup_rejects_short_workspace () =
+  let narrow = Runtime.load (step_svm ~threshold:0.) in
+  let wide =
+    Runtime.load
+      (Model_ir.Svm
+         {
+           name = "wide";
+           class_weights = [| [| 1.; 1. |]; [| -1.; -1. |] |];
+           biases = [| 0.; 0. |];
+         })
+  in
+  let ws = Runtime.make_workspace narrow in
+  Alcotest.check_raises "short workspace"
+    (Invalid_argument "Runtime.lookup: workspace from a different runtime")
+    (fun () -> ignore (Runtime.lookup wide ws))
 
 (* Quantization edges: the 8.8 key encoding covers |x| < 128; beyond that
    every input collapses onto the clamped key unless a calibration sample
@@ -90,16 +179,6 @@ let test_runtime_quantize_saturation_boundary () =
   Alcotest.(check int) "negative saturation collapses"
     (Runtime.quantize (-200.))
     (Runtime.quantize (-1e6))
-
-(* A one-feature SVM that predicts class 0 iff x > threshold: scores are
-   [x - t] and [t - x], so the decision boundary sits exactly at [t]. *)
-let step_svm ~threshold =
-  Model_ir.Svm
-    {
-      name = "step";
-      class_weights = [| [| 1. |]; [| -1. |] |];
-      biases = [| -.threshold; threshold |];
-    }
 
 let test_runtime_quantization_in_range_agreement () =
   let ir = step_svm ~threshold:50. in
@@ -257,6 +336,9 @@ let suite =
     Alcotest.test_case "runtime tree fidelity" `Quick test_runtime_tree_fidelity;
     Alcotest.test_case "runtime kmeans cells" `Quick test_runtime_kmeans_cells_and_misses;
     Alcotest.test_case "runtime quantize" `Quick test_runtime_quantize;
+    QCheck_alcotest.to_alcotest prop_key_matches_legacy;
+    Alcotest.test_case "runtime lookup rejects short workspace" `Quick
+      test_runtime_lookup_rejects_short_workspace;
     Alcotest.test_case "runtime saturation boundary" `Quick
       test_runtime_quantize_saturation_boundary;
     Alcotest.test_case "runtime in-range agreement" `Quick

@@ -52,6 +52,53 @@ let test_stream_matches_flowmarker () =
         expected e.Stream.features)
     events
 
+(* A schedule full of ties: flows staggered onto whole seconds, flows whose
+   packets arrive two to a timestamp, one flow scheduled twice, and two
+   distinct flows sharing an id. The digests were recorded before the
+   timeline build moved from sorted tuple lists to flat arrays. *)
+let golden_schedule () =
+  let flows =
+    Flowsim.generate (Rng.create 21)
+      ~mix:{ Flowsim.n_flows = 24; botnet_frac = 0.5; max_packets = 40 }
+      ()
+  in
+  let tied ~id ~label ~app ~size0 =
+    Flow.make ~id ~label ~app
+      ~packets:
+        (Array.init 8 (fun i ->
+             Packet.make ~ts:(float_of_int (i / 2)) ~size:(size0 + (100 * i))))
+  in
+  let staggered = Array.mapi (fun i f -> (float_of_int (i mod 3), f)) flows in
+  let impostor =
+    Flow.make ~id:flows.(1).Flow.id ~label:flows.(2).Flow.label
+      ~app:flows.(2).Flow.app ~packets:flows.(2).Flow.packets
+  in
+  Array.append staggered
+    [|
+      (1., flows.(0));
+      (2., impostor);
+      (0., tied ~id:1000 ~label:Flow.Botnet ~app:"storm" ~size0:60);
+      (1., tied ~id:1000 ~label:Flow.Botnet ~app:"storm" ~size0:60);
+      (0., tied ~id:1001 ~label:Flow.Botnet ~app:"waledac" ~size0:80);
+      (0., tied ~id:1001 ~label:Flow.Benign ~app:"vuze" ~size0:700);
+    |]
+
+let events_digest events =
+  Digest.to_hex (Digest.string (Marshal.to_string events [ Marshal.No_sharing ]))
+
+let test_stream_golden_digest () =
+  let schedule = golden_schedule () in
+  let check name config n digest =
+    let events = Stream.events_scheduled ~config schedule in
+    Alcotest.(check int) (name ^ " events") n (Array.length events);
+    Alcotest.(check string) (name ^ " digest") digest (events_digest events)
+  in
+  check "default" Stream.default_config 944 "4a86456a463832983a6373977720555c";
+  (* Ten flow slots and every packet emitted: evictions mid-flow. *)
+  check "tiny table"
+    { Stream.default_config with Stream.sram_bytes = 600; min_packets = 1 }
+    1034 "182eb532bf24ac19e8c3c2692fa0e643"
+
 let test_shift_botnet () =
   let flows = Flowsim.generate (Rng.create 5) ~mix:(small_mix 30) () in
   let shifted = Stream.shift_botnet flows in
@@ -829,6 +876,7 @@ let suite =
       test_stream_ordering_and_determinism;
     Alcotest.test_case "stream matches flowmarker" `Quick
       test_stream_matches_flowmarker;
+    Alcotest.test_case "stream golden digest" `Quick test_stream_golden_digest;
     Alcotest.test_case "shift botnet" `Quick test_shift_botnet;
     Alcotest.test_case "renumber" `Quick test_renumber;
     Alcotest.test_case "monitor window metrics" `Quick test_monitor_window_metrics;
