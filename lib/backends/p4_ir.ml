@@ -1,4 +1,4 @@
-type field = { field_name : string; width : int }
+type field = { field_name : string; width : int; signed : bool }
 
 type header = { header_name : string; fields : field list }
 
@@ -14,7 +14,7 @@ type key = { target : string; kind : match_kind }
 
 type action = {
   action_name : string;
-  params : (string * int) list;
+  params : field list;
   body : string list;
 }
 
@@ -44,24 +44,42 @@ type program = {
   ingress : control;
 }
 
+type tree =
+  | Leaf of int
+  | Split of { feature : int; threshold : int; left : tree; right : tree }
+
+type tables =
+  | Kmeans_cells of { cells : (int * int) array array; centroids : int array array }
+  | Svm_votes of { weights : int array array; biases : int array }
+  | Tree_rows of tree
+
+type entries = { scales : float array; tables : tables }
+
 let bpf = Printf.bprintf
+
+let type_name f = Printf.sprintf "%s<%d>" (if f.signed then "int" else "bit") f.width
 
 let print_header buf h =
   bpf buf "header %s {\n" h.header_name;
-  List.iter (fun f -> bpf buf "  bit<%d> %s;\n" f.width f.field_name) h.fields;
+  List.iter (fun f -> bpf buf "  %s %s;\n" (type_name f) f.field_name) h.fields;
   bpf buf "}\n\n"
 
 let print_action buf a =
   let params =
     String.concat ", "
-      (List.map (fun (name, width) -> Printf.sprintf "bit<%d> %s" width name) a.params)
+      (List.map (fun f -> Printf.sprintf "%s %s" (type_name f) f.field_name) a.params)
   in
   bpf buf "  action %s(%s) {" a.action_name params;
   (match a.body with
   | [] -> bpf buf " }\n"
   | body ->
       bpf buf "\n";
-      List.iter (fun stmt -> bpf buf "    %s;\n" stmt) body;
+      (* A block statement ends in its own brace, not a semicolon. *)
+      List.iter
+        (fun stmt ->
+          bpf buf "    %s%s\n" stmt
+            (if String.ends_with ~suffix:"}" stmt then "" else ";"))
+        body;
       bpf buf "  }\n")
 
 let print_table buf t =
@@ -77,6 +95,10 @@ let rec print_apply buf indent stmt =
   match stmt with
   | Apply table -> bpf buf "%s%s.apply();\n" pad table
   | Call text -> bpf buf "%s%s;\n" pad text
+  | If_hit { table; then_ = []; else_ } ->
+      bpf buf "%sif (!%s.apply().hit) {\n" pad table;
+      List.iter (print_apply buf (indent + 2)) else_;
+      bpf buf "%s}\n" pad
   | If_hit { table; then_; else_ } ->
       bpf buf "%sif (%s.apply().hit) {\n" pad table;
       List.iter (print_apply buf (indent + 2)) then_;
@@ -103,7 +125,7 @@ let print program =
     program.headers;
   bpf buf "}\n\n";
   bpf buf "struct metadata_t {\n";
-  List.iter (fun f -> bpf buf "  bit<%d> %s;\n" f.width f.field_name) program.metadata;
+  List.iter (fun f -> bpf buf "  %s %s;\n" (type_name f) f.field_name) program.metadata;
   bpf buf "}\n\n";
   bpf buf
     "parser IngressParser(packet_in pkt, out headers_t hdr,\n\

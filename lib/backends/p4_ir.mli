@@ -6,7 +6,8 @@
     programs before printing, instead of concatenating strings. The printer
     targets the v1model architecture. *)
 
-type field = { field_name : string; width : int }
+type field = { field_name : string; width : int; signed : bool }
+(** Printed as [int<width>] when [signed], [bit<width>] otherwise. *)
 
 type header = { header_name : string; fields : field list }
 
@@ -19,7 +20,7 @@ type key = { target : string; kind : match_kind }
 
 type action = {
   action_name : string;
-  params : (string * int) list;  (** (name, bit width) *)
+  params : field list;
   body : string list;  (** statements, printed verbatim *)
 }
 
@@ -34,6 +35,7 @@ type apply_stmt =
   | Apply of string  (** table.apply() *)
   | Call of string  (** action or extern invocation *)
   | If_hit of { table : string; then_ : apply_stmt list; else_ : apply_stmt list }
+      (** With an empty [then_], printed as [if (!t.apply().hit) { else_ }]. *)
 
 type control = {
   control_name : string;
@@ -48,6 +50,31 @@ type program = {
   metadata : field list;
   ingress : control;
 }
+
+(** {2 Control-plane entries}
+
+    The rows the control plane installs into the tables {!P4gen.program_of}
+    declares: {!Runtime.entries} builds them, {!Runtime.of_entries}
+    executes them, {!P4gen.print_entries} prints them. Feature [f] keys as
+    [x.(f) *. scales.(f)] rounded half away from zero and saturated to the
+    signed 16-bit range; every integer below is in that key space. *)
+
+type tree =
+  | Leaf of int  (** the class *)
+  | Split of { feature : int; threshold : int; left : tree; right : tree }
+      (** a key [<= threshold] goes left *)
+
+type tables =
+  | Kmeans_cells of { cells : (int * int) array array; centroids : int array array }
+      (** Per cluster and feature: the cell's inclusive key range, and the
+          quantized centroid. The first cluster whose cell holds every key
+          wins; a miss goes to the nearest centroid (first minimum). *)
+  | Svm_votes of { weights : int array array; biases : int array }
+      (** Per class: weights scaled so [weight * key ~ 65536 * w * x], and a
+          16.16 bias. The first class with the highest score wins. *)
+  | Tree_rows of tree
+
+type entries = { scales : float array; tables : tables }
 
 val print : program -> string
 (** The complete P4-16 source: includes, header/struct declarations, parser,

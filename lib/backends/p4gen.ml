@@ -1,49 +1,45 @@
 (* The MAT backend: build a P4_ir program from the model IR using the IIsy
    mapping rules, then pretty-print it. Table entries (the control-plane
-   half) are emitted separately by [emit_entries]. *)
+   half) are the value [Runtime.entries] builds, printed by
+   [print_entries]. *)
 
 module Decision_tree = Homunculus_ml.Decision_tree
+
+let bit field_name width = { P4_ir.field_name; width; signed = false }
+
+let int field_name width = { P4_ir.field_name; width; signed = true }
 
 let standard_headers =
   [
     {
       P4_ir.header_name = "ethernet_t";
-      fields =
-        [
-          { P4_ir.field_name = "dst"; width = 48 };
-          { P4_ir.field_name = "src"; width = 48 };
-          { P4_ir.field_name = "etherType"; width = 16 };
-        ];
+      fields = [ bit "dst" 48; bit "src" 48; bit "etherType" 16 ];
     };
     {
       P4_ir.header_name = "ipv4_t";
       fields =
-        [
-          { P4_ir.field_name = "ttl"; width = 8 };
-          { P4_ir.field_name = "protocol"; width = 8 };
-          { P4_ir.field_name = "totalLen"; width = 16 };
-          { P4_ir.field_name = "src"; width = 32 };
-          { P4_ir.field_name = "dst"; width = 32 };
-        ];
+        [ bit "ttl" 8; bit "protocol" 8; bit "totalLen" 16; bit "src" 32; bit "dst" 32 ];
     };
   ]
 
-let metadata ~n_features ~n_components =
-  List.init n_features (fun f ->
-      { P4_ir.field_name = Printf.sprintf "feature%d_key" f; width = 16 })
-  @ List.init n_components (fun c ->
-        { P4_ir.field_name = Printf.sprintf "vote%d" c; width = 16 })
-  @ [ { P4_ir.field_name = "class_result"; width = 8 } ]
+(* Feature keys are signed 16-bit fixed point (see [Runtime.entries]). *)
+let metadata ~n_features ~votes =
+  List.init n_features (fun f -> int (Printf.sprintf "feature%d_key" f) 16)
+  @ votes
+  @ [ bit "class_result" 8 ]
+
+let vote_fields n = List.init n (fun c -> bit (Printf.sprintf "vote%d" c) 16)
 
 let set_class =
   {
     P4_ir.action_name = "set_class";
-    params = [ ("cls", 8) ];
+    params = [ bit "cls" 8 ];
     body = [ "meta.class_result = cls" ];
   }
 
+(* SVM weights are signed and exceed 16 bits at calibrated scales. *)
 let set_vote =
-  { P4_ir.action_name = "set_vote"; params = [ ("v", 16) ]; body = [] }
+  { P4_ir.action_name = "set_vote"; params = [ int "v" 32 ]; body = [] }
 
 let feature_key f = Printf.sprintf "meta.feature%d_key" f
 
@@ -60,23 +56,71 @@ let ingress ~actions ~tables =
     apply = List.map (fun t -> P4_ir.Apply t.P4_ir.table_name) tables;
   }
 
+(* The k-means rule, stated in the program: cluster tables apply in order
+   and the first hit sets the class; each miss runs the table's default
+   action, which stores the squared key distance to that cluster's centroid
+   (installed as action data) in [vote<c>]; when every table missed,
+   [<name>_nearest] picks the first minimum. *)
 let kmeans_program name centroids =
   let k = Array.length centroids in
   let dim = if k = 0 then 0 else Array.length centroids.(0) in
+  let cluster c = Printf.sprintf "%s_cluster%d" name c in
+  let centroid c = Printf.sprintf "%s_centroid%d" name c in
+  let centroid_action c =
+    let squares = List.init dim (fun f -> Printf.sprintf "d%d * d%d" f f) in
+    {
+      P4_ir.action_name = centroid c;
+      params = List.init dim (fun f -> int (Printf.sprintf "q%d" f) 16);
+      body =
+        List.init dim (fun f ->
+            Printf.sprintf "int<64> d%d = (int<64>)%s - (int<64>)q%d" f
+              (feature_key f) f)
+        @ [
+            Printf.sprintf "meta.vote%d = %s" c
+              (if squares = [] then "0" else String.concat " + " squares);
+          ];
+    }
+  in
+  let nearest =
+    {
+      P4_ir.action_name = name ^ "_nearest";
+      params = [];
+      body =
+        "meta.class_result = 0"
+        :: List.init (Stdlib.max 0 (k - 1)) (fun i ->
+               Printf.sprintf
+                 "if (meta.vote%d < meta.vote0) { meta.vote0 = meta.vote%d; \
+                  meta.class_result = %d; }"
+                 (i + 1) (i + 1) (i + 1));
+    }
+  in
   let tables =
     List.init k (fun c ->
         {
-          P4_ir.table_name = Printf.sprintf "%s_cluster%d" name c;
+          P4_ir.table_name = cluster c;
           keys = range_keys dim;
-          action_refs = [ "set_class" ];
+          action_refs = [ "set_class"; centroid c ];
           size = entries_per_feature_default * Stdlib.max 1 dim;
         })
+  in
+  let rec chain c =
+    if c = k then [ P4_ir.Call (name ^ "_nearest()") ]
+    else [ P4_ir.If_hit { table = cluster c; then_ = []; else_ = chain (c + 1) } ]
   in
   {
     P4_ir.program_name = name;
     headers = standard_headers;
-    metadata = metadata ~n_features:dim ~n_components:k;
-    ingress = ingress ~actions:[ set_class; set_vote ] ~tables;
+    metadata =
+      metadata ~n_features:dim
+        ~votes:(List.init k (fun c -> int (Printf.sprintf "vote%d" c) 64));
+    ingress =
+      {
+        (ingress
+           ~actions:((set_class :: List.init k centroid_action) @ [ nearest ])
+           ~tables)
+        with
+        P4_ir.apply = chain 0;
+      };
   }
 
 let svm_program name class_weights =
@@ -102,7 +146,7 @@ let svm_program name class_weights =
   {
     P4_ir.program_name = name;
     headers = standard_headers;
-    metadata = metadata ~n_features:dim ~n_components:classes;
+    metadata = metadata ~n_features:dim ~votes:(vote_fields classes);
     ingress =
       ingress ~actions:[ set_class; set_vote ] ~tables:(feature_tables @ [ decision ]);
   }
@@ -129,7 +173,7 @@ let tree_program name root n_features =
   {
     P4_ir.program_name = name;
     headers = standard_headers;
-    metadata = metadata ~n_features ~n_components:(Stdlib.max 1 depth);
+    metadata = metadata ~n_features ~votes:(vote_fields (Stdlib.max 1 depth));
     ingress =
       ingress ~actions:[ set_class; set_vote ] ~tables:(level_tables @ [ leaves ]);
   }
@@ -144,67 +188,51 @@ let program_of model =
 
 let emit model = P4_ir.print (program_of model)
 
-(* Control-plane entries: quantize trained parameters into match rows.
-   16-bit keys; range matches expand into ternary TCAM rows. *)
-let quantize v = int_of_float (Float.round (v *. 256.)) land 0xFFFF
-
-let emit_entries ?(entries_per_feature = entries_per_feature_default) model =
+(* The control-plane dump: the scales, then one line per table row. Cluster
+   cells print in the [range] match kind the cluster tables declare, with
+   the centroid as each table's default action data. *)
+let print_entries ~name { P4_ir.scales; tables } =
   let buf = Buffer.create 4096 in
   let bpf = Printf.bprintf in
-  bpf buf "# table entries for %s\n" (Model_ir.name model);
-  (match model with
-  | Model_ir.Kmeans { name; centroids } ->
-      (* Each cluster cell is a per-feature range; ranges expand to ternary
-         TCAM rows (value/mask pairs), as the hardware actually stores them. *)
+  bpf buf "# table entries for %s\n" name;
+  Array.iteri (fun f s -> bpf buf "scale f%d %.17g\n" f s) scales;
+  (match tables with
+  | P4_ir.Kmeans_cells { cells; centroids } ->
       Array.iteri
-        (fun c centroid ->
-          Array.iteri
-            (fun f coord ->
-              let center = quantize coord in
-              let half = 65536 / (2 * entries_per_feature) in
-              let lo = Stdlib.max 0 (center - half) in
-              let hi = Stdlib.min 65535 (center + half) in
-              List.iter
-                (fun row ->
-                  bpf buf
-                    "table_add %s_cluster%d set_class %d => f%d ternary %s\n"
-                    name c c f
-                    (Range_match.to_string ~width:16 row))
-                (Range_match.expand_range ~width:16 ~lo ~hi))
-            centroid)
-        centroids
-  | Model_ir.Svm { name; class_weights; biases } ->
+        (fun c cell ->
+          bpf buf "table_add %s_cluster%d set_class" name c;
+          Array.iter (fun (lo, hi) -> bpf buf " %d->%d" lo hi) cell;
+          bpf buf " => %d\n" c;
+          bpf buf "table_set_default %s_cluster%d %s_centroid%d" name c name c;
+          Array.iter (bpf buf " %d") centroids.(c);
+          Buffer.add_char buf '\n')
+        cells
+  | P4_ir.Svm_votes { weights; biases } ->
       Array.iteri
         (fun cls w ->
           Array.iteri
             (fun f wf ->
-              if wf <> 0. then
+              if wf <> 0 then
                 bpf buf "table_add %s_feature%d set_vote %d => weight %d\n" name
-                  f cls (quantize wf))
+                  f cls wf)
             w;
           bpf buf "table_add %s_decision set_class %d => bias %d\n" name cls
-            (quantize biases.(cls)))
-        class_weights
-  | Model_ir.Tree { name; root; _ } ->
+            biases.(cls))
+        weights
+  | P4_ir.Tree_rows root ->
       let rec walk node level idx =
         match node with
-        | Decision_tree.Leaf { distribution } ->
-            bpf buf "table_add %s_leaves set_class %d => leaf %d\n" name
-              (Homunculus_util.Stats.argmax distribution)
-              idx
-        | Decision_tree.Split { feature; threshold; left; right } ->
-            bpf buf
-              "table_add %s_level%d set_vote %d => feature %d le %d\n" name
-              level idx feature (quantize threshold);
+        | P4_ir.Leaf cls ->
+            bpf buf "table_add %s_leaves set_class %d => leaf %d\n" name cls idx
+        | P4_ir.Split { feature; threshold; left; right } ->
+            bpf buf "table_add %s_level%d set_vote %d => feature %d le %d\n"
+              name level idx feature threshold;
             walk left (level + 1) (2 * idx);
             walk right (level + 1) ((2 * idx) + 1)
       in
-      walk root 0 0
-  | Model_ir.Dnn _ ->
-      invalid_arg "P4gen.emit_entries: DNNs are not mappable to MATs");
+      walk root 0 0);
   Buffer.contents buf
 
-let line_count code =
-  String.split_on_char '\n' code
-  |> List.filter (fun l -> String.trim l <> "")
-  |> List.length
+let emit_entries ?entries_per_feature model =
+  print_entries ~name:(Model_ir.name model)
+    (Runtime.entries ?entries_per_feature model)

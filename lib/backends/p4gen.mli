@@ -19,9 +19,15 @@ val emit : Model_ir.t -> string
 (** [P4_ir.print (program_of model)] — the P4-16 program: headers, parser,
     per-component tables, ingress apply chain, deparser. *)
 
-val emit_entries : ?entries_per_feature:int -> Model_ir.t -> string
-(** Control-plane table entries derived from the trained parameters:
-    per-cluster range cells for KMeans, per-feature vote entries for SVMs,
-    per-level branch entries for trees. *)
+val print_entries : name:string -> P4_ir.entries -> string
+(** The control-plane text dump of [entries] for the tables of the model
+    called [name]: a [scale f<i> <s>] line per feature, then for k-means
+    one [table_add <name>_cluster<c> set_class lo->hi ... => c] range row
+    and one [table_set_default <name>_cluster<c> <name>_centroid<c> q ...]
+    per cluster; for SVMs a [weight] row per nonzero weight and a [bias]
+    row per class; for trees a [le] row per split and a [leaf] row per
+    leaf, in preorder. Every integer prints in decimal, signed. *)
 
-val line_count : string -> int
+val emit_entries : ?entries_per_feature:int -> Model_ir.t -> string
+(** [print_entries] of {!Runtime.entries} for the model: exactly the tables
+    {!Runtime.load} executes with the same [entries_per_feature]. *)

@@ -2,7 +2,7 @@ module Decision_tree = Homunculus_ml.Decision_tree
 
 (* The one fixed-point key function: [v] rounded half away from zero and
    saturated to the signed 16-bit key range; NaN maps to 0. Table keys
-   built in [load] and packet keys built in [encode_into] both come from
+   built in [entries] and packet keys built in [encode_into] both come from
    here. Inside the range, truncation is exact and so is [v - t] (both are
    below 2^15), and the two comparisons turn into flag-to-integer moves, so
    the common case has no C call and no data-dependent branch. Wherever
@@ -21,36 +21,12 @@ let quantize_scaled scale v = key (v *. scale)
 
 let quantize v = quantize_scaled 256. v
 
-type kmeans_pipeline = {
-  (* Per cluster: per-feature inclusive [lo, hi] ranges in key space, plus
-     the quantized centroid for the default action. *)
-  cells : (int * int) array array;
-  centroids_q : int array array;
-  mutable misses : int;
+type t = {
+  tables : P4_ir.tables;
+  n_features : int;
+  scales : float array;
+  mutable misses : int;  (* k-means packets that took the default step *)
 }
-
-type svm_pipeline = {
-  weights_q : int array array;
-      (** per class, per feature, scaled so [w_q * x_q ~ 65536 * w * x] *)
-  biases_q : int array;  (** 16.16 fixed *)
-}
-
-type pipeline =
-  | Kmeans_tables of kmeans_pipeline
-  | Svm_tables of svm_pipeline
-  | Tree_tables of Decision_tree.node  (** thresholds pre-quantized *)
-
-type t = { pipeline : pipeline; n_features : int; scales : float array }
-
-let model_dimension = function
-  | Model_ir.Dnn _ ->
-      invalid_arg "Runtime.load: DNNs do not map to MATs (binarize first)"
-  | Model_ir.Kmeans { centroids; _ } ->
-      if Array.length centroids = 0 then 0 else Array.length centroids.(0)
-  | Model_ir.Svm { class_weights; _ } ->
-      if Array.length class_weights = 0 then 0
-      else Array.length class_weights.(0)
-  | Model_ir.Tree { n_features; _ } -> n_features
 
 (* Per-feature key scale: cover the calibration sample's range (with 2x
    headroom) across the 16-bit key space; fall back to 8.8 fixed point. *)
@@ -69,11 +45,11 @@ let choose_scales ~calibration ~n_features =
             samples;
           32767. /. (2. *. !max_abs))
 
-let load ?(entries_per_feature = 64) ?calibration model =
-  let n_features = model_dimension model in
-  let scales = choose_scales ~calibration ~n_features in
+let tables_of ~entries_per_feature ~calibration ~scales model =
+  let n_features = Array.length scales in
   match model with
-  | Model_ir.Dnn _ -> assert false (* model_dimension already rejected *)
+  | Model_ir.Dnn _ ->
+      invalid_arg "Runtime.load: DNNs do not map to MATs (binarize first)"
   | Model_ir.Kmeans { centroids; _ } as km ->
       let cells =
         match calibration with
@@ -109,67 +85,91 @@ let load ?(entries_per_feature = 64) ?calibration model =
                   centroid)
               centroids
         | Some _ | None ->
-            (* No calibration: fixed-width cells around each centroid. *)
+            (* No calibration: fixed-width cells around each centroid,
+               clipped to the key range (no key lies outside it). *)
             let half = 65536 / (2 * entries_per_feature) in
             Array.map
               (fun centroid ->
                 Array.mapi
                   (fun f coord ->
                     let center = quantize_scaled scales.(f) coord in
-                    (center - half, center + half))
+                    (max (-32768) (center - half), min 32767 (center + half)))
                   centroid)
               centroids
       in
-      let centroids_q =
-        Array.map
-          (fun centroid ->
-            Array.mapi (fun f c -> quantize_scaled scales.(f) c) centroid)
-          centroids
-      in
-      {
-        pipeline = Kmeans_tables { cells; centroids_q; misses = 0 };
-        n_features;
-        scales;
-      }
+      P4_ir.Kmeans_cells
+        {
+          cells;
+          centroids =
+            Array.map
+              (Array.mapi (fun f c -> quantize_scaled scales.(f) c))
+              centroids;
+        }
   | Model_ir.Svm { class_weights; biases; _ } ->
-      (* [lookup] reads weight rows unchecked up to [n_features]. *)
-      if Array.exists (fun w -> Array.length w <> n_features) class_weights then
-        invalid_arg "Runtime.load: SVM weight rows differ in length";
-      {
-        pipeline =
-          Svm_tables
-            {
-              weights_q =
-                Array.map
-                  (fun w ->
-                    Array.mapi
-                      (fun f wf ->
-                        int_of_float (Float.round (wf *. 65536. /. scales.(f))))
-                      w)
-                  class_weights;
-              biases_q =
-                Array.map (fun b -> int_of_float (Float.round (b *. 65536.))) biases;
-            };
-        n_features;
-        scales;
-      }
+      if Array.exists (fun w -> Array.length w <> n_features) class_weights
+      then invalid_arg "Runtime.load: SVM weight rows differ in length";
+      P4_ir.Svm_votes
+        {
+          weights =
+            Array.map
+              (Array.mapi (fun f wf ->
+                   int_of_float (Float.round (wf *. 65536. /. scales.(f)))))
+              class_weights;
+          biases =
+            Array.map (fun b -> int_of_float (Float.round (b *. 65536.))) biases;
+        }
   | Model_ir.Tree { root; _ } ->
-      let rec q_node = function
-        | Decision_tree.Leaf _ as leaf -> leaf
+      let rec rows = function
+        | Decision_tree.Leaf { distribution } ->
+            P4_ir.Leaf (Homunculus_util.Stats.argmax distribution)
         | Decision_tree.Split { feature; threshold; left; right } ->
-            Decision_tree.Split
+            P4_ir.Split
               {
                 feature;
-                threshold = float_of_int (quantize_scaled scales.(feature) threshold);
-                left = q_node left;
-                right = q_node right;
+                threshold = quantize_scaled scales.(feature) threshold;
+                left = rows left;
+                right = rows right;
               }
       in
-      { pipeline = Tree_tables (q_node root); n_features; scales }
+      P4_ir.Tree_rows (rows root)
+
+let entries ?(entries_per_feature = 64) ?calibration model =
+  if entries_per_feature <= 0 then
+    invalid_arg "Runtime.entries: entries_per_feature must be positive";
+  let scales =
+    choose_scales ~calibration ~n_features:(Model_ir.input_dim model)
+  in
+  {
+    P4_ir.scales;
+    tables = tables_of ~entries_per_feature ~calibration ~scales model;
+  }
+
+(* [lookup] reads keys and SVM weight rows unchecked up to [n_features],
+   and a split's key by its feature index, so every shape must match the
+   scales. *)
+let of_entries { P4_ir.scales; tables } =
+  let n_features = Array.length scales in
+  let fit rows = Array.for_all (fun r -> Array.length r = n_features) rows in
+  let rec tree_ok = function
+    | P4_ir.Leaf cls -> cls >= 0
+    | P4_ir.Split { feature; left; right; _ } ->
+        feature >= 0 && feature < n_features && tree_ok left && tree_ok right
+  in
+  let ok =
+    match tables with
+    | P4_ir.Kmeans_cells { cells; centroids } ->
+        Array.length cells = Array.length centroids && fit cells && fit centroids
+    | P4_ir.Svm_votes { weights; biases } ->
+        Array.length weights = Array.length biases && fit weights
+    | P4_ir.Tree_rows root -> tree_ok root
+  in
+  if not ok then invalid_arg "Runtime.of_entries: tables do not fit the scales";
+  { tables; n_features; scales = Array.copy scales; misses = 0 }
+
+let load ?entries_per_feature ?calibration model =
+  of_entries (entries ?entries_per_feature ?calibration model)
 
 let feature_scales t = Array.copy t.scales
-
-let n_features t = t.n_features
 
 let check_input t x =
   if Array.length x <> t.n_features then
@@ -186,7 +186,9 @@ let check_input t x =
    unboxed because they are consumed within the same function body, and
    [key] is inlined, so encoding a packet makes no C call. Each entry point
    checks the workspace length once; the per-feature loops then read the
-   key buffer, the scales and the SVM weight rows unchecked. *)
+   key buffer, the scales and the SVM weight rows unchecked, on the shapes
+   [of_entries] checked. Every function on this path stays in this module: the dev
+   profile compiles with -opaque, so nothing is inlined across modules. *)
 
 type workspace = { keys : int array }
 
@@ -211,14 +213,14 @@ let lookup t ws =
   check_workspace t ws "Runtime.lookup";
   let keys = ws.keys in
   let nf = t.n_features in
-  match t.pipeline with
-  | Kmeans_tables p ->
+  match t.tables with
+  | P4_ir.Kmeans_cells { cells; centroids } ->
       (* TCAM priority semantics: the first cluster whose every per-feature
          range matches wins. *)
-      let n = Array.length p.cells in
+      let n = Array.length cells in
       let c = ref 0 and hit = ref (-1) in
       while !hit < 0 && !c < n do
-        let cell = p.cells.(!c) in
+        let cell = cells.(!c) in
         let ok = ref true and f = ref 0 in
         while !ok && !f < nf do
           let lo, hi = cell.(!f) in
@@ -229,11 +231,11 @@ let lookup t ws =
       done;
       if !hit >= 0 then !hit
       else begin
-        (* Default action: nearest quantized centroid. *)
-        p.misses <- p.misses + 1;
+        (* Default step: nearest quantized centroid. *)
+        t.misses <- t.misses + 1;
         let best = ref 0 and best_d = ref max_int in
-        for c = 0 to Array.length p.centroids_q - 1 do
-          let centroid = p.centroids_q.(c) in
+        for c = 0 to Array.length centroids - 1 do
+          let centroid = centroids.(c) in
           let d = ref 0 in
           for f = 0 to nf - 1 do
             let delta = Array.unsafe_get keys f - centroid.(f) in
@@ -246,13 +248,13 @@ let lookup t ws =
         done;
         !best
       end
-  | Svm_tables p ->
+  | P4_ir.Svm_votes { weights; biases } ->
       (* Running max over integer scores; ties keep the first maximal class,
          exactly like argmax over the materialized score array. *)
       let best = ref 0 and best_s = ref min_int in
-      for c = 0 to Array.length p.weights_q - 1 do
-        let w = p.weights_q.(c) in
-        let acc = ref p.biases_q.(c) in
+      for c = 0 to Array.length weights - 1 do
+        let w = weights.(c) in
+        let acc = ref biases.(c) in
         for f = 0 to nf - 1 do
           acc := !acc + (Array.unsafe_get w f * Array.unsafe_get keys f)
         done;
@@ -262,16 +264,15 @@ let lookup t ws =
         end
       done;
       !best
-  | Tree_tables root ->
+  | P4_ir.Tree_rows root ->
       let node = ref root in
       let result = ref (-1) in
       while !result < 0 do
         match !node with
-        | Decision_tree.Leaf { distribution } ->
-            result := Homunculus_util.Stats.argmax distribution
-        | Decision_tree.Split { feature; threshold; left; right } ->
+        | P4_ir.Leaf cls -> result := cls
+        | P4_ir.Split { feature; threshold; left; right } ->
             node :=
-              (if float_of_int keys.(feature) <= threshold then left else right)
+              (if keys.(feature) <= threshold then left else right)
       done;
       !result
 
@@ -290,10 +291,7 @@ let classify t x =
 
 let classify_all t xs = Array.map (classify t) xs
 
-let miss_count t =
-  match t.pipeline with
-  | Kmeans_tables p -> p.misses
-  | Svm_tables _ | Tree_tables _ -> 0
+let miss_count t = t.misses
 
 let fidelity t model ~x =
   if Array.length x = 0 then invalid_arg "Runtime.fidelity: empty input";

@@ -1,36 +1,51 @@
-(** A software switch runtime for MAT-mapped models — the deployment-side
-    twin of {!P4gen.emit_entries}.
+(** A software switch runtime for MAT-mapped models: it executes the
+    control-plane entries {!P4gen.emit_entries} prints.
 
     Where {!Inference} evaluates the IR in floating point (what the model
     means), this module executes it the way a Tofino-class pipeline
-    actually would: features quantized to 16-bit fixed-point keys, cluster
-    cells as per-feature range tables with TCAM priority semantics (first
-    match wins, a default action on miss), SVM votes and tree thresholds in
-    integer arithmetic. The gap between the two is the fidelity the
-    deployment loses to quantization and cell-shaped decision regions. *)
+    actually would: features quantized to signed 16-bit fixed-point keys,
+    cluster cells as per-feature range tables with TCAM priority semantics
+    (first match wins, nearest quantized centroid on a miss), SVM votes and
+    tree thresholds in integer arithmetic. The tables are one
+    {!P4_ir.entries} value: {!entries} builds it, {!P4gen.print_entries}
+    prints it, and a parsed dump executes here unchanged. The gap between
+    this module and {!Inference} is the fidelity the deployment loses to
+    quantization and cell-shaped decision regions. *)
 
 type t
+
+val entries :
+  ?entries_per_feature:int ->
+  ?calibration:float array array ->
+  Model_ir.t ->
+  P4_ir.entries
+(** Build the quantized tables (default granularity 64 cells/feature, the
+    {!Iisy} default). [calibration] — a sample of representative raw inputs —
+    sets each feature's fixed-point scale so the 16-bit key space covers the
+    observed range plus headroom (how real deployments pick quantization
+    parameters), and gives each k-means cell the span of the sample points
+    its cluster wins; without it, keys use the plain 8.8 encoding, which
+    saturates beyond |x| = 128, and cells are [65536 / entries_per_feature]
+    keys wide. @raise Invalid_argument when [entries_per_feature <= 0], for
+    DNNs — they do not map to MATs; {!Iisy} only costs their binarized
+    mapping, and no runtime executes it — and for SVMs whose weight rows
+    differ in length. *)
+
+val of_entries : P4_ir.entries -> t
+(** Compile entries into the lookup pipeline, with no text in between.
+    @raise Invalid_argument when a row's length or a split's feature does
+    not fit the scales, cells and centroids (or weights and biases) differ
+    in count, or a leaf class is negative. *)
 
 val load :
   ?entries_per_feature:int ->
   ?calibration:float array array ->
   Model_ir.t ->
   t
-(** Build the quantized tables (default granularity 64 cells/feature, the
-    {!Iisy} default). [calibration] — a sample of representative raw inputs —
-    sets each feature's fixed-point scale so the 16-bit key space covers the
-    observed range plus headroom (how real deployments pick quantization
-    parameters); without it, keys use the plain 8.8 encoding, which
-    saturates beyond |x| = 128. @raise Invalid_argument for DNNs — they do
-    not map to MATs; {!Iisy} only costs their binarized mapping, and no
-    runtime executes it — and for SVMs whose weight rows differ in
-    length. *)
+(** [of_entries (entries ?entries_per_feature ?calibration model)]. *)
 
 val feature_scales : t -> float array
 (** The per-feature key scale chosen at load time. *)
-
-val n_features : t -> int
-(** Input dimension the tables were built for. *)
 
 val classify : t -> float array -> int
 (** Push one feature vector through the table pipeline. Equivalent to
@@ -81,8 +96,8 @@ val classify_into : t -> workspace -> src:float array array -> n:int -> dst:int 
 
 val miss_count : t -> int
 (** KMeans pipelines only: how many packets missed every cluster cell since
-    [load] (they fall back to the default action: nearest quantized
-    centroid). 0 for SVM/tree pipelines. *)
+    [load] (they take the default step: nearest quantized centroid). 0 for
+    SVM/tree pipelines. *)
 
 val fidelity : t -> Model_ir.t -> x:float array array -> float
 (** Agreement rate between the table pipeline and the floating-point

@@ -13,20 +13,6 @@ let family_to_string = function
   | Svm -> "svm"
   | Kmeans -> "kmeans"
 
-let family_of_string = function
-  | "mlp" -> Some Mlp
-  | "tree" -> Some Tree
-  | "forest" -> Some Forest
-  | "svm" -> Some Svm
-  | "kmeans" -> Some Kmeans
-  | _ -> None
-
-let family_of_model = function
-  | Model_ir.Dnn _ -> Mlp
-  | Model_ir.Tree _ -> Tree
-  | Model_ir.Svm _ -> Svm
-  | Model_ir.Kmeans _ -> Kmeans
-
 let batch rng ~n ~dim ~lo ~hi =
   Array.init n (fun _ -> Array.init dim (fun _ -> Rng.uniform rng lo hi))
 
@@ -172,11 +158,11 @@ let gen_svm rng =
   let inputs = batch rng ~n:(batch_size rng) ~dim ~lo:(-8.) ~hi:8. in
   { Case.model; inputs }
 
-(* KMeans: non-negative coordinates (the P4 entries dump stores unsigned
-   TCAM ranges) and centroids separated by more than twice the default
-   fixed cell half-width (2.0 raw units at the 8.8 scale), so cluster cells
-   never overlap and the only divergences left are genuine quantization
-   effects. Inputs concentrate around centroids, like clustered data. *)
+(* KMeans: signed coordinates, so cells and inputs cross zero, and
+   centroids separated by more than twice the default fixed cell half-width
+   (2.0 raw units at the 8.8 scale), so cluster cells never overlap and the
+   only divergences left are genuine quantization effects. Inputs
+   concentrate around centroids, like clustered data. *)
 
 let gen_kmeans rng =
   let dim = 1 + Rng.int rng 6 in
@@ -187,7 +173,7 @@ let gen_kmeans rng =
   let attempts = ref 0 in
   while !placed < k && !attempts < 400 do
     incr attempts;
-    let c = Array.init dim (fun _ -> Rng.uniform rng 5. 95.) in
+    let c = Array.init dim (fun _ -> Rng.uniform rng (-45.) 45.) in
     let clash = ref false in
     for i = 0 to !placed - 1 do
       let linf =
@@ -205,16 +191,15 @@ let gen_kmeans rng =
      deterministic lattice with jitter. The lattice replaces every centroid,
      not just the missing ones — a lattice slot could land within the
      separation radius of an already-placed random centroid, and two
-     near-coincident centroids have overlapping cluster cells (last-hit-wins
+     near-coincident centroids have overlapping cluster cells (first-hit-wins
      would then legitimately pick the non-nearest one). Adjacent slots sit
      18 apart with at most 4 of jitter, so L-inf separation stays >= 14. *)
   if !placed < k then
     for i = 0 to k - 1 do
       centroids.(i) <-
         Array.init dim (fun f ->
-            let base = 5. +. (float_of_int i *. 18.) in
-            let v = base +. Rng.uniform rng 0. 4. +. float_of_int (f mod 2) in
-            Float.min 95. v)
+            let base = -45. +. (float_of_int i *. 18.) in
+            base +. Rng.uniform rng 0. 4. +. float_of_int (f mod 2))
     done;
   let model = Model_ir.Kmeans { name = "m"; centroids } in
   let inputs =
@@ -222,7 +207,7 @@ let gen_kmeans rng =
         let c = centroids.(Rng.int rng k) in
         Array.map
           (fun v ->
-            Float.max 0. (Float.min 100. (v +. Rng.gaussian rng ~sigma:1. ())))
+            Float.max (-50.) (Float.min 50. (v +. Rng.gaussian rng ~sigma:1. ())))
           c)
   in
   { Case.model; inputs }

@@ -5,18 +5,13 @@
     keys at the 8.8 fixed-point scale saturate beyond |x| = 128), so every
     cross-backend disagreement the oracle reports is a semantic divergence,
     not an encoding overflow the generator provoked on purpose. KMeans
-    cases use non-negative, well-separated centroids because the P4 entries
-    dump stores cluster cells as unsigned TCAM ranges. *)
+    cases use signed, well-separated centroids, so cluster cells and inputs
+    cross zero. *)
 
 type family = Mlp | Tree | Forest | Svm | Kmeans
 
 val all_families : family list
 val family_to_string : family -> string
-val family_of_string : string -> family option
-
-val family_of_model : Homunculus_backends.Model_ir.t -> family
-(** The generator family a model would belong to ([Forest] reports as
-    [Tree]: forest cases are fitted bagged trees). *)
 
 val case : Homunculus_util.Rng.t -> family -> Case.t
 (** One random (model, input batch) pair. [Mlp] draws random shapes and

@@ -75,7 +75,7 @@ let tree_near_split ~scales ~tol_keys root x =
 (* SVMs under the runtime's encoding: keys are round(x * s_f), weights are
    round(w * 65536 / s_f), biases round(b * 65536). Worst-case absolute
    error of one quantized score row, in 65536-score units. *)
-let runtime_svm_row_error ~scales w x =
+let svm_row_error ~scales w x =
   let acc = ref 0.5 (* bias rounding *) in
   Array.iteri
     (fun f wf ->
@@ -86,24 +86,6 @@ let runtime_svm_row_error ~scales w x =
         +. 0.25)
     w;
   !acc
-
-(* SVMs under the P4 entries encoding: weights, keys, and biases all use the
-   plain 8.8 scale; bias rows are rescaled by 256 at execution. *)
-let p4_svm_row_error w x =
-  let acc = ref 128. (* bias rounding, scaled by 256 *) in
-  Array.iteri
-    (fun f wf ->
-      acc := !acc +. (128. *. (Float.abs wf +. Float.abs x.(f))) +. 0.25)
-    w;
-  !acc
-
-let svm_excused ~row_error ~class_weights scores ~winner ~challenger =
-  challenger >= 0
-  && challenger < Array.length class_weights
-  && 65536. *. margin_between scores ~winner ~challenger
-     <= row_error class_weights.(winner)
-        +. row_error class_weights.(challenger)
-        +. 2.
 
 (* --- per-backend comparison --------------------------------------------- *)
 
@@ -144,7 +126,7 @@ let spatial_excuse model x ~expected:_ ~got:_ =
         else None
     | _ -> None
 
-let quantized_excuse ~scales ~svm_error model x ~expected ~got =
+let quantized_excuse ~scales model x ~expected ~got =
   match model with
   | Model_ir.Tree { root; _ } ->
       if tree_near_split ~scales ~tol_keys:1. root x then
@@ -152,54 +134,29 @@ let quantized_excuse ~scales ~svm_error model x ~expected ~got =
       else None
   | Model_ir.Svm { class_weights; _ } ->
       let scores = Inference.scores model x in
+      let row_error c = svm_row_error ~scales class_weights.(c) x in
       if
-        svm_excused ~row_error:(svm_error x) ~class_weights scores
-          ~winner:expected ~challenger:got
+        got >= 0
+        && got < Array.length class_weights
+        && 65536. *. margin_between scores ~winner:expected ~challenger:got
+           <= row_error expected +. row_error got +. 2.
       then Some "margin inside fixed-point error bound"
       else None
   | Model_ir.Kmeans _ | Model_ir.Dnn _ -> None
 
-(* The P4 entries dump stores each cluster as a per-feature key range of
-   half-width 65536/(2*entries_per_feature) around the quantized centroid
-   (P4gen.emit_entries). A sample whose key falls outside every cluster's
-   cell misses all tables and deterministically takes the default class 0 —
-   the encoding's designed behavior, not an arithmetic fault — so such
-   samples are excused outright instead of counting against the floor. *)
-let p4_all_cells_miss ?(entries_per_feature = 64) centroids x =
-  let q v = int_of_float (Float.round (v *. 256.)) land 0xFFFF in
-  let half = 65536 / (2 * entries_per_feature) in
-  let in_cell centroid =
-    let ok = ref true in
-    Array.iteri
-      (fun f coord ->
-        let center = q coord in
-        let lo = Stdlib.max 0 (center - half)
-        and hi = Stdlib.min 65535 (center + half) in
-        let key = q x.(f) in
-        if key < lo || key > hi then ok := false)
-      centroid;
-    !ok
-  in
-  not (Array.exists in_cell centroids)
-
 (* KMeans cells are lossy by design: the rule is an aggregate agreement
-   floor over the samples the encoding can represent at all, with
-   [miss_excused] filtering out the ones it provably cannot. *)
-let kmeans_compare ?(miss_excused = fun _ _ -> false) backend case got_all =
+   floor over the batch. *)
+let kmeans_compare backend case got_all =
   let expected = Inference.predict_all case.Case.model case.Case.inputs in
   let n = Array.length expected in
-  let agreed = ref 0 and excused_misses = ref 0 in
-  let first_disagreement = ref None in
+  let agreed = ref 0 and first_disagreement = ref None in
   Array.iteri
     (fun i e ->
       if got_all.(i) = e then incr agreed
-      else if miss_excused case.Case.inputs.(i) got_all.(i) then
-        incr excused_misses
       else if !first_disagreement = None then first_disagreement := Some i)
     expected;
-  let counted = n - !excused_misses in
-  let rate = float_of_int !agreed /. float_of_int (Stdlib.max 1 counted) in
-  if counted = 0 || rate >= kmeans_agreement_floor then
+  let rate = float_of_int !agreed /. float_of_int (Stdlib.max 1 n) in
+  if n = 0 || rate >= kmeans_agreement_floor then
     { backend; n_samples = n; agreed = !agreed; excused = n - !agreed; violations = [] }
   else
     let i = Option.value !first_disagreement ~default:0 in
@@ -207,7 +164,7 @@ let kmeans_compare ?(miss_excused = fun _ _ -> false) backend case got_all =
       backend;
       n_samples = n;
       agreed = !agreed;
-      excused = !excused_misses;
+      excused = 0;
       violations =
         [
           {
@@ -232,38 +189,22 @@ let compare_exn backend case =
           (Spatial_eval.predict program)
       in
       { backend; n_samples = n; agreed; excused; violations }
-  | Mat_runtime -> (
-      let rt = Runtime.load model in
+  | Mat_runtime | P4 -> (
+      (* The P4 path executes the printed dump, parsed back, with the
+         runtime's own executor. *)
+      let rt =
+        if backend = Mat_runtime then Runtime.load model
+        else Runtime.of_entries (P4_eval.parse (P4gen.emit_entries model))
+      in
       match model with
       | Model_ir.Kmeans _ ->
           kmeans_compare backend case (Runtime.classify_all rt case.Case.inputs)
       | _ ->
-          let scales = Runtime.feature_scales rt in
           let agreed, excused, violations =
             sample_compare
               ~excused_when:
-                (quantized_excuse ~scales
-                   ~svm_error:(fun x w -> runtime_svm_row_error ~scales w x)
-                   model)
+                (quantized_excuse ~scales:(Runtime.feature_scales rt) model)
               case (Runtime.classify rt)
-          in
-          { backend; n_samples = n; agreed; excused; violations })
-  | P4 -> (
-      let pv = P4_eval.load model in
-      match model with
-      | Model_ir.Kmeans { centroids; _ } ->
-          let miss_excused x got = got = 0 && p4_all_cells_miss centroids x in
-          kmeans_compare ~miss_excused backend case
-            (P4_eval.classify_all pv case.Case.inputs)
-      | _ ->
-          let scales = Array.make (Model_ir.input_dim model) 256. in
-          let agreed, excused, violations =
-            sample_compare
-              ~excused_when:
-                (quantized_excuse ~scales
-                   ~svm_error:(fun x w -> p4_svm_row_error w x)
-                   model)
-              case (P4_eval.classify pv)
           in
           { backend; n_samples = n; agreed; excused; violations })
 

@@ -10,6 +10,10 @@
       sum dot products in different orders), or — for trees — when the
       sample sits within [2e-6] of a split threshold (the Spatial template
       prints thresholds with [%.6f]).
+    - {b Mat_runtime} / {b P4}: the P4 path prints the model's entries
+      dump, parses it back, and executes it with
+      {!Homunculus_backends.Runtime}'s own executor, so both paths share
+      one table semantics and one set of rules.
     - {b Mat_runtime} / {b P4} trees: quantization moves every threshold
       and key by at most half a step, so a disagreement is excused only
       when some split of the tree lies within one key unit of the sample;
@@ -22,11 +26,7 @@
     - {b Mat_runtime} / {b P4} KMeans: cluster cells are a lossy encoding
       of Voronoi regions by design, so the rule is aggregate: batch
       agreement must reach {!kmeans_agreement_floor}. Disagreements under a
-      passing rate count as excused. On the P4 path, a sample whose key
-      falls outside {e every} cluster's cell provably misses all tables and
-      takes the default class 0 — that is the encoding's designed behavior,
-      so such samples are excused outright and excluded from the floor's
-      denominator.
+      passing rate count as excused.
 
     Every rule is sound: a reported violation cannot be caused by rounding
     a correct implementation is allowed to do. *)

@@ -1,40 +1,8 @@
-module Model_ir = Homunculus_backends.Model_ir
 module P4_ir = Homunculus_backends.P4_ir
-module P4gen = Homunculus_backends.P4gen
-module Range_match = Homunculus_backends.Range_match
 
 exception Bad_entries of string
 
 let bad fmt = Printf.ksprintf (fun s -> raise (Bad_entries s)) fmt
-
-(* The same 8.8 key encoding as P4gen.quantize; decode restores the sign the
-   16-bit wraparound discarded. *)
-let quantize v = int_of_float (Float.round (v *. 256.)) land 0xFFFF
-
-let signed16 v = if v land 0x8000 <> 0 then v - 65536 else v
-
-type tree_tables = {
-  splits : (int * int, int * int) Hashtbl.t;
-      (** (level, idx) -> (feature, signed quantized threshold) *)
-  leaf_class : (int * int, int) Hashtbl.t;  (** (level, idx) -> class *)
-}
-
-type pipeline =
-  | Kmeans_entries of {
-      n_clusters : int;
-      rows : (int * int, Range_match.ternary list) Hashtbl.t;
-          (** (cluster, feature) -> TCAM rows *)
-    }
-  | Svm_entries of {
-      n_classes : int;
-      weights : (int * int, int) Hashtbl.t;  (** (class, feature) -> w *)
-      biases : (int, int) Hashtbl.t;
-    }
-  | Tree_entries of tree_tables
-
-type t = { pipeline : pipeline; n_features : int }
-
-(* --- parsing ------------------------------------------------------------ *)
 
 let split_ws line =
   String.split_on_char ' ' line |> List.filter (fun s -> s <> "")
@@ -42,245 +10,162 @@ let split_ws line =
 (* Table names look like "<model>_cluster3"; model names may themselves
    contain underscores, so match on the last role marker. *)
 let role_index ~marker table =
-  let ml = String.length marker in
-  let tl = String.length table in
-  let rec find i best =
-    if i + ml > tl then best
-    else if String.sub table i ml = marker then find (i + 1) (Some i)
-    else find (i + 1) best
+  let ml = String.length marker and tl = String.length table in
+  let rec from i =
+    if i < 0 then None
+    else if String.sub table i ml = marker then
+      int_of_string_opt (String.sub table (i + ml) (tl - i - ml))
+    else from (i - 1)
   in
-  match find 0 None with
-  | None -> None
-  | Some i -> int_of_string_opt (String.sub table (i + ml) (tl - i - ml))
+  from (tl - ml)
 
-let has_suffix ~suffix s =
-  let sl = String.length suffix and n = String.length s in
-  n >= sl && String.sub s (n - sl) sl = suffix
+let int what s =
+  match int_of_string_opt s with Some v -> v | None -> bad "bad %s %s" what s
 
-let parse_ternary bits =
-  let width = String.length bits in
-  let value = ref 0 and mask = ref 0 in
-  String.iteri
-    (fun i c ->
-      let bit = 1 lsl (width - 1 - i) in
-      match c with
-      | '0' -> mask := !mask lor bit
-      | '1' ->
-          mask := !mask lor bit;
-          value := !value lor bit
-      | '*' -> ()
-      | _ -> bad "bad ternary pattern %s" bits)
-    bits;
-  { Range_match.value = !value; mask = !mask }
+(* "lo->hi": neither bound contains '>', so the first "->" separates them. *)
+let parse_range s =
+  let rec find i =
+    if i + 1 >= String.length s then bad "bad range %s" s
+    else if s.[i] = '-' && s.[i + 1] = '>' then i
+    else find (i + 1)
+  in
+  let i = find 0 in
+  ( int "range bound" (String.sub s 0 i),
+    int "range bound" (String.sub s (i + 2) (String.length s - i - 2)) )
 
-type raw_entry =
-  | Cluster_row of { cluster : int; feature : int; row : Range_match.ternary }
-  | Svm_weight of { cls : int; feature : int; weight : int }
-  | Svm_bias of { cls : int; bias : int }
-  | Tree_split of { level : int; idx : int; feature : int; threshold : int }
-  | Tree_leaf of { cls : int; idx : int }
+type row =
+  | Scale of int * float
+  | Cell of int * (int * int) array
+  | Centroid of int * int array
+  | Weight of { cls : int; feature : int; weight : int }
+  | Bias of int * int
+  | Split of { level : int; idx : int; feature : int; threshold : int }
+  | Leaf of { cls : int; idx : int }
 
 let parse_line line =
+  let role marker table =
+    match role_index ~marker table with
+    | Some i -> i
+    | None -> bad "unrecognized entry line: %s" line
+  in
   match split_ws line with
   | [] -> None
-  | first :: _ when String.length first > 0 && first.[0] = '#' -> None
-  | [ "table_add"; table; "set_class"; cls; "=>"; feat; "ternary"; bits ] -> (
-      match role_index ~marker:"_cluster" table with
-      | Some cluster ->
-          let feature =
-            match
-              if String.length feat > 1 && feat.[0] = 'f' then
-                int_of_string_opt (String.sub feat 1 (String.length feat - 1))
-              else None
-            with
-            | Some f -> f
-            | None -> bad "bad feature tag %s" feat
-          in
-          ignore cls;
-          Some (Cluster_row { cluster; feature; row = parse_ternary bits })
-      | None -> bad "unrecognized ternary row for table %s" table)
-  | [ "table_add"; table; "set_vote"; cls; "=>"; "weight"; w ] -> (
-      match (role_index ~marker:"_feature" table, int_of_string_opt cls,
-             int_of_string_opt w)
-      with
-      | Some feature, Some cls, Some weight ->
-          Some (Svm_weight { cls; feature; weight = signed16 weight })
-      | _ -> bad "bad SVM weight row: %s" line)
+  | first :: _ when first.[0] = '#' -> None
+  | [ "scale"; f; s ] when String.length f > 1 && f.[0] = 'f' -> (
+      match float_of_string_opt s with
+      | Some scale ->
+          Some (Scale (int "feature" (String.sub f 1 (String.length f - 1)), scale))
+      | None -> bad "bad scale %s" s)
   | [ "table_add"; table; "set_class"; cls; "=>"; "bias"; b ]
-    when has_suffix ~suffix:"_decision" table -> (
-      match (int_of_string_opt cls, int_of_string_opt b) with
-      | Some cls, Some bias -> Some (Svm_bias { cls; bias = signed16 bias })
-      | _ -> bad "bad SVM bias row: %s" line)
-  | [ "table_add"; table; "set_vote"; idx; "=>"; "feature"; f; "le"; q ] -> (
-      match (role_index ~marker:"_level" table, int_of_string_opt idx,
-             int_of_string_opt f, int_of_string_opt q)
-      with
-      | Some level, Some idx, Some feature, Some threshold ->
-          Some (Tree_split { level; idx; feature; threshold = signed16 threshold })
-      | _ -> bad "bad tree split row: %s" line)
+    when String.ends_with ~suffix:"_decision" table ->
+      Some (Bias (int "class" cls, int "bias" b))
   | [ "table_add"; table; "set_class"; cls; "=>"; "leaf"; idx ]
-    when has_suffix ~suffix:"_leaves" table -> (
-      match (int_of_string_opt cls, int_of_string_opt idx) with
-      | Some cls, Some idx -> Some (Tree_leaf { cls; idx })
-      | _ -> bad "bad tree leaf row: %s" line)
+    when String.ends_with ~suffix:"_leaves" table ->
+      Some (Leaf { cls = int "class" cls; idx = int "leaf" idx })
+  | [ "table_add"; table; "set_vote"; cls; "=>"; "weight"; w ] ->
+      Some
+        (Weight
+           { cls = int "class" cls; feature = role "_feature" table; weight = int "weight" w })
+  | [ "table_add"; table; "set_vote"; idx; "=>"; "feature"; f; "le"; q ] ->
+      Some
+        (Split
+           {
+             level = role "_level" table;
+             idx = int "split index" idx;
+             feature = int "feature" f;
+             threshold = int "threshold" q;
+           })
+  | "table_add" :: table :: "set_class" :: rest -> (
+      match List.rev rest with
+      | cls :: "=>" :: rev_ranges ->
+          let cluster = role "_cluster" table in
+          if int "class" cls <> cluster then
+            bad "cluster %d cell sets class %s" cluster cls;
+          Some (Cell (cluster, Array.of_list (List.rev_map parse_range rev_ranges)))
+      | _ -> bad "unrecognized entry line: %s" line)
+  | "table_set_default" :: table :: _action :: coords ->
+      Some
+        (Centroid
+           (role "_cluster" table, Array.of_list (List.map (int "centroid") coords)))
   | _ -> bad "unrecognized entry line: %s" line
 
-(* The leaf table keys rows by per-level index only, which is ambiguous when
-   leaves at different depths share an index value. The emission order is
-   the tree's preorder walk, so replaying that walk over the (unambiguous)
-   split entries pairs every leaf entry with its true (level, idx)
-   position. *)
-let resolve_leaves splits leaves =
-  let table = Hashtbl.create 16 in
-  let remaining = ref leaves in
-  let rec walk level idx =
-    if Hashtbl.mem splits (level, idx) then begin
-      walk (level + 1) (2 * idx);
-      walk (level + 1) ((2 * idx) + 1)
-    end
-    else
-      match !remaining with
-      | [] -> bad "entries declare fewer leaves than the splits imply"
-      | (cls, leaf_idx) :: rest ->
-          if leaf_idx <> idx then
-            bad "leaf emission order broken: expected idx %d, got %d" idx
-              leaf_idx;
-          Hashtbl.replace table (level, idx) cls;
-          remaining := rest
+(* Rows keyed by an index 0 .. n-1 (by default one past the largest), each
+   present exactly once. *)
+let dense what ?n pairs =
+  let n =
+    match n with
+    | Some n -> n
+    | None -> List.fold_left (fun m (i, _) -> Stdlib.max m (i + 1)) 0 pairs
   in
-  (* Split entries are emitted preorder too; an empty split table means the
-     whole tree is a single leaf at the root. *)
-  walk 0 0;
-  if !remaining <> [] then bad "entries declare more leaves than the splits imply";
-  table
+  let out = Array.make n None in
+  List.iter
+    (fun (i, v) ->
+      if i < 0 || i >= n || out.(i) <> None then bad "stray or duplicate %s %d" what i;
+      out.(i) <- Some v)
+    pairs;
+  Array.mapi
+    (fun i v -> match v with Some v -> v | None -> bad "missing %s %d" what i)
+    out
 
-let of_entries ~n_features text =
-  let entries =
-    String.split_on_char '\n' text
-    |> List.filter_map (fun l ->
-           let l = String.trim l in
-           if l = "" then None else parse_line l)
+(* Tree rows come in preorder, split and leaf rows interleaved, so a
+   recursive descent that expects each (level, idx) position in turn
+   rebuilds the tree (leaf rows carry only the index; the walk supplies
+   the level they are at). *)
+let tree_of rows =
+  let rows = ref rows in
+  let rec node level idx =
+    match !rows with
+    | Split r :: rest when r.level = level && r.idx = idx ->
+        rows := rest;
+        let left = node (level + 1) (2 * idx) in
+        let right = node (level + 1) ((2 * idx) + 1) in
+        P4_ir.Split { feature = r.feature; threshold = r.threshold; left; right }
+    | Leaf r :: rest when r.idx = idx ->
+        rows := rest;
+        P4_ir.Leaf r.cls
+    | _ -> bad "tree rows out of preorder at level %d, index %d" level idx
   in
-  if entries = [] then bad "empty entries dump";
-  let pipeline =
-    match entries with
+  let root = node 0 0 in
+  if !rows <> [] then bad "tree rows beyond the last leaf";
+  root
+
+let parse text =
+  let rows = String.split_on_char '\n' text |> List.filter_map parse_line in
+  let pick f = List.filter_map f rows in
+  let scales = dense "scale" (pick (function Scale (f, s) -> Some (f, s) | _ -> None)) in
+  let table_rows = List.filter (function Scale _ -> false | _ -> true) rows in
+  let only family =
+    if not (List.for_all family table_rows) then bad "mixed entry families in one dump"
+  in
+  let tables =
+    match table_rows with
     | [] -> bad "empty entries dump"
-    | Cluster_row _ :: _ ->
-        let rows = Hashtbl.create 64 in
-        let n_clusters = ref 0 in
+    | (Cell _ | Centroid _) :: _ ->
+        only (function Cell _ | Centroid _ -> true | _ -> false);
+        let cells = dense "cluster cell" (pick (function Cell (c, r) -> Some (c, r) | _ -> None)) in
+        let centroids =
+          dense "centroid" ~n:(Array.length cells)
+            (pick (function Centroid (c, q) -> Some (c, q) | _ -> None))
+        in
+        P4_ir.Kmeans_cells { cells; centroids }
+    | (Weight _ | Bias _) :: _ ->
+        only (function Weight _ | Bias _ -> true | _ -> false);
+        let biases = dense "class bias" (pick (function Bias (c, b) -> Some (c, b) | _ -> None)) in
+        let n_classes = Array.length biases and n_features = Array.length scales in
+        let weights = Array.make_matrix n_classes n_features 0 in
         List.iter
           (function
-            | Cluster_row { cluster; feature; row } ->
-                if cluster + 1 > !n_clusters then n_clusters := cluster + 1;
-                let key = (cluster, feature) in
-                let prev =
-                  Option.value (Hashtbl.find_opt rows key) ~default:[]
-                in
-                Hashtbl.replace rows key (prev @ [ row ])
-            | _ -> bad "mixed entry families in one dump")
-          entries;
-        Kmeans_entries { n_clusters = !n_clusters; rows }
-    | (Svm_weight _ | Svm_bias _) :: _ ->
-        let weights = Hashtbl.create 64 and biases = Hashtbl.create 8 in
-        let n_classes = ref 0 in
-        List.iter
-          (function
-            | Svm_weight { cls; feature; weight } ->
-                if cls + 1 > !n_classes then n_classes := cls + 1;
-                Hashtbl.replace weights (cls, feature) weight
-            | Svm_bias { cls; bias } ->
-                if cls + 1 > !n_classes then n_classes := cls + 1;
-                Hashtbl.replace biases cls bias
-            | _ -> bad "mixed entry families in one dump")
-          entries;
-        Svm_entries { n_classes = !n_classes; weights; biases }
-    | (Tree_split _ | Tree_leaf _) :: _ ->
-        let splits = Hashtbl.create 32 in
-        let leaves = ref [] in
-        List.iter
-          (function
-            | Tree_split { level; idx; feature; threshold } ->
-                Hashtbl.replace splits (level, idx) (feature, threshold)
-            | Tree_leaf { cls; idx } -> leaves := (cls, idx) :: !leaves
-            | _ -> bad "mixed entry families in one dump")
-          entries;
-        let leaf_class = resolve_leaves splits (List.rev !leaves) in
-        Tree_entries { splits; leaf_class }
+            | Weight { cls; feature; weight } ->
+                if cls < 0 || cls >= n_classes || feature < 0 || feature >= n_features
+                then bad "weight row for class %d, feature %d: none declared" cls feature;
+                weights.(cls).(feature) <- weight
+            | _ -> ())
+          table_rows;
+        P4_ir.Svm_votes { weights; biases }
+    | (Split _ | Leaf _) :: _ -> P4_ir.Tree_rows (tree_of table_rows)
+    | Scale _ :: _ -> assert false (* filtered out above *)
   in
-  { pipeline; n_features }
-
-let load ?entries_per_feature model =
-  let text = P4gen.emit_entries ?entries_per_feature model in
-  of_entries ~n_features:(Model_ir.input_dim model) text
-
-(* --- execution ----------------------------------------------------------- *)
-
-let check_input t x =
-  if Array.length x <> t.n_features then
-    invalid_arg "P4_eval.classify: feature dimension mismatch"
-
-let classify t x =
-  check_input t x;
-  let keys = Array.map quantize x in
-  match t.pipeline with
-  | Kmeans_entries { n_clusters; rows } ->
-      (* Cluster tables apply in declaration order; each hit overwrites
-         meta.class_result, so the last matching cluster wins. A full miss
-         leaves the zero-initialized metadata: class 0. *)
-      let verdict = ref 0 in
-      for c = 0 to n_clusters - 1 do
-        let hit = ref true in
-        for f = 0 to t.n_features - 1 do
-          match Hashtbl.find_opt rows (c, f) with
-          | None -> hit := false
-          | Some ternaries ->
-              if
-                not
-                  (List.exists
-                     (fun row -> Range_match.matches row keys.(f))
-                     ternaries)
-              then hit := false
-        done;
-        if !hit then verdict := c
-      done;
-      !verdict
-  | Svm_entries { n_classes; weights; biases } ->
-      let skeys = Array.map signed16 keys in
-      let score c =
-        let acc = ref (256 * Option.value (Hashtbl.find_opt biases c) ~default:0) in
-        for f = 0 to t.n_features - 1 do
-          match Hashtbl.find_opt weights (c, f) with
-          | Some w -> acc := !acc + (w * skeys.(f))
-          | None -> () (* zero weights are not emitted *)
-        done;
-        !acc
-      in
-      let best = ref 0 and best_score = ref min_int in
-      for c = 0 to n_classes - 1 do
-        let s = score c in
-        if s > !best_score then begin
-          best := c;
-          best_score := s
-        end
-      done;
-      !best
-  | Tree_entries { splits; leaf_class } ->
-      let skeys = Array.map signed16 keys in
-      let rec walk level idx =
-        match Hashtbl.find_opt splits (level, idx) with
-        | Some (feature, threshold) ->
-            if skeys.(feature) <= threshold then walk (level + 1) (2 * idx)
-            else walk (level + 1) ((2 * idx) + 1)
-        | None -> (
-            match Hashtbl.find_opt leaf_class (level, idx) with
-            | Some cls -> cls
-            | None -> bad "walk reached position (%d, %d) with no entry" level idx)
-      in
-      walk 0 0
-
-let classify_all t xs = Array.map (classify t) xs
-
-(* --- structural validation ---------------------------------------------- *)
+  { P4_ir.scales; tables }
 
 let validate_against (program : P4_ir.program) text =
   let tables =
@@ -288,11 +173,14 @@ let validate_against (program : P4_ir.program) text =
       (fun tbl -> (tbl.P4_ir.table_name, tbl.P4_ir.action_refs))
       program.P4_ir.ingress.P4_ir.tables
   in
+  let declared field =
+    List.exists (fun m -> m.P4_ir.field_name = field) program.P4_ir.metadata
+  in
   let check_line line =
     match split_ws line with
     | [] -> Ok ()
-    | first :: _ when String.length first > 0 && first.[0] = '#' -> Ok ()
-    | "table_add" :: table :: action :: _ -> (
+    | first :: _ when first.[0] = '#' -> Ok ()
+    | ("table_add" | "table_set_default") :: table :: action :: _ -> (
         match List.assoc_opt table tables with
         | None -> Error (Printf.sprintf "entry targets undeclared table %s" table)
         | Some actions ->
@@ -300,6 +188,10 @@ let validate_against (program : P4_ir.program) text =
             else
               Error
                 (Printf.sprintf "table %s does not offer action %s" table action))
+    | [ "scale"; f; _ ] ->
+        let n = String.sub f 1 (String.length f - 1) in
+        if f.[0] = 'f' && declared ("feature" ^ n ^ "_key") then Ok ()
+        else Error (Printf.sprintf "scale for undeclared feature key %s" f)
     | _ -> Error (Printf.sprintf "unparseable entry line: %s" line)
   in
   String.split_on_char '\n' text

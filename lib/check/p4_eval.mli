@@ -1,45 +1,28 @@
-(** An executor for the MAT backend's control-plane entry dumps — the "what
-    would the switch compute" oracle of the conformance harness.
+(** A parser for the MAT backend's control-plane entry dumps — the "what
+    would the switch compute" half of the conformance harness.
 
     {!Homunculus_backends.P4gen} splits its output like a real deployment:
     the P4 program ({!Homunculus_backends.P4_ir}) declares tables, and
     [emit_entries] dumps the rows the control plane would install. This
-    module parses that dump back and executes it with match-action
-    semantics: 8.8 fixed-point keys, ternary TCAM rows for cluster cells,
-    per-feature vote accumulation for SVMs, level-indexed branch tables for
-    trees (the leaf table is disambiguated by replaying the preorder
-    emission of the splits), and last-hit-wins apply ordering — exactly the
-    pipeline {!Homunculus_backends.P4_ir.program} applies tables in.
+    module parses that dump back into the {!Homunculus_backends.P4_ir.entries}
+    value it was printed from; {!Homunculus_backends.Runtime.of_entries}
+    then executes it with the serving runtime's own executor. There is one
+    table semantics, so a P4 verdict differs from a served one only if the
+    print → parse round-trip loses something, which a property test
+    checks. *)
 
-    A divergence against {!Homunculus_backends.Inference} beyond the
-    oracle's quantization tolerance means the entry computation (not just
-    the program skeleton) broke the model's semantics. *)
-
-module Model_ir = Homunculus_backends.Model_ir
 module P4_ir = Homunculus_backends.P4_ir
 
 exception Bad_entries of string
 (** The dump does not parse, or its rows are inconsistent with the table
     structure (e.g. a leaf row with no matching tree position). *)
 
-type t
-
-val load : ?entries_per_feature:int -> Model_ir.t -> t
-(** Emit the model's entries with
-    {!Homunculus_backends.P4gen.emit_entries} and parse them back.
-    @raise Invalid_argument for DNNs (they do not map to MATs). *)
-
-val of_entries : n_features:int -> string -> t
-(** Parse a raw entries dump (family is inferred from the table names).
+val parse : string -> P4_ir.entries
+(** Parse a raw entries dump (family is inferred from the table names);
+    [parse (P4gen.print_entries ~name e) = e].
     @raise Bad_entries when it cannot be interpreted. *)
 
-val classify : t -> float array -> int
-(** Execute the match-action pipeline for one feature vector. KMeans
-    pipelines report class 0 when no cluster cell matches (the zero-valued
-    metadata default a v1model switch would leave in place). *)
-
-val classify_all : t -> float array array -> int array
-
 val validate_against : P4_ir.program -> string -> (unit, string) result
-(** Every [table_add] row in the dump must reference a table declared by
-    the program, with an action that table actually offers. *)
+(** Every [table_add] and [table_set_default] row in the dump must reference
+    a table declared by the program, with an action that table actually
+    offers, and every [scale f<i>] row a feature key the program declares. *)

@@ -1,6 +1,7 @@
 type t = { ts : float; size : int }
 
 let make ~ts ~size =
+  if not (Float.is_finite ts) then invalid_arg "Packet.make: non-finite timestamp";
   if ts < 0. then invalid_arg "Packet.make: negative timestamp";
   if size <= 0 then invalid_arg "Packet.make: non-positive size";
   { ts; size }

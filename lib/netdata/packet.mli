@@ -6,7 +6,8 @@ type t = {
 }
 
 val make : ts:float -> size:int -> t
-(** @raise Invalid_argument on negative time or non-positive size. *)
+(** @raise Invalid_argument on a NaN, infinite or negative time, or a
+    non-positive size. *)
 
 val inter_arrival_times : t array -> float array
 (** [n-1] gaps of an array sorted by [ts]; empty for fewer than 2 packets. *)

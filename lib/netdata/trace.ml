@@ -65,6 +65,8 @@ let of_string text =
                 with
                 | [ ts; size ] -> (
                     match (float_of_string_opt ts, int_of_string_opt size) with
+                    | Some t, Some _ when not (Float.is_finite t && t >= 0.) ->
+                        fail_at pkt_line_no "bad timestamp %S" ts
                     | Some ts, Some size -> Packet.make ~ts ~size
                     | _ -> fail_at pkt_line_no "bad packet %S" pkt_line)
                 | _ -> fail_at pkt_line_no "bad packet %S" pkt_line)

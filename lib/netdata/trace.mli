@@ -15,7 +15,8 @@
 val to_string : Flow.t array -> string
 
 val of_string : string -> Flow.t array
-(** @raise Invalid_argument on malformed input (with a line number). *)
+(** @raise Invalid_argument on malformed input, including a NaN, infinite
+    or negative packet timestamp (with a line number). *)
 
 val save : path:string -> Flow.t array -> unit
 val load : path:string -> Flow.t array

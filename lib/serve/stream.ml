@@ -56,6 +56,8 @@ let events_scheduled ?(config = default_config) scheduled =
   let flow_ids =
     Array.map
       (fun (start, flow) ->
+        if not (Float.is_finite start) then
+          invalid_arg "Stream.events_scheduled: non-finite start";
         if start < 0. then invalid_arg "Stream.events_scheduled: negative start";
         flow.Flow.id)
       scheduled

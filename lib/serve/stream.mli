@@ -45,7 +45,8 @@ val events_scheduled :
 (** [(start_offset, flow)] pairs: each flow's packets are shifted by its
     start offset and all packets are merged into one ascending timeline
     (ties broken by flow id). Flow ids should be unique — the flow table and
-    inter-arrival tracking key on them. *)
+    inter-arrival tracking key on them. @raise Invalid_argument on a NaN,
+    infinite or negative start offset. *)
 
 val events :
   Homunculus_util.Rng.t ->

@@ -9,6 +9,8 @@ module Harness = Check.Harness
 module Rng = Homunculus_util.Rng
 module Inference = Homunculus_backends.Inference
 module Model_ir = Homunculus_backends.Model_ir
+module Runtime = Homunculus_backends.Runtime
+module P4gen = Homunculus_backends.P4gen
 
 let test_conformance_budget () =
   let report =
@@ -101,7 +103,56 @@ let test_replay_artifact () =
 let test_entries_parser_rejects_garbage () =
   Alcotest.check_raises "malformed dump"
     (Check.P4_eval.Bad_entries "unrecognized entry line: table_add what")
-    (fun () -> ignore (Check.P4_eval.of_entries ~n_features:1 "table_add what"))
+    (fun () -> ignore (Check.P4_eval.parse "table_add what"))
+
+(* One table semantics: executing the printed entries dump (parse, then the
+   runtime's executor) gives the served verdict on every input. *)
+let executed_dump model =
+  Runtime.of_entries (Check.P4_eval.parse (P4gen.emit_entries model))
+
+let mat_families = [ Gen.Tree; Gen.Forest; Gen.Svm; Gen.Kmeans ]
+
+(* 300 generated cases per MAT family, after two models that an unsigned
+   16-bit dump gets wrong, checked against the float reference too: a
+   centroid below zero (its cell would clip at the unsigned key range) and
+   SVM weights of +-200 (they would wrap to the opposite sign). *)
+let test_dump_executes_as_served () =
+  let rng = Rng.create 7 in
+  let hand_built =
+    [
+      { Case.model = Model_ir.Kmeans { name = "k"; centroids = [| [| 10. |]; [| -0.5 |] |] };
+        inputs = [| [| 0.3 |]; [| 1.0 |]; [| -0.5 |]; [| 9. |] |] };
+      { Case.model =
+          Model_ir.Svm
+            { name = "s"; class_weights = [| [| 200. |]; [| -200. |] |]; biases = [| 0.; 0. |] };
+        inputs = [| [| 1. |]; [| -1. |]; [| 0.25 |] |] };
+    ]
+  in
+  List.iter
+    (fun { Case.model; inputs } ->
+      Alcotest.(check (array int)) "float reference" (Inference.predict_all model inputs)
+        (Runtime.classify_all (Runtime.load model) inputs))
+    hand_built;
+  List.iteri
+    (fun i { Case.model; inputs } ->
+      Alcotest.(check (array int)) (Printf.sprintf "case %d" i)
+        (Runtime.classify_all (Runtime.load model) inputs)
+        (Runtime.classify_all (executed_dump model) inputs))
+    (hand_built
+    @ List.concat_map
+        (fun family -> List.init 300 (fun _ -> Gen.case (Rng.split rng) family))
+        mat_families)
+
+(* [parse (print e) = e], calibrated entries (non-256 scales) included. *)
+let prop_entries_roundtrip =
+  QCheck.Test.make ~name:"entries print-parse round-trip" ~count:200
+    QCheck.(pair (int_bound 1_000_000) bool)
+    (fun (seed, calibrated) ->
+      let rng = Rng.create seed in
+      let { Case.model; inputs } = Gen.case rng (List.nth mat_families (Rng.int rng 4)) in
+      let e = Runtime.entries ?calibration:(if calibrated then Some inputs else None) model in
+      calibrated = Array.exists (fun s -> s <> 256.) e.Homunculus_backends.P4_ir.scales
+      && Check.P4_eval.parse (P4gen.print_entries ~name:"m" e) = e)
 
 let test_backend_applicability () =
   let dnn =
@@ -135,4 +186,6 @@ let suite =
     Alcotest.test_case "artifact replay round-trips" `Quick test_replay_artifact;
     Alcotest.test_case "entries parser rejects garbage" `Quick test_entries_parser_rejects_garbage;
     Alcotest.test_case "backend applicability" `Quick test_backend_applicability;
+    Alcotest.test_case "dump executes as served" `Quick test_dump_executes_as_served;
+    QCheck_alcotest.to_alcotest prop_entries_roundtrip;
   ]

@@ -72,6 +72,16 @@ let test_runtime_kmeans_cells_and_misses () =
   Alcotest.(check int) "default action used" 1 (Runtime.miss_count rt);
   Alcotest.(check int) "default = nearest centroid" (Inference.predict ir far) verdict
 
+(* A non-positive granularity gives no cell width: zero would divide by
+   zero and a negative one would give cells with lo > hi. *)
+let test_runtime_rejects_nonpositive_granularity () =
+  let km = Model_ir.Kmeans { name = "k"; centroids = [| [| 1. |]; [| -1. |] |] } in
+  let msg = Invalid_argument "Runtime.entries: entries_per_feature must be positive" in
+  Alcotest.check_raises "load 0" msg (fun () -> ignore (Runtime.load ~entries_per_feature:0 km));
+  Alcotest.check_raises "load -1" msg (fun () -> ignore (Runtime.load ~entries_per_feature:(-1) km));
+  Alcotest.check_raises "emit_entries 0" msg (fun () ->
+      ignore (P4gen.emit_entries ~entries_per_feature:0 km))
+
 (* A one-feature SVM that predicts class 0 iff x > threshold: scores are
    [x - t] and [t - x], so the decision boundary sits exactly at [t]. *)
 let step_svm ~threshold =
@@ -336,6 +346,8 @@ let suite =
     Alcotest.test_case "runtime tree fidelity" `Quick test_runtime_tree_fidelity;
     Alcotest.test_case "runtime kmeans cells" `Quick test_runtime_kmeans_cells_and_misses;
     Alcotest.test_case "runtime quantize" `Quick test_runtime_quantize;
+    Alcotest.test_case "runtime rejects non-positive granularity" `Quick
+      test_runtime_rejects_nonpositive_granularity;
     QCheck_alcotest.to_alcotest prop_key_matches_legacy;
     Alcotest.test_case "runtime lookup rejects short workspace" `Quick
       test_runtime_lookup_rejects_short_workspace;

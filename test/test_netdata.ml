@@ -11,6 +11,12 @@ let test_packet_make_validates () =
   Alcotest.check_raises "negative ts"
     (Invalid_argument "Packet.make: negative timestamp") (fun () ->
       ignore (Packet.make ~ts:(-1.) ~size:100));
+  List.iter
+    (fun ts ->
+      Alcotest.check_raises "non-finite ts"
+        (Invalid_argument "Packet.make: non-finite timestamp") (fun () ->
+          ignore (Packet.make ~ts ~size:100)))
+    [ Float.nan; infinity; neg_infinity ];
   Alcotest.check_raises "zero size"
     (Invalid_argument "Packet.make: non-positive size") (fun () ->
       ignore (Packet.make ~ts:0. ~size:0))

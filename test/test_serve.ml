@@ -36,6 +36,15 @@ let test_stream_ordering_and_determinism () =
         (e.Stream.packet_index >= Stream.default_config.Stream.min_packets))
     a
 
+let test_stream_rejects_non_finite_start () =
+  let flow = Flowsim.generate_flow (Rng.create 7) ~id:0 ~app:"storm" () in
+  List.iter
+    (fun start ->
+      Alcotest.check_raises "non-finite start"
+        (Invalid_argument "Stream.events_scheduled: non-finite start")
+        (fun () -> ignore (Stream.events_scheduled [| (start, flow) |])))
+    [ Float.nan; infinity ]
+
 let test_stream_matches_flowmarker () =
   (* One flow alone in the table: the event at packet k must carry exactly
      the partial flowmarker of the first k packets. *)
@@ -876,6 +885,8 @@ let suite =
       test_stream_ordering_and_determinism;
     Alcotest.test_case "stream matches flowmarker" `Quick
       test_stream_matches_flowmarker;
+    Alcotest.test_case "stream rejects non-finite start" `Quick
+      test_stream_rejects_non_finite_start;
     Alcotest.test_case "stream golden digest" `Quick test_stream_golden_digest;
     Alcotest.test_case "shift botnet" `Quick test_shift_botnet;
     Alcotest.test_case "renumber" `Quick test_renumber;
