@@ -58,9 +58,11 @@ let bench_members path =
 
 let bench_member ~path ~key = List.assoc_opt key (bench_members path)
 
-let set_bench_member ~path ~key value =
-  let members = List.remove_assoc key (bench_members path) @ [ (key, value) ] in
+let write_bench ~path members =
   Out_channel.with_open_text path (fun oc ->
       Out_channel.output_string oc
         (Json.to_string ~pretty:true (Json.Object members));
       Out_channel.output_char oc '\n')
+
+let set_bench_member ~path ~key value =
+  write_bench ~path (List.remove_assoc key (bench_members path) @ [ (key, value) ])

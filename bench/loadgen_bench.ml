@@ -9,7 +9,6 @@
    regression gate. Throughput is perfbench's to measure (serve_ips); the
    bench writes no wall-clock figure, so two runs write the same bytes. *)
 
-open Homunculus_netdata
 open Homunculus_serve
 module Rng = Homunculus_util.Rng
 module Json = Homunculus_util.Json
@@ -24,39 +23,6 @@ module Serve_eval = Homunculus_check.Serve_eval
 let slo_p99_s = 0.1
 
 let service_rate = Engine.default_config.Engine.service_rate_pps
-
-let mix n = { Flowsim.n_flows = n; botnet_frac = 0.5; max_packets = 160 }
-
-let build ~seed ~n_train ~n_serve =
-  let rng = Rng.create seed in
-  let train = Flowsim.generate rng ~mix:(mix n_train) () in
-  let model =
-    Updater.bootstrap (Rng.split rng) ~algorithm:`Svm ~bins:Botnet.Fused
-      ~name:"botnet_detection" train
-  in
-  let serve_flows = Flowsim.generate rng ~mix:(mix n_serve) () in
-  let base = Stream.events (Rng.split rng) serve_flows in
-  (model, base)
-
-let run_one ~model ~mode ~rate ~process ~arrival_seed base =
-  let g = Loadgen.generator (Rng.create arrival_seed) ~rate ~process in
-  let events = Loadgen.retime g base in
-  let config =
-    {
-      Engine.default_config with
-      Engine.mode;
-      trace_capacity = Array.length events;
-    }
-  in
-  let monitor = Monitor.create ~n_classes:2 () in
-  let engine = Engine.create ~config ~model ~monitor () in
-  let label =
-    Printf.sprintf "%s_%s_%gpps"
-      (match mode with Engine.Reference -> "reference" | Engine.Quantized -> "quantized")
-      (Loadgen.process_name process) rate
-  in
-  let result = Loadgen.drive ~label engine ~rate ~process events in
-  (engine, result)
 
 let show (r : Loadgen.result) =
   let lat p =
@@ -85,7 +51,7 @@ let run () =
     "Serving throughput: open-loop loadgen, Reference vs Quantized drain";
   let n_train, n_serve = if Bench_config.fast then (80, 60) else (150, 120) in
   let model, base =
-    build ~seed:(Bench_config.seed + 29) ~n_train ~n_serve
+    Session.botnet_payload ~seed:(Bench_config.seed + 29) ~n_train ~n_serve
   in
   Printf.printf "%d-packet payload trace; service rate %.0f pps, batch %d\n\n"
     (Array.length base) service_rate Engine.default_config.Engine.batch_size;
@@ -99,28 +65,17 @@ let run () =
   in
   let runs =
     List.concat_map
-      (fun mode ->
-        List.map
-          (fun (rate, process) ->
-            run_one ~model ~mode ~rate ~process
-              ~arrival_seed:(Bench_config.seed + 31) base)
-          plans)
-      [ Engine.Reference; Engine.Quantized ]
+      (fun (mode, label) ->
+        Session.sweep
+          ~engine:{ Engine.default_config with Engine.mode }
+          ~arrival_seed:(Bench_config.seed + 31) ~label model plans base)
+      [ (Engine.Reference, "reference"); (Engine.Quantized, "quantized") ]
   in
   List.iter (fun (_, r) -> show r) runs;
 
   (* Differential gate 1: every quantized verdict must replay bit-identically
      through the pure Runtime oracle. *)
-  let replay_mismatches =
-    List.fold_left
-      (fun acc (engine, r) ->
-        match r.Loadgen.process with
-        | _ when Engine.current_runtime engine = None -> acc
-        | _ ->
-            let rp = Serve_eval.replay_quantized engine in
-            acc + List.length rp.Serve_eval.mismatches)
-      0 runs
-  in
+  let replay_mismatches = Serve_eval.sweep_mismatches (List.map fst runs) in
   Printf.printf "\nquantized replay oracle: %d mismatches across %d runs\n"
     replay_mismatches
     (List.length (List.filter (fun (e, _) -> Engine.current_runtime e <> None) runs));
@@ -145,40 +100,31 @@ let run () =
   Printf.printf "SLO gate: quantized p99 %.1f ms at %.0f pps (budget %.1f ms)\n"
     (1e3 *. p99) under (1e3 *. slo_p99_s);
 
-  let json =
-    Json.Object
-      [
-        ("fast", Json.Bool Bench_config.fast);
-        ("seed", Json.Number (float_of_int Bench_config.seed));
-        ("service_rate_pps", Json.Number service_rate);
-        ( "batch_size",
-          Json.Number (float_of_int Engine.default_config.Engine.batch_size) );
-        ( "queue_capacity",
-          Json.Number (float_of_int Engine.default_config.Engine.queue_capacity)
-        );
-        ("payload_events", Json.Number (float_of_int (Array.length base)));
-        ("slo_p99_s", Json.Number slo_p99_s);
-        ("slo_p99_measured_s", Json.Number p99);
-        ( "replay_mismatches",
-          Json.Number (float_of_int replay_mismatches) );
-        ("ref_quant_agreement", Json.Number agr.Serve_eval.rate);
-        ( "runs",
-          Json.List (List.map (fun (_, r) -> run_json r) runs) );
-      ]
+  let members =
+    [
+      ("fast", Json.Bool Bench_config.fast);
+      ("seed", Json.Number (float_of_int Bench_config.seed));
+      ("service_rate_pps", Json.Number service_rate);
+      ( "batch_size",
+        Json.Number (float_of_int Engine.default_config.Engine.batch_size) );
+      ( "queue_capacity",
+        Json.Number (float_of_int Engine.default_config.Engine.queue_capacity)
+      );
+      ("payload_events", Json.Number (float_of_int (Array.length base)));
+      ("slo_p99_s", Json.Number slo_p99_s);
+      ("slo_p99_measured_s", Json.Number p99);
+      ( "replay_mismatches",
+        Json.Number (float_of_int replay_mismatches) );
+      ("ref_quant_agreement", Json.Number agr.Serve_eval.rate);
+      ( "runs",
+        Json.List (List.map (fun (_, r) -> run_json r) runs) );
+    ]
   in
   (* Keep the serve bench's "autopilot" member if it wrote first. *)
-  let json =
-    match
-      ( json,
-        Bench_config.bench_member ~path:"BENCH_serve.json" ~key:"autopilot" )
-    with
-    | Json.Object members, Some autopilot ->
-        Json.Object (members @ [ ("autopilot", autopilot) ])
-    | _, _ -> json
-  in
-  Out_channel.with_open_text "BENCH_serve.json" (fun oc ->
-      Out_channel.output_string oc (Json.to_string ~pretty:true json);
-      Out_channel.output_char oc '\n');
+  let path = "BENCH_serve.json" in
+  let autopilot = Bench_config.bench_member ~path ~key:"autopilot" in
+  Bench_config.write_bench ~path
+    (members @ List.map (fun a -> ("autopilot", a)) (Option.to_list autopilot));
   Printf.printf "wrote BENCH_serve.json\n";
 
   if replay_mismatches > 0 then begin

@@ -20,51 +20,9 @@ module Autopilot = Homunculus_autopilot.Autopilot
 
 let mix n = { Flowsim.n_flows = n; botnet_frac = 0.5; max_packets = 200 }
 
-let build_scenario ~seed ~n_train ~n_serve =
-  let rng = Rng.create seed in
-  let train_flows = Flowsim.generate rng ~mix:(mix n_train) () in
-  let model =
-    Updater.bootstrap (Rng.split rng) ~bins:Botnet.Fused ~name:"botnet_detection"
-      train_flows
-  in
-  (* Phase A: the traffic the model was trained for. Phase B: every botnet
-     flow re-tooled; benign traffic unchanged. *)
-  let phase_a = Flowsim.generate rng ~mix:(mix n_serve) () in
-  let phase_b =
-    Stream.renumber ~from:n_serve
-      (Stream.shift_botnet (Flowsim.generate rng ~mix:(mix n_serve) ()))
-  in
-  let offsets_a = Array.map (fun f -> (Rng.float rng 600., f)) phase_a in
-  let offsets_b = Array.map (fun f -> (600. +. Rng.float rng 600., f)) phase_b in
-  let events = Stream.events_scheduled (Array.append offsets_a offsets_b) in
-  (model, events)
-
-let run_once ~model ~events ~with_updater ~updater_rng =
-  let monitor = Monitor.create ~n_classes:2 () in
-  let updater =
-    if with_updater then
-      Some
-        (Updater.create updater_rng ~n_features:(Botnet.n_features Botnet.Fused)
-           ~n_classes:2 ())
-    else None
-  in
-  let engine = Engine.create ~model ~monitor ?updater () in
-  Engine.run engine events
-
-let phase_f1 windows ~before ~after =
-  let pre =
-    List.filter (fun w -> w.Monitor.t_end < before) windows
-    |> List.map (fun w -> w.Monitor.f1)
-  in
-  let post =
-    List.filter (fun w -> w.Monitor.t_start > after) windows
-    |> List.map (fun w -> w.Monitor.f1)
-  in
-  let mean = function
-    | [] -> 0.
-    | xs -> List.fold_left ( +. ) 0. xs /. float_of_int (List.length xs)
-  in
-  (mean pre, mean post)
+let run_once ?(monitor = Monitor.default_config) ~model ~events updates =
+  let config = { Session.default_config with Session.monitor; updates } in
+  Engine.run (Session.create ~config model) events
 
 (* {2 Autopilot regime shift: drift -> warm-started re-search -> hot-swap} *)
 
@@ -77,15 +35,6 @@ let clean_journal_dir () =
       (Sys.readdir journal_dir)
 
 let run_autopilot ~model ~events ~updater_rng ~seed =
-  let monitor =
-    Monitor.create
-      ~config:{ Monitor.default_config with Monitor.cooldown_windows = 2 }
-      ~n_classes:2 ()
-  in
-  let updater =
-    Updater.create updater_rng ~n_features:(Botnet.n_features Botnet.Fused)
-      ~n_classes:2 ()
-  in
   let pilot =
     Autopilot.create
       {
@@ -93,26 +42,15 @@ let run_autopilot ~model ~events ~updater_rng ~seed =
         with
         Autopilot.seed;
       }
-      ~updater
   in
-  let engine =
-    Engine.create ~model ~monitor ~updater ~research:(Autopilot.hook pilot) ()
-  in
-  (Engine.run engine events, pilot)
-
-(* Mean windowed F1 strictly before the shift. *)
-let pre_shift_f1 windows =
-  let pre =
-    List.filter_map
-      (fun w -> if w.Monitor.t_end < 600. then Some w.Monitor.f1 else None)
-      windows
-  in
-  match pre with
-  | [] -> 0.
-  | xs -> List.fold_left ( +. ) 0. xs /. float_of_int (List.length xs)
+  ( run_once
+      ~monitor:{ Monitor.default_config with Monitor.cooldown_windows = 2 }
+      ~model ~events
+      (Session.Research (updater_rng, Autopilot.hook pilot)),
+    pilot )
 
 (* Recovery: the first post-swap window whose F1 is back within 0.05 of the
-   pre-shift mean; time counted from the shift at t = 600 s. *)
+   pre-shift mean; time counted from the shift. *)
 let time_to_recovery windows swaps ~pre_f1 =
   match swaps with
   | [] -> None
@@ -122,11 +60,12 @@ let time_to_recovery windows swaps ~pre_f1 =
           w.Monitor.t_start > first_swap.Engine.swap_ts
           && w.Monitor.f1 >= pre_f1 -. 0.05)
         windows
-      |> Option.map (fun w -> w.Monitor.t_end -. 600.)
+      |> Option.map (fun w -> w.Monitor.t_end -. Session.shift_s)
 
 let accuracy_floor windows =
   List.fold_left
-    (fun acc w -> if w.Monitor.t_end > 600. then Stdlib.min acc w.Monitor.f1 else acc)
+    (fun acc w ->
+      if w.Monitor.t_end > Session.shift_s then Stdlib.min acc w.Monitor.f1 else acc)
     1. windows
 
 (* The warm-start claim, measured in isolation on a fixed spec: a journaled
@@ -204,12 +143,14 @@ let run () =
   Bench_config.section "Online serving: drift detection and hot-swap recovery";
   let n_train, n_serve = if Bench_config.fast then (120, 100) else (200, 150) in
   let model, events =
-    build_scenario ~seed:(Bench_config.seed + 17) ~n_train ~n_serve
+    Session.drift_scenario ~name:"botnet_detection"
+      ~seed:(Bench_config.seed + 17) ~n_train ~n_serve ()
   in
-  Printf.printf "%d per-packet events; traffic shift lands at t = 600 s\n"
-    (Array.length events);
+  Printf.printf "%d per-packet events; traffic shift lands at t = %.0f s\n"
+    (Array.length events) Session.shift_s;
   let show name (s : Engine.summary) =
-    let pre, post = phase_f1 s.Engine.windows ~before:600. ~after:700. in
+    let pre = Session.mean_f1 ~before:Session.shift_s s.Engine.windows in
+    let post = Session.mean_f1 ~after:(Session.shift_s +. 100.) s.Engine.windows in
     Printf.printf
       "%-16s served %6d, dropped %3d, drift alarms %d, swaps %d\n\
     \                 windowed F1: %.3f before the shift, %.3f after\n"
@@ -231,14 +172,11 @@ let run () =
           sw.Engine.queue_preserved sw.Engine.dropped_during_swap)
       s.Engine.swaps
   in
-  let frozen =
-    run_once ~model ~events ~with_updater:false
-      ~updater_rng:(Rng.create 0)
-  in
+  let frozen = run_once ~model ~events Session.Frozen in
   show "frozen model" frozen;
   let adaptive =
-    run_once ~model ~events ~with_updater:true
-      ~updater_rng:(Rng.create (Bench_config.seed + 18))
+    run_once ~model ~events
+      (Session.Retrain (Rng.create (Bench_config.seed + 18)))
   in
   show "with updater" adaptive;
   Printf.printf
@@ -261,7 +199,7 @@ let run () =
         (Autopilot.event_to_string e)
         e.Autopilot.replayed e.Autopilot.fresh)
     (Autopilot.events pilot);
-  let pre_f1 = pre_shift_f1 auto.Engine.windows in
+  let pre_f1 = Session.mean_f1 ~before:Session.shift_s auto.Engine.windows in
   let recovery =
     time_to_recovery auto.Engine.windows auto.Engine.swaps ~pre_f1
   in

@@ -163,16 +163,24 @@ let int_at_least lo =
   in
   Arg.conv (parse, Format.pp_print_int)
 
-let positive_float =
+let float_where ok expected =
   let parse text =
     match float_of_string_opt text with
-    | Some x when x > 0. -> Ok x
+    | Some x when ok x -> Ok x
     | Some _ | None ->
         Error
           (`Msg
-             (Printf.sprintf "invalid value '%s', expected a number > 0" text))
+             (Printf.sprintf "invalid value '%s', expected a number %s" text
+                expected))
   in
   Arg.conv (parse, Format.pp_print_float)
+
+let positive_float = float_where (fun x -> x > 0.) "> 0"
+
+let float_at_least lo =
+  float_where (fun x -> x >= lo) (Printf.sprintf ">= %g" lo)
+
+let fraction = float_where (fun x -> x > 0. && x < 1.) "in (0, 1)"
 
 let app_arg =
   let doc = "Application: ad, tc, tc-kmeans, or bd." in
@@ -583,7 +591,6 @@ let serve trace_path seed rate window_events label_delay (algorithm, quantized)
     train_frac (autopilot, no_update) inject_drift jsonl_out research_budget
     research_evals cooldown research_journal faults target =
   let module Serve = Homunculus_serve in
-  let module Botnet = Homunculus_netdata.Botnet in
   let module Autopilot = Homunculus_autopilot.Autopilot in
   with_input trace_path load_serve_trace @@ fun flows ->
   let n = Array.length flows in
@@ -591,92 +598,75 @@ let serve trace_path seed rate window_events label_delay (algorithm, quantized)
   let n_train =
     Stdlib.max 1 (Stdlib.min (n - 1) (int_of_float (train_frac *. float_of_int n)))
   in
+  let n_serve = n - n_train in
   let train_flows = Array.sub flows 0 n_train in
-  let serve_flows = Array.sub flows n_train (n - n_train) in
+  let serve_flows = Array.sub flows n_train n_serve in
   let model =
     Serve.Updater.bootstrap (Rng.split rng) ~algorithm ~bins:Botnet.Fused
       ~name:"serve" train_flows
   in
-  let window_s = 600. in
   let events =
-    if inject_drift then begin
-      let half = Array.length serve_flows / 2 in
-      let phase_a = Array.sub serve_flows 0 half in
-      let phase_b =
-        Serve.Stream.renumber ~from:(n + Array.length serve_flows)
-          (Serve.Stream.shift_botnet
-             (Array.sub serve_flows half (Array.length serve_flows - half)))
-      in
-      let sched_a = Array.map (fun f -> (Rng.float rng window_s, f)) phase_a in
-      let sched_b =
-        Array.map (fun f -> (window_s +. Rng.float rng window_s, f)) phase_b
-      in
-      Serve.Stream.events_scheduled (Array.append sched_a sched_b)
-    end
-    else Serve.Stream.events rng ~start_window_s:window_s serve_flows
+    if inject_drift then
+      let half = n_serve / 2 in
+      Serve.Session.drift_schedule rng ~renumber_from:(n + n_serve)
+        (Array.sub serve_flows 0 half)
+        (Array.sub serve_flows half (n_serve - half))
+    else Serve.Stream.events rng ~start_window_s:Serve.Session.shift_s serve_flows
   in
   Printf.printf "%d flows -> %d per-packet events (%d bootstrap flows)%s\n"
-    (Array.length serve_flows) (Array.length events) n_train
+    n_serve (Array.length events) n_train
     (if inject_drift then
-       Printf.sprintf "; botnet profile shifts at t = %.0f s" window_s
+       Printf.sprintf "; botnet profile shifts at t = %.0f s" Serve.Session.shift_s
      else "");
-  let monitor =
-    Serve.Monitor.create
-      ~config:
+  let pilot =
+    if not autopilot then None
+    else
+      let journal_dir =
+        Option.value research_journal ~default:(trace_path ^ ".research")
+      in
+      Some
+        (Autopilot.create
+           {
+             (Autopilot.default_config ~platform:(platform_of_name target)
+                ~journal_dir)
+             with
+             Autopilot.seed;
+             budget_s = research_budget;
+             fresh_evals = research_evals;
+             faults;
+           })
+  in
+  let updates =
+    if no_update then Serve.Session.Frozen
+    else
+      let rng = Rng.split rng in
+      match pilot with
+      | None -> Serve.Session.Retrain rng
+      | Some p -> Serve.Session.Research (rng, Autopilot.hook p)
+  in
+  let config =
+    {
+      Serve.Session.default_config with
+      engine =
+        {
+          Serve.Engine.default_config with
+          Serve.Engine.service_rate_pps = rate;
+          mode = (if quantized then Serve.Engine.Quantized else Serve.Engine.Reference);
+        };
+      monitor =
         {
           Serve.Monitor.default_config with
           Serve.Monitor.window_events;
           label_delay_s = label_delay;
           cooldown_windows = cooldown;
-        }
-      ~n_classes:2 ()
-  in
-  (* The serving layer knows nothing of fault plans: drift@W faults are
-     realized here by registering forced alarms on the monitor. *)
-  List.iter
-    (fun window -> Serve.Monitor.force_drift_at monitor ~window)
-    (Resilience.Faultplan.drift_windows faults);
-  let updater =
-    if no_update then None
-    else
-      Some
-        (Serve.Updater.create (Rng.split rng)
-           ~n_features:(Botnet.n_features Botnet.Fused) ~n_classes:2 ())
-  in
-  let pilot =
-    if not autopilot then None
-    else
-      let updater = Option.get updater in
-      let journal_dir =
-        match research_journal with
-        | Some dir -> dir
-        | None -> trace_path ^ ".research"
-      in
-      let cfg =
-        {
-          (Autopilot.default_config ~platform:(platform_of_name target)
-             ~journal_dir)
-          with
-          Autopilot.seed;
-          budget_s = research_budget;
-          fresh_evals = research_evals;
-          faults;
-        }
-      in
-      Some (Autopilot.create cfg ~updater)
-  in
-  let config =
-    {
-      Serve.Engine.default_config with
-      Serve.Engine.service_rate_pps = rate;
-      mode = (if quantized then Serve.Engine.Quantized else Serve.Engine.Reference);
+        };
+      (* The serving layer knows nothing of fault plans: drift@W faults
+         become forced alarms on the monitor. *)
+      forced_drifts = Resilience.Faultplan.drift_windows faults;
+      updates;
     }
   in
-  let engine =
-    Serve.Engine.create ~config ~model ~monitor ?updater
-      ?research:(Option.map Autopilot.hook pilot)
-      ()
-  in
+  let engine = Serve.Session.create ~config model in
   match Serve.Engine.run engine events with
   | exception Resilience.Faultplan.Killed n ->
       (* A simulated crash mid-re-search: the generation journal is already
@@ -738,10 +728,8 @@ let loadgen seed payload rates process burst peak service_rate quantized
     slo_p99 json_out =
   let module Serve = Homunculus_serve in
   let module Model_ir = Homunculus_backends.Model_ir in
-  let module Svm = Homunculus_ml.Svm in
   let module Serve_eval = Homunculus_check.Serve_eval in
   let module Json = Homunculus_util.Json in
-  let rng = Rng.create seed in
   let process =
     match process with
     | `Poisson -> Serve.Loadgen.Poisson
@@ -749,62 +737,30 @@ let loadgen seed payload rates process burst peak service_rate quantized
   in
   (* Payload: a MAT-mappable model plus a feature-carrying event trace whose
      timestamps the generator will overwrite. *)
-  let model, base, n_classes =
+  let model, base =
     match payload with
-    | "botnet" ->
-        let mix =
-          { Homunculus_netdata.Flowsim.n_flows = 100;
-            botnet_frac = 0.5; max_packets = 160 }
-        in
-        let train = Homunculus_netdata.Flowsim.generate rng ~mix () in
-        let model =
-          Serve.Updater.bootstrap (Rng.split rng) ~algorithm:`Svm
-            ~bins:Botnet.Fused ~name:"botnet_detection" train
-        in
-        let flows = Homunculus_netdata.Flowsim.generate rng ~mix () in
-        (model, Serve.Stream.events (Rng.split rng) flows, 2)
-    | _ (* nslkdd | iot *) ->
-        let train, test =
-          if payload = "nslkdd" then Nslkdd.generate_split (Rng.split rng) ()
-          else Iot.generate_split (Rng.split rng) ()
-        in
-        let svm = Svm.fit (Rng.split rng) train in
-        let model = Model_ir.of_svm ~name:payload svm in
-        let n = Array.length test.Dataset.x in
-        let base =
-          Serve.Stream.of_samples ~app:payload ~labels:test.Dataset.y
-            ~ts:(Array.init n float_of_int) test.Dataset.x
-        in
-        (model, base, train.Dataset.n_classes)
+    | "botnet" -> Serve.Session.botnet_payload ~seed ~n_train:100 ~n_serve:100
+    | "nslkdd" -> Serve.Session.dataset_payload ~seed `Nslkdd
+    | _ -> Serve.Session.dataset_payload ~seed `Iot
   in
-  let mode = if quantized then Serve.Engine.Quantized else Serve.Engine.Reference in
   Printf.printf
     "payload %s: %d events, %d classes; %s drain, service rate %.0f pps\n\n"
-    payload (Array.length base) n_classes
+    payload (Array.length base) (Model_ir.output_dim model)
     (if quantized then "quantized" else "reference")
     service_rate;
-  let run_rate rate =
-    let g =
-      Serve.Loadgen.generator (Rng.create (seed + 1)) ~rate ~process
-    in
-    let events = Serve.Loadgen.retime g base in
-    let config =
-      {
-        Serve.Engine.default_config with
-        Serve.Engine.mode;
-        service_rate_pps = service_rate;
-        trace_capacity = Array.length events;
-      }
-    in
-    let monitor = Serve.Monitor.create ~n_classes () in
-    let engine = Serve.Engine.create ~config ~model ~monitor () in
-    let label =
-      Printf.sprintf "%s_%s_%gpps" payload
-        (Serve.Loadgen.process_name process) rate
-    in
-    (engine, Serve.Loadgen.drive ~label engine ~rate ~process events)
+  let runs =
+    Serve.Session.sweep
+      ~engine:
+        {
+          Serve.Engine.default_config with
+          Serve.Engine.mode =
+            (if quantized then Serve.Engine.Quantized else Serve.Engine.Reference);
+          service_rate_pps = service_rate;
+        }
+      ~arrival_seed:(seed + 1) ~label:payload model
+      (List.map (fun rate -> (rate, process)) rates)
+      base
   in
-  let runs = List.map run_rate rates in
   List.iter
     (fun (_, (r : Serve.Loadgen.result)) ->
       let lat p =
@@ -819,15 +775,7 @@ let loadgen seed payload rates process burst peak service_rate quantized
         (1e3 *. lat 50.) (1e3 *. lat 99.) (1e3 *. lat 99.9))
     runs;
   (* Quantized runs must replay bit-identically through the pure oracle. *)
-  let mismatches =
-    if not quantized then 0
-    else
-      List.fold_left
-        (fun acc (engine, _) ->
-          let rp = Serve_eval.replay_quantized engine in
-          acc + List.length rp.Serve_eval.mismatches)
-        0 runs
-  in
+  let mismatches = Serve_eval.sweep_mismatches (List.map fst runs) in
   if quantized then
     Printf.printf "\nquantized replay oracle: %d mismatches\n" mismatches;
   (match json_out with
@@ -973,15 +921,15 @@ let serve_cmd =
   in
   let rate_arg =
     let doc = "Service rate in packets per virtual second." in
-    Arg.(value & opt float 200. & info [ "rate" ] ~docv:"PPS" ~doc)
+    Arg.(value & opt positive_float 200. & info [ "rate" ] ~docv:"PPS" ~doc)
   in
   let window_arg =
     let doc = "Labeled events per evaluation window." in
-    Arg.(value & opt int 250 & info [ "window" ] ~docv:"N" ~doc)
+    Arg.(value & opt (int_at_least 1) 250 & info [ "window" ] ~docv:"N" ~doc)
   in
   let label_delay_arg =
     let doc = "Virtual-time lag before ground-truth labels arrive, seconds." in
-    Arg.(value & opt float 5. & info [ "label-delay" ] ~docv:"S" ~doc)
+    Arg.(value & opt (float_at_least 0.) 5. & info [ "label-delay" ] ~docv:"S" ~doc)
   in
   let algorithm_arg =
     let doc = "Model family to bootstrap: dnn, svm, or tree." in
@@ -992,7 +940,7 @@ let serve_cmd =
   in
   let train_frac_arg =
     let doc = "Fraction of the trace's flows used to train the initial model." in
-    Arg.(value & opt float 0.4 & info [ "train-frac" ] ~docv:"F" ~doc)
+    Arg.(value & opt fraction 0.4 & info [ "train-frac" ] ~docv:"F" ~doc)
   in
   let no_update_arg =
     let doc = "Monitor only: never retrain or hot-swap." in
@@ -1022,16 +970,16 @@ let serve_cmd =
   let research_budget_arg =
     let doc = "Wall-clock budget per autopilot re-search, in seconds; a \
                budget-killed search resumes on the next drift alarm." in
-    Arg.(value & opt (some float) None & info [ "research-budget" ] ~docv:"S" ~doc)
+    Arg.(value & opt (some positive_float) None & info [ "research-budget" ] ~docv:"S" ~doc)
   in
   let research_evals_arg =
     let doc = "Strictly-new guided evaluations per autopilot re-search." in
-    Arg.(value & opt int 4 & info [ "research-evals" ] ~docv:"N" ~doc)
+    Arg.(value & opt (int_at_least 0) 4 & info [ "research-evals" ] ~docv:"N" ~doc)
   in
   let cooldown_arg =
     let doc = "Monitor hysteresis: swallow further drift alarms for this \
                many evaluation windows after one is consumed." in
-    Arg.(value & opt int 0 & info [ "cooldown" ] ~docv:"W" ~doc)
+    Arg.(value & opt (int_at_least 0) 0 & info [ "cooldown" ] ~docv:"W" ~doc)
   in
   let research_journal_arg =
     let doc = "Directory for the autopilot's generation journals \
@@ -1087,7 +1035,7 @@ let loadgen_cmd =
   in
   let rates_arg =
     let doc = "Offered arrival rate in packets per second. Repeatable." in
-    Arg.(value & opt_all float [ 100.; 240. ] & info [ "rate" ] ~docv:"PPS" ~doc)
+    Arg.(value & opt_all positive_float [ 100.; 240. ] & info [ "rate" ] ~docv:"PPS" ~doc)
   in
   let process_arg =
     let doc = "Arrival process: poisson or bursty." in
@@ -1098,15 +1046,15 @@ let loadgen_cmd =
   in
   let burst_arg =
     let doc = "Mean burst length for the bursty process." in
-    Arg.(value & opt int 8 & info [ "burst" ] ~docv:"N" ~doc)
+    Arg.(value & opt (int_at_least 1) 8 & info [ "burst" ] ~docv:"N" ~doc)
   in
   let peak_arg =
     let doc = "In-burst rate multiplier for the bursty process." in
-    Arg.(value & opt float 4. & info [ "peak" ] ~docv:"F" ~doc)
+    Arg.(value & opt (float_at_least 1.) 4. & info [ "peak" ] ~docv:"F" ~doc)
   in
   let service_rate_arg =
     let doc = "Engine service rate in packets per virtual second." in
-    Arg.(value & opt float 200. & info [ "service-rate" ] ~docv:"PPS" ~doc)
+    Arg.(value & opt positive_float 200. & info [ "service-rate" ] ~docv:"PPS" ~doc)
   in
   let quantized_arg =
     let doc = "Drain through the fixed-point MAT runtime and replay every \

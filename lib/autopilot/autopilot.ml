@@ -160,13 +160,12 @@ let write_done path =
 
 type t = {
   cfg : config;
-  updater : Updater.t;
   mutable failures : int;
   mutable next_allowed_window : int;
   mutable rev_events : event list;
 }
 
-let create cfg ~updater =
+let create cfg =
   if cfg.n_classes <= 0 then invalid_arg "Autopilot.create: n_classes <= 0";
   if cfg.min_examples < 2 then invalid_arg "Autopilot.create: min_examples < 2";
   if cfg.fresh_evals < 0 then invalid_arg "Autopilot.create: fresh_evals < 0";
@@ -179,7 +178,6 @@ let create cfg ~updater =
   mkdir_p cfg.journal_dir;
   {
     cfg;
-    updater;
     failures = 0;
     next_allowed_window = 0;
     rev_events = [];
@@ -339,7 +337,7 @@ let run_research t ~window ~reason ~incumbent ~xs ~ys =
       note_failure t ~window;
       finish Budget_exhausted Engine.Keep
 
-let on_drift t ~now:_ ~(drift : Monitor.drift) ~incumbent =
+let on_drift t updater ~now:_ ~(drift : Monitor.drift) ~incumbent =
   let window = drift.Monitor.window in
   let reason = drift.Monitor.reason in
   if t.cfg.backoff_windows > 0 && window < t.next_allowed_window then begin
@@ -349,7 +347,7 @@ let on_drift t ~now:_ ~(drift : Monitor.drift) ~incumbent =
     Engine.Keep
   end
   else begin
-    let xs, ys = Updater.snapshot t.updater in
+    let xs, ys = Updater.snapshot updater in
     let have = Array.length xs in
     if have < t.cfg.min_examples then begin
       push t ~window ~reason ~generation:(-1)
@@ -360,5 +358,5 @@ let on_drift t ~now:_ ~(drift : Monitor.drift) ~incumbent =
     else run_research t ~window ~reason ~incumbent ~xs ~ys
   end
 
-let hook t : Engine.research_hook =
- fun ~now ~drift ~incumbent -> on_drift t ~now ~drift ~incumbent
+let hook t updater : Engine.research_hook =
+ fun ~now ~drift ~incumbent -> on_drift t updater ~now ~drift ~incumbent

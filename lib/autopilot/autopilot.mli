@@ -121,15 +121,16 @@ val event_to_string : event -> string
 
 type t
 
-val create : config -> updater:Updater.t -> t
-(** The updater supplies the labeled-traffic snapshot each re-search trains
-    on. Creates [journal_dir] if missing.
+val create : config -> t
+(** Creates [journal_dir] if missing.
     @raise Invalid_argument on a non-positive [n_classes], [min_examples],
     [fresh_evals < 0], a holdout fraction outside (0, 1), negative backoff,
     or an empty algorithm shortlist. *)
 
-val hook : t -> Engine.research_hook
-(** Plug into {!Homunculus_serve.Engine.create}[ ~research]. *)
+val hook : t -> Updater.t -> Engine.research_hook
+(** The drift reaction of a {!Homunculus_serve.Session.Research} session:
+    the session's updater supplies the labeled-traffic snapshot each
+    re-search trains on. *)
 
 val events : t -> event list
 (** Every consumed drift alarm, oldest first. *)

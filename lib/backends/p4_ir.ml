@@ -197,15 +197,22 @@ let key_bits table program =
 
 let merge ~name programs =
   if programs = [] then invalid_arg "P4_ir.merge: no programs";
-  let dedup_by key items =
+  let dedup_by what key items =
     List.fold_left
       (fun acc item ->
-        if List.exists (fun x -> key x = key item) acc then acc else acc @ [ item ])
+        match List.find_opt (fun x -> key x = key item) acc with
+        | None -> acc @ [ item ]
+        | Some x when x = item -> acc
+        | Some _ ->
+            invalid_arg
+              (Printf.sprintf "P4_ir.merge: %s %s declared two ways" what (key item)))
       [] items
   in
-  let headers = dedup_by (fun h -> h.header_name) (List.concat_map (fun p -> p.headers) programs) in
+  let headers =
+    dedup_by "header" (fun h -> h.header_name) (List.concat_map (fun p -> p.headers) programs)
+  in
   let metadata =
-    dedup_by (fun f -> f.field_name) (List.concat_map (fun p -> p.metadata) programs)
+    dedup_by "metadata field" (fun f -> f.field_name) (List.concat_map (fun p -> p.metadata) programs)
   in
   let tables = List.concat_map (fun p -> p.ingress.tables) programs in
   let table_names = List.map (fun t -> t.table_name) tables in
@@ -219,7 +226,7 @@ let merge ~name programs =
       {
         control_name = "Ingress";
         actions =
-          dedup_by
+          dedup_by "action"
             (fun a -> a.action_name)
             (List.concat_map (fun p -> p.ingress.actions) programs);
         tables;

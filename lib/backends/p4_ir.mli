@@ -89,6 +89,10 @@ val key_bits : table -> program -> int
     are looked up; unknown references count 16 bits). *)
 
 val merge : name:string -> program list -> program
-(** One program hosting several models: headers/metadata are unioned by
-    name, ingress actions/tables concatenated, apply blocks run in order.
-    @raise Invalid_argument on [] or on duplicate table names. *)
+(** One program hosting several models: headers, metadata fields and
+    actions are unioned by name, tables concatenated, apply blocks run in
+    order. A name declared twice must be declared the same way, or one
+    model would read or write another's field.
+    @raise Invalid_argument on [], on duplicate table names, or on a
+    header, metadata field or action name whose two declarations differ
+    (e.g. one field name with two types). *)

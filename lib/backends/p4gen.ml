@@ -22,19 +22,25 @@ let standard_headers =
     };
   ]
 
-(* Feature keys are signed 16-bit fixed point (see [Runtime.entries]). *)
-let metadata ~n_features ~votes =
+(* Feature keys are signed 16-bit fixed point (see [Runtime.entries]) and
+   shared by a bundle's models; votes, verdict and verdict action are named
+   after the model, so merged models never write each other's fields. *)
+let vote name c = Printf.sprintf "%s_vote%d" name c
+let class_result name = name ^ "_class_result"
+let set_class name = name ^ "_set_class"
+
+let metadata name ~n_features ~votes =
   List.init n_features (fun f -> int (Printf.sprintf "feature%d_key" f) 16)
   @ votes
-  @ [ bit "class_result" 8 ]
+  @ [ bit (class_result name) 8 ]
 
-let vote_fields n = List.init n (fun c -> bit (Printf.sprintf "vote%d" c) 16)
+let vote_fields name n = List.init n (fun c -> bit (vote name c) 16)
 
-let set_class =
+let set_class_action name =
   {
-    P4_ir.action_name = "set_class";
+    P4_ir.action_name = set_class name;
     params = [ bit "cls" 8 ];
-    body = [ "meta.class_result = cls" ];
+    body = [ Printf.sprintf "meta.%s = cls" (class_result name) ];
   }
 
 (* SVM weights are signed and exceed 16 bits at calibrated scales. *)
@@ -76,7 +82,7 @@ let kmeans_program name centroids =
             Printf.sprintf "int<64> d%d = (int<64>)%s - (int<64>)q%d" f
               (feature_key f) f)
         @ [
-            Printf.sprintf "meta.vote%d = %s" c
+            Printf.sprintf "meta.%s = %s" (vote name c)
               (if squares = [] then "0" else String.concat " + " squares);
           ];
     }
@@ -86,12 +92,12 @@ let kmeans_program name centroids =
       P4_ir.action_name = name ^ "_nearest";
       params = [];
       body =
-        "meta.class_result = 0"
+        Printf.sprintf "meta.%s = 0" (class_result name)
         :: List.init (Stdlib.max 0 (k - 1)) (fun i ->
+               let v = vote name (i + 1) and v0 = vote name 0 in
                Printf.sprintf
-                 "if (meta.vote%d < meta.vote0) { meta.vote0 = meta.vote%d; \
-                  meta.class_result = %d; }"
-                 (i + 1) (i + 1) (i + 1));
+                 "if (meta.%s < meta.%s) { meta.%s = meta.%s; meta.%s = %d; }"
+                 v v0 v0 v (class_result name) (i + 1));
     }
   in
   let tables =
@@ -99,7 +105,7 @@ let kmeans_program name centroids =
         {
           P4_ir.table_name = cluster c;
           keys = range_keys dim;
-          action_refs = [ "set_class"; centroid c ];
+          action_refs = [ set_class name; centroid c ];
           size = entries_per_feature_default * Stdlib.max 1 dim;
         })
   in
@@ -111,12 +117,13 @@ let kmeans_program name centroids =
     P4_ir.program_name = name;
     headers = standard_headers;
     metadata =
-      metadata ~n_features:dim
-        ~votes:(List.init k (fun c -> int (Printf.sprintf "vote%d" c) 64));
+      metadata name ~n_features:dim
+        ~votes:(List.init k (fun c -> int (vote name c) 64));
     ingress =
       {
         (ingress
-           ~actions:((set_class :: List.init k centroid_action) @ [ nearest ])
+           ~actions:
+             ((set_class_action name :: List.init k centroid_action) @ [ nearest ])
            ~tables)
         with
         P4_ir.apply = chain 0;
@@ -138,17 +145,19 @@ let svm_program name class_weights =
   let decision =
     {
       P4_ir.table_name = name ^ "_decision";
-      keys = [ { P4_ir.target = "meta.vote0"; kind = P4_ir.Exact } ];
-      action_refs = [ "set_class" ];
+      keys = [ { P4_ir.target = "meta." ^ vote name 0; kind = P4_ir.Exact } ];
+      action_refs = [ set_class name ];
       size = Stdlib.max 1 classes;
     }
   in
   {
     P4_ir.program_name = name;
     headers = standard_headers;
-    metadata = metadata ~n_features:dim ~votes:(vote_fields classes);
+    metadata = metadata name ~n_features:dim ~votes:(vote_fields name classes);
     ingress =
-      ingress ~actions:[ set_class; set_vote ] ~tables:(feature_tables @ [ decision ]);
+      ingress
+        ~actions:[ set_class_action name; set_vote ]
+        ~tables:(feature_tables @ [ decision ]);
   }
 
 let tree_program name root n_features =
@@ -165,17 +174,20 @@ let tree_program name root n_features =
   let leaves =
     {
       P4_ir.table_name = name ^ "_leaves";
-      keys = [ { P4_ir.target = "meta.vote0"; kind = P4_ir.Exact } ];
-      action_refs = [ "set_class" ];
+      keys = [ { P4_ir.target = "meta." ^ vote name 0; kind = P4_ir.Exact } ];
+      action_refs = [ set_class name ];
       size = Decision_tree.n_leaves root;
     }
   in
   {
     P4_ir.program_name = name;
     headers = standard_headers;
-    metadata = metadata ~n_features ~votes:(vote_fields (Stdlib.max 1 depth));
+    metadata =
+      metadata name ~n_features ~votes:(vote_fields name (Stdlib.max 1 depth));
     ingress =
-      ingress ~actions:[ set_class; set_vote ] ~tables:(level_tables @ [ leaves ]);
+      ingress
+        ~actions:[ set_class_action name; set_vote ]
+        ~tables:(level_tables @ [ leaves ]);
   }
 
 let program_of model =
@@ -200,7 +212,7 @@ let print_entries ~name { P4_ir.scales; tables } =
   | P4_ir.Kmeans_cells { cells; centroids } ->
       Array.iteri
         (fun c cell ->
-          bpf buf "table_add %s_cluster%d set_class" name c;
+          bpf buf "table_add %s_cluster%d %s" name c (set_class name);
           Array.iter (fun (lo, hi) -> bpf buf " %d->%d" lo hi) cell;
           bpf buf " => %d\n" c;
           bpf buf "table_set_default %s_cluster%d %s_centroid%d" name c name c;
@@ -216,14 +228,15 @@ let print_entries ~name { P4_ir.scales; tables } =
                 bpf buf "table_add %s_feature%d set_vote %d => weight %d\n" name
                   f cls wf)
             w;
-          bpf buf "table_add %s_decision set_class %d => bias %d\n" name cls
-            biases.(cls))
+          bpf buf "table_add %s_decision %s %d => bias %d\n" name
+            (set_class name) cls biases.(cls))
         weights
   | P4_ir.Tree_rows root ->
       let rec walk node level idx =
         match node with
         | P4_ir.Leaf cls ->
-            bpf buf "table_add %s_leaves set_class %d => leaf %d\n" name cls idx
+            bpf buf "table_add %s_leaves %s %d => leaf %d\n" name (set_class name)
+              cls idx
         | P4_ir.Split { feature; threshold; left; right } ->
             bpf buf "table_add %s_level%d set_vote %d => feature %d le %d\n"
               name level idx feature threshold;

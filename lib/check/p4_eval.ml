@@ -42,6 +42,9 @@ type row =
   | Split of { level : int; idx : int; feature : int; threshold : int }
   | Leaf of { cls : int; idx : int }
 
+(* Each model's verdict action is named after it: [<model>_set_class]. *)
+let set_class action = String.ends_with ~suffix:"_set_class" action
+
 let parse_line line =
   let role marker table =
     match role_index ~marker table with
@@ -56,11 +59,11 @@ let parse_line line =
       | Some scale ->
           Some (Scale (int "feature" (String.sub f 1 (String.length f - 1)), scale))
       | None -> bad "bad scale %s" s)
-  | [ "table_add"; table; "set_class"; cls; "=>"; "bias"; b ]
-    when String.ends_with ~suffix:"_decision" table ->
+  | [ "table_add"; table; action; cls; "=>"; "bias"; b ]
+    when set_class action && String.ends_with ~suffix:"_decision" table ->
       Some (Bias (int "class" cls, int "bias" b))
-  | [ "table_add"; table; "set_class"; cls; "=>"; "leaf"; idx ]
-    when String.ends_with ~suffix:"_leaves" table ->
+  | [ "table_add"; table; action; cls; "=>"; "leaf"; idx ]
+    when set_class action && String.ends_with ~suffix:"_leaves" table ->
       Some (Leaf { cls = int "class" cls; idx = int "leaf" idx })
   | [ "table_add"; table; "set_vote"; cls; "=>"; "weight"; w ] ->
       Some
@@ -75,7 +78,7 @@ let parse_line line =
              feature = int "feature" f;
              threshold = int "threshold" q;
            })
-  | "table_add" :: table :: "set_class" :: rest -> (
+  | "table_add" :: table :: action :: rest when set_class action -> (
       match List.rev rest with
       | cls :: "=>" :: rev_ranges ->
           let cluster = role "_cluster" table in

@@ -38,6 +38,13 @@ let replay_quantized engine =
   done;
   { replayed = tr.Engine.n; mismatches = !mismatches }
 
+let sweep_mismatches engines =
+  List.fold_left
+    (fun acc engine ->
+      if Engine.current_runtime engine = None then acc
+      else acc + List.length (replay_quantized engine).mismatches)
+    0 engines
+
 type agreement = { compared : int; agreed : int; rate : float }
 
 let agreement a b =

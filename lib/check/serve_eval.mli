@@ -36,6 +36,10 @@ val replay_quantized : Homunculus_serve.Engine.t -> replay
     @raise Invalid_argument on a Reference-mode engine or a trace whose
     epoch stamps do not match the engine's swap history. *)
 
+val sweep_mismatches : Homunculus_serve.Engine.t list -> int
+(** A loadgen sweep's replay gate: {!replay_quantized}'s mismatches summed
+    over the [Quantized] engines, [Reference] ones skipped. *)
+
 type agreement = {
   compared : int;
   agreed : int;

@@ -1,7 +1,6 @@
 module Model_ir = Homunculus_backends.Model_ir
 module Inference = Homunculus_backends.Inference
 module Runtime = Homunculus_backends.Runtime
-module Pipeline_sim = Homunculus_backends.Pipeline_sim
 module Taurus = Homunculus_backends.Taurus
 module Mlp = Homunculus_ml.Mlp
 
@@ -24,21 +23,6 @@ let default_config =
     mode = Reference;
     entries_per_feature = 64;
     trace_capacity = 0;
-  }
-
-let config_of_mapping ?service_rate_pps grid mapping =
-  let sim = Pipeline_sim.config_of_mapping grid mapping in
-  let rate =
-    match service_rate_pps with
-    | Some r -> r
-    | None ->
-        sim.Pipeline_sim.clock_ghz *. 1e9
-        /. float_of_int sim.Pipeline_sim.ii_cycles
-  in
-  {
-    default_config with
-    queue_capacity = sim.Pipeline_sim.queue_capacity;
-    service_rate_pps = rate;
   }
 
 type swap = {

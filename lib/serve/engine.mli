@@ -43,17 +43,6 @@ val default_config : config
     32, 200 pkt/s against trace-scale timestamps, [Reference] mode,
     64 entries/feature, no trace. *)
 
-val config_of_mapping :
-  ?service_rate_pps:float ->
-  Homunculus_backends.Taurus.grid ->
-  Homunculus_backends.Taurus.mapping ->
-  config
-(** Derive queue capacity from the mapped pipeline's simulator
-    configuration. The hardware service rate (clock / II) is absurdly fast
-    against second-scale trace time, so replays that want queueing pressure
-    pass an explicit [service_rate_pps] (default: clock / II in packets per
-    virtual second). *)
-
 type swap = {
   swap_ts : float;  (** virtual time of the swap *)
   swap_reason : string;  (** drift reason that triggered it *)

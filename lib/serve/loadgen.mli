@@ -30,12 +30,9 @@ val generator : Homunculus_util.Rng.t -> rate:float -> process:process -> gen
 (** @raise Invalid_argument unless [rate > 0], [mean_burst >= 1] and
     [peak_factor >= 1]. *)
 
-val next_arrival : gen -> float
-(** The next absolute arrival timestamp (non-decreasing; starts from
-    virtual time 0). *)
-
 val arrivals : gen -> n:int -> float array
-(** The next [n] arrival timestamps. *)
+(** The next [n] arrival timestamps (non-decreasing; the first draw starts
+    from virtual time 0). *)
 
 val retime : gen -> Stream.event array -> Stream.event array
 (** Re-stamp a feature-carrying trace with open-loop arrival times, in

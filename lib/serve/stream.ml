@@ -22,8 +22,6 @@ let specs_of_bins = function
   | Botnet.Full -> (Botnet.pl_spec_full, Botnet.ipt_spec_full)
   | Botnet.Fused -> (Botnet.pl_spec_fused, Botnet.ipt_spec_fused)
 
-let n_features config = Botnet.n_features config.bins
-
 let bin_of spec v =
   let i = int_of_float (v /. spec.Histogram.bin_width) in
   Homunculus_util.Mathx.clamp_int ~lo:0 ~hi:(spec.Histogram.n_bins - 1) i

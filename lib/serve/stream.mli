@@ -38,8 +38,6 @@ type config = {
 val default_config : config
 (** [Fused] bins (30 features), [min_packets = 4], 64 KiB of flow state. *)
 
-val n_features : config -> int
-
 val events_scheduled :
   ?config:config -> (float * Homunculus_netdata.Flow.t) array -> event array
 (** [(start_offset, flow)] pairs: each flow's packets are shifted by its

@@ -94,7 +94,6 @@ let record t ~features ~label =
 
 let size t = t.size
 let seen t = t.seen
-let swaps_accepted t = t.accepted_swaps
 let decisions t = List.rev t.rev_decisions
 
 let last_decision t =

@@ -55,8 +55,6 @@ val size : t -> int
 val seen : t -> int
 (** Examples currently buffered / offered over the whole run. *)
 
-val swaps_accepted : t -> int
-
 val decisions : t -> decision list
 (** Every update attempt, oldest first. *)
 

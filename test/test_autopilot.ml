@@ -61,10 +61,9 @@ let test_generation_files () =
 
 let test_create_validates () =
   let dir = temp_dir () in
-  let updater = Updater.create (Rng.create 1) ~n_features:3 ~n_classes:2 () in
   let cfg = Autopilot.default_config ~platform:(Platform.taurus ()) ~journal_dir:dir in
   let raises cfg =
-    match Autopilot.create cfg ~updater with
+    match Autopilot.create cfg with
     | (_ : Autopilot.t) -> false
     | exception Invalid_argument _ -> true
   in
@@ -76,7 +75,7 @@ let test_create_validates () =
     (raises { cfg with Autopilot.algorithms = [] });
   Alcotest.(check bool) "negative backoff" true
     (raises { cfg with Autopilot.backoff_windows = -1 });
-  let t = Autopilot.create cfg ~updater in
+  let t = Autopilot.create cfg in
   Alcotest.(check bool) "journal dir created" true
     (Sys.file_exists dir && Sys.is_directory dir);
   Alcotest.(check int) "no failures yet" 0 (Autopilot.consecutive_failures t);
@@ -115,9 +114,16 @@ let pilot_config ~dir ?(faults = Faultplan.create []) () =
   }
 
 let run_serving ?pilot_cfg ~model ~events ~forced () =
-  let monitor =
-    Monitor.create
-      ~config:
+  let pilot = Option.map Autopilot.create pilot_cfg in
+  let updates =
+    match pilot with
+    | None -> Session.Frozen
+    | Some p -> Session.Research (Rng.create 7, Autopilot.hook p)
+  in
+  let config =
+    {
+      Session.default_config with
+      Session.monitor =
         {
           Monitor.default_config with
           Monitor.window_events = 150;
@@ -127,23 +133,13 @@ let run_serving ?pilot_cfg ~model ~events ~forced () =
              depend on the searched challengers. They have their own tests. *)
           acc_drop = 2.;
           ph_lambda = 1e12;
-        }
-      ~n_classes:2 ()
+        };
+      forced_drifts = forced;
+      updates;
+    }
   in
-  List.iter (fun window -> Monitor.force_drift_at monitor ~window) forced;
-  match pilot_cfg with
-  | None ->
-      let engine = Engine.create ~model ~monitor () in
-      (Engine.run engine events, None)
-  | Some cfg ->
-      let updater =
-        Updater.create (Rng.create 7) ~n_features:30 ~n_classes:2 ()
-      in
-      let pilot = Autopilot.create cfg ~updater in
-      let engine =
-        Engine.create ~model ~monitor ~updater ~research:(Autopilot.hook pilot) ()
-      in
-      (Engine.run engine events, Some pilot)
+  let summary = Engine.run (Session.create ~config model) events in
+  (summary, pilot)
 
 let installed_count events =
   List.length

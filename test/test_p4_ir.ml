@@ -30,7 +30,7 @@ let test_key_bits_header_lookup () =
         [
           { P4_ir.target = "hdr.ipv4.ttl"; kind = P4_ir.Exact };
           { P4_ir.target = "hdr.ipv4.src"; kind = P4_ir.Lpm };
-          { P4_ir.target = "meta.class_result"; kind = P4_ir.Exact };
+          { P4_ir.target = "meta.tc_class_result"; kind = P4_ir.Exact };
           { P4_ir.target = "unknown.thing"; kind = P4_ir.Exact };
         ];
       action_refs = [];
@@ -45,8 +45,8 @@ let test_print_structure () =
   Alcotest.(check bool) "includes" true (has code "#include <v1model.p4>");
   Alcotest.(check bool) "parser extracts" true (has code "pkt.extract(hdr.ipv4)");
   Alcotest.(check bool) "range kind" true (has code " : range;");
-  Alcotest.(check bool) "action param" true (has code "action set_class(bit<8> cls)");
-  Alcotest.(check bool) "action body" true (has code "meta.class_result = cls;");
+  Alcotest.(check bool) "action param" true (has code "action ad_set_class(bit<8> cls)");
+  Alcotest.(check bool) "action body" true (has code "meta.ad_class_result = cls;");
   Alcotest.(check bool) "table size" true (has code "size = 64;");
   Alcotest.(check bool) "apply order" true (has code "ad_decision.apply();");
   Alcotest.(check bool) "deparser emits" true (has code "pkt.emit(hdr.ethernet)");
@@ -87,7 +87,37 @@ let test_merge_models () =
     go 0 0
   in
   Alcotest.(check int) "one ethernet header decl" 1 (count "header ethernet_t {");
-  Alcotest.(check int) "one set_class action" 1 (count "action set_class(")
+  Alcotest.(check int) "one set_vote action" 1 (count "action set_vote(");
+  Alcotest.(check int) "one set_class action per model" 1 (count "action ad_set_class(")
+
+(* Each model of a bundle writes its own verdict: an SVM merged before a
+   k-means model neither shares its class field nor hides the 64-bit
+   k-means distance votes behind its 16-bit ones. *)
+let test_merge_keeps_model_fields () =
+  let svm = P4gen.program_of svm2 in
+  let merged = P4_ir.merge ~name:"pipeline" [ svm; P4gen.program_of kmeans3 ] in
+  let field name =
+    List.find_opt (fun f -> f.P4_ir.field_name = name) merged.P4_ir.metadata
+    |> Option.map (fun f -> (f.P4_ir.width, f.P4_ir.signed))
+  in
+  Alcotest.(check (list (option (pair int bool))))
+    "class fields, k-means votes"
+    [ Some (8, false); Some (8, false); None; Some (64, true); Some (64, true) ]
+    (List.map field
+       [ "ad_class_result"; "tc_class_result"; "class_result"; "tc_vote0"; "tc_vote2" ]);
+  let retype f =
+    if f.P4_ir.field_name = "ad_vote0" then { f with P4_ir.width = 64 } else f
+  in
+  let retyped =
+    {
+      svm with
+      P4_ir.metadata = List.map retype svm.P4_ir.metadata;
+      ingress = { svm.P4_ir.ingress with P4_ir.tables = [] };
+    }
+  in
+  Alcotest.check_raises "one field name, two types"
+    (Invalid_argument "P4_ir.merge: metadata field ad_vote0 declared two ways")
+    (fun () -> ignore (P4_ir.merge ~name:"x" [ svm; retyped ]))
 
 let test_merge_rejects_duplicates () =
   Alcotest.check_raises "duplicate tables"
@@ -138,6 +168,7 @@ let suite =
     Alcotest.test_case "key bits lookup" `Quick test_key_bits_header_lookup;
     Alcotest.test_case "print structure" `Quick test_print_structure;
     Alcotest.test_case "print if-hit" `Quick test_print_if_hit;
+    Alcotest.test_case "merge keeps model fields" `Quick test_merge_keeps_model_fields;
     Alcotest.test_case "merge models" `Quick test_merge_models;
     Alcotest.test_case "merge rejects duplicates" `Quick test_merge_rejects_duplicates;
     Alcotest.test_case "match kinds" `Quick test_match_kinds;

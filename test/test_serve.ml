@@ -398,65 +398,30 @@ let test_engine_quantized_agrees_with_reference () =
    pipeline stays degraded, the adaptive one detects, retrains, hot-swaps
    exactly once without dropping a queued packet, and recovers. *)
 
-let scenario_mix n = { Flowsim.n_flows = n; botnet_frac = 0.5; max_packets = 200 }
-
-let drift_scenario () =
-  let rng = Rng.create 2040 in
-  let train_flows = Flowsim.generate rng ~mix:(scenario_mix 120) () in
-  let model =
-    Updater.bootstrap (Rng.split rng) ~bins:Botnet.Fused ~name:"bd" train_flows
-  in
-  let phase_a = Flowsim.generate rng ~mix:(scenario_mix 100) () in
-  let phase_b =
-    Stream.renumber ~from:100
-      (Stream.shift_botnet (Flowsim.generate rng ~mix:(scenario_mix 100) ()))
-  in
-  let sched_a = Array.map (fun f -> (Rng.float rng 600., f)) phase_a in
-  let sched_b = Array.map (fun f -> (600. +. Rng.float rng 600., f)) phase_b in
-  let events = Stream.events_scheduled (Array.append sched_a sched_b) in
-  (model, events)
+let drift_scenario =
+  Session.drift_scenario ~name:"bd" ~seed:2040 ~n_train:120 ~n_serve:100
 
 let run_scenario ~model ~events ~with_updater =
-  let monitor = Monitor.create ~n_classes:2 () in
-  let updater =
-    if with_updater then
-      Some
-        (Updater.create (Rng.create 77)
-           ~config:
-             {
-               Updater.default_config with
-               Updater.min_gain = 0.05;
-               max_swaps = 1;
-             }
-           ~n_features:30 ~n_classes:2 ())
-    else None
+  let config =
+    {
+      Session.default_config with
+      Session.updater =
+        { Updater.default_config with Updater.min_gain = 0.05; max_swaps = 1 };
+      updates =
+        (if with_updater then Session.Retrain (Rng.create 77) else Session.Frozen);
+    }
   in
-  let engine = Engine.create ~model ~monitor ?updater () in
-  Engine.run engine events
-
-let mean = function
-  | [] -> 0.
-  | xs -> List.fold_left ( +. ) 0. xs /. float_of_int (List.length xs)
-
-let pre_drift_f1 windows =
-  List.filter (fun w -> w.Monitor.t_end < 600.) windows
-  |> List.map (fun w -> w.Monitor.f1)
-  |> mean
-
-let f1_after windows ~t =
-  List.filter (fun w -> w.Monitor.t_start > t) windows
-  |> List.map (fun w -> w.Monitor.f1)
-  |> mean
+  Engine.run (Session.create ~config model) events
 
 let test_drift_recovery () =
   let model, events = drift_scenario () in
   (* Frozen: no updater, the shift permanently degrades windowed F1. *)
   let frozen = run_scenario ~model ~events ~with_updater:false in
-  let pre = pre_drift_f1 frozen.Engine.windows in
+  let pre = Session.mean_f1 ~before:Session.shift_s frozen.Engine.windows in
   Alcotest.(check bool)
     (Printf.sprintf "healthy before the shift (pre %.3f)" pre)
     true (pre > 0.85);
-  let degraded = f1_after frozen.Engine.windows ~t:700. in
+  let degraded = Session.mean_f1 ~after:700. frozen.Engine.windows in
   Alcotest.(check bool) "frozen model stays degraded" true
     (degraded < pre -. 0.15);
   Alcotest.(check int) "frozen model never swaps" 0
@@ -481,7 +446,7 @@ let test_drift_recovery () =
   Alcotest.(check int) "hot-swap causes no extra drops" frozen.Engine.dropped
     adaptive.Engine.dropped;
   let swap_ts = (List.hd adaptive.Engine.swaps).Engine.swap_ts in
-  let recovered = f1_after adaptive.Engine.windows ~t:swap_ts in
+  let recovered = Session.mean_f1 ~after:swap_ts adaptive.Engine.windows in
   Alcotest.(check bool)
     (Printf.sprintf "recovers (pre %.3f, post-swap %.3f)" pre recovered)
     true

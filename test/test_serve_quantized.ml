@@ -5,44 +5,25 @@
    replay must select the table generation (epoch) that actually served
    each packet. *)
 
-open Homunculus_netdata
 open Homunculus_serve
 module Rng = Homunculus_util.Rng
 module Runtime = Homunculus_backends.Runtime
-module Model_ir = Homunculus_backends.Model_ir
-module Svm = Homunculus_ml.Svm
-module Dataset = Homunculus_ml.Dataset
 module Serve_eval = Homunculus_check.Serve_eval
 
-(* Fit an SVM on a dataset's train split, stream its test split through a
-   Quantized engine at an open-loop Poisson rate, and return the engine
-   with its completed trace. *)
-let run_dataset ~seed payload =
-  let rng = Rng.create seed in
-  let train, test =
-    match payload with
-    | `Nslkdd -> Nslkdd.generate_split (Rng.split rng) ()
-    | `Iot -> Iot.generate_split (Rng.split rng) ()
-  in
-  let model = Model_ir.of_svm ~name:"m" (Svm.fit (Rng.split rng) train) in
-  let n = Array.length test.Dataset.x in
-  let base =
-    Stream.of_samples ~labels:test.Dataset.y ~ts:(Array.init n float_of_int)
-      test.Dataset.x
-  in
-  let g = Loadgen.generator (Rng.split rng) ~rate:120. ~process:Loadgen.Poisson in
-  let events = Loadgen.retime g base in
-  let config =
-    {
-      Engine.default_config with
-      Engine.mode = Engine.Quantized;
-      trace_capacity = n;
-    }
-  in
-  let monitor = Monitor.create ~n_classes:train.Dataset.n_classes () in
-  let engine = Engine.create ~config ~model ~monitor () in
-  let summary = Engine.run engine events in
-  (engine, summary)
+(* The quantized loadgen path: an SVM fit on a dataset's train split, its
+   test split swept through a Quantized engine at an open-loop Poisson
+   rate; returns the engine with its completed trace. *)
+let run_dataset ~seed dataset =
+  let model, base = Session.dataset_payload ~seed dataset in
+  match
+    Session.sweep
+      ~engine:{ Engine.default_config with Engine.mode = Engine.Quantized }
+      ~arrival_seed:(seed + 1) ~label:"q" model
+      [ (120., Loadgen.Poisson) ]
+      base
+  with
+  | [ (engine, r) ] -> (engine, r.Loadgen.summary)
+  | runs -> Alcotest.failf "one plan, %d runs" (List.length runs)
 
 (* Packet-for-packet replay against the runtime directly — independent of
    Serve_eval, so the oracle module is itself cross-checked. No swap here,
@@ -83,38 +64,26 @@ let test_iot_oracle () = check_oracle_replay ~name:"iot" (run_dataset ~seed:503 
    Quantized drain serves it, and an updater armed for exactly one
    hot-swap: the trace must span two table generations and still replay
    bit-identically, epoch by epoch. *)
-let swap_mix n = { Flowsim.n_flows = n; botnet_frac = 0.5; max_packets = 200 }
-
 let test_swap_replay () =
-  let rng = Rng.create 2041 in
-  let train_flows = Flowsim.generate rng ~mix:(swap_mix 120) () in
-  let model =
-    Updater.bootstrap (Rng.split rng) ~algorithm:`Svm ~bins:Botnet.Fused
-      ~name:"bd" train_flows
+  let model, events =
+    Session.drift_scenario ~algorithm:`Svm ~name:"bd" ~seed:2041 ~n_train:120
+      ~n_serve:100 ()
   in
-  let phase_a = Flowsim.generate rng ~mix:(swap_mix 100) () in
-  let phase_b =
-    Stream.renumber ~from:100
-      (Stream.shift_botnet (Flowsim.generate rng ~mix:(swap_mix 100) ()))
-  in
-  let sched_a = Array.map (fun f -> (Rng.float rng 600., f)) phase_a in
-  let sched_b = Array.map (fun f -> (600. +. Rng.float rng 600., f)) phase_b in
-  let events = Stream.events_scheduled (Array.append sched_a sched_b) in
-  let updater =
-    Updater.create (Rng.create 77)
-      ~config:
-        { Updater.default_config with Updater.min_gain = 0.02; max_swaps = 1 }
-      ~n_features:30 ~n_classes:2 ()
-  in
-  let monitor = Monitor.create ~n_classes:2 () in
   let config =
     {
-      Engine.default_config with
-      Engine.mode = Engine.Quantized;
-      trace_capacity = Array.length events;
+      Session.default_config with
+      Session.engine =
+        {
+          Engine.default_config with
+          Engine.mode = Engine.Quantized;
+          trace_capacity = Array.length events;
+        };
+      updater =
+        { Updater.default_config with Updater.min_gain = 0.02; max_swaps = 1 };
+      updates = Session.Retrain (Rng.create 77);
     }
   in
-  let engine = Engine.create ~config ~model ~monitor ~updater () in
+  let engine = Session.create ~config model in
   let summary = Engine.run engine events in
   Alcotest.(check int) "exactly one hot-swap" 1
     (List.length summary.Engine.swaps);
