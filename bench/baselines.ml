@@ -43,9 +43,7 @@ let bd_recipe =
   { Train.default_config with Train.patience = None }
 
 let train_fixed ~name ~hidden ~recipe spec =
-  let data = Model_spec.load spec in
-  let scaler, train = Scaler.fit_dataset data.Model_spec.train in
-  let test = Scaler.apply_dataset scaler data.Model_spec.test in
+  let { Model_spec.train; test; _ } = Model_spec.standardized spec in
   let input_dim = Dataset.n_features train in
   let mlp =
     Mlp.create

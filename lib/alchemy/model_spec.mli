@@ -44,5 +44,20 @@ val name : t -> string
 val metric : t -> metric
 val algorithms : t -> algorithm list
 val load : t -> data
+
+type standardized = {
+  scaler : Homunculus_ml.Scaler.t;  (** fitted on the training split *)
+  train : Homunculus_ml.Dataset.t;  (** the training split, standardized *)
+  test : Homunculus_ml.Dataset.t;  (** the test split, standardized *)
+}
+
+val standardized : t -> standardized
+(** The loaded splits standardized by a {!Homunculus_ml.Scaler} fitted on
+    the training split, built on first use and cached beside {!load}'s
+    data: every later call returns the physically same record, so a search
+    fits the scaler once per spec, not once per candidate. Thread-safe:
+    domains that race on the first call all get the one record built. The
+    splits must not be mutated. {!load} does not build it. *)
+
 val feature_names : t -> string array
 (** Feature schema of the (loaded) training data. *)

@@ -259,8 +259,7 @@ let evaluate rng ?prune ?guard platform spec algorithm config =
         epochs_trained = 0;
       }
   | None ->
-      let scaler, train = Scaler.fit_dataset data.Model_spec.train in
-      let test = Scaler.apply_dataset scaler data.Model_spec.test in
+      let { Model_spec.scaler; train; test } = Model_spec.standardized spec in
       let t0 = Unix.gettimeofday () in
       let model_ir, pred, pruned, epochs_trained =
         match algorithm with

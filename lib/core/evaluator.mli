@@ -38,10 +38,6 @@ module Timing : sig
 
   val reset : unit -> unit
   val snapshot : unit -> snapshot
-
-  val charge : train:float -> lower:float -> estimate:float -> unit
-  (** One exact evaluation's phase durations (seconds). Exposed for
-      synthetic benches; {!evaluate} calls it itself. *)
 end
 
 val evaluate :
@@ -54,9 +50,11 @@ val evaluate :
   Homunculus_bo.Config.t ->
   artifact
 (** Train + map + judge one configuration. Features are standardized with a
-    scaler fitted on the training split; DNNs hold out 20% of the training
-    data for early stopping so the test split stays untouched during
-    training.
+    scaler fitted on the training split; the scaler and both standardized
+    splits are built once per spec ({!Model_spec.standardized}) and shared
+    by every candidate, so an evaluation pays only for its own training.
+    DNNs hold out 20% of the training data for early stopping so the test
+    split stays untouched during training.
 
     Shape check: a DNN or k-means candidate is first judged on a zero-weight
     model of its exact shape (layer sizes, or k x input width). Every

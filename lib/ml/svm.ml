@@ -2,14 +2,26 @@ module Rng = Homunculus_util.Rng
 
 type binary = { w : float array; b : float }
 
-(* Pegasos, written so a step allocates nothing: the margin and the bias
-   live in local [float ref]s no closure captures, so ocamlopt keeps them
-   unboxed, and [Rng.int] draws without boxing. When the
-   hinge is violated the shrink and the sub-gradient step are one store,
-   [w.(j) <- (w.(j) *. shrink) +. (s *. x.(j))]: each product is still
-   rounded to a double before the add, in the same order as a shrink pass
-   followed by an update pass, and ocamlopt never contracts to an FMA — so
-   the weights are the same bits as the two-pass form. *)
+(* Pegasos, written so a step allocates nothing and walks [w] once when the
+   margin holds: the margin, the bias and the pending shrink live in local
+   [float ref]s no closure captures, so ocamlopt keeps them unboxed, and
+   [Rng.int] draws without boxing.
+
+   The two-pass form shrinks [w] on every step and then, when the hinge is
+   violated, adds the sub-gradient. Here a step whose margin holds only
+   records its shrink in [pending]; the next step's margin pass applies it
+   to each weight before the weight is read ([wj = w.(j) *. pending]), and
+   one pass after the last step flushes it. A violated step fuses its
+   shrink and update into one store, [w.(j) <- (w.(j) *. shrink) +.
+   (s *. x.(j))], and leaves [pending = 1.]. Every weight therefore sees
+   the same products rounded in the same order as in the two-pass form
+   (ocamlopt never contracts to an FMA), and the extra [*. 1.] of the
+   other steps is exact, NaN and infinities included — so the weights are
+   the same bits.
+
+   Indexing is unchecked: [i < n] comes from [Rng.int rng n], [y] has [n]
+   labels, and every row has [w]'s width, all checked before the first
+   step. *)
 let fit_binary rng ?(lambda = 1e-4) ?(epochs = 20) ~x ~y () =
   let n = Array.length x in
   if n = 0 then invalid_arg "Svm.fit_binary: empty input";
@@ -22,33 +34,38 @@ let fit_binary rng ?(lambda = 1e-4) ?(epochs = 20) ~x ~y () =
   let w = Array.make d 0. in
   let b = ref 0. in
   let t = ref 0 in
+  let pending = ref 1. in
   for _epoch = 1 to epochs do
     for _step = 1 to n do
       incr t;
       let i = Rng.int rng n in
-      let xi = x.(i) in
+      let xi = Array.unsafe_get x i in
       let eta = 1. /. (lambda *. float_of_int !t) in
-      let label = if y.(i) = 1 then 1. else -1. in
+      let label = if Array.unsafe_get y i = 1 then 1. else -1. in
+      let p = !pending in
       let acc = ref !b in
       for j = 0 to d - 1 do
-        acc := !acc +. (w.(j) *. xi.(j))
+        let wj = Array.unsafe_get w j *. p in
+        Array.unsafe_set w j wj;
+        acc := !acc +. (wj *. Array.unsafe_get xi j)
       done;
       let margin = label *. !acc in
-      (* Regularization shrink, fused with the hinge sub-gradient step when
-         the margin is violated. *)
       let shrink = 1. -. (eta *. lambda) in
       if margin < 1. then begin
         let s = eta *. label in
         for j = 0 to d - 1 do
-          w.(j) <- (w.(j) *. shrink) +. (s *. xi.(j))
+          Array.unsafe_set w j
+            ((Array.unsafe_get w j *. shrink) +. (s *. Array.unsafe_get xi j))
         done;
-        b := !b +. s
+        b := !b +. s;
+        pending := 1.
       end
-      else
-        for j = 0 to d - 1 do
-          w.(j) <- w.(j) *. shrink
-        done
+      else pending := shrink
     done
+  done;
+  let p = !pending in
+  for j = 0 to d - 1 do
+    w.(j) <- w.(j) *. p
   done;
   { w; b = !b }
 

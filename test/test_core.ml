@@ -516,6 +516,75 @@ let test_evaluator_shape_check () =
   Alcotest.(check int) "nothing charged" 0
     (Evaluator.Timing.snapshot ()).Evaluator.Timing.evaluations
 
+(* A spec at the botnet-drift compile spec's size (4,553 x 30 train rows,
+   1,688 test rows): two noisy Gaussian classes. *)
+let wide_dataset seed n =
+  let rng = Rng.create seed in
+  let y = Array.init n (fun i -> i mod 2) in
+  let x =
+    Array.init n (fun i ->
+        let mu = if y.(i) = 1 then 0.4 else -0.4 in
+        Array.init 30 (fun j -> (10. *. float_of_int j) +. Rng.gaussian rng ~mu ()))
+  in
+  Dataset.create ~x ~y ~n_classes:2 ()
+
+let wide_spec ?(on_load = ignore) () =
+  Model_spec.make ~name:"wide" ~algorithms:[ Model_spec.Svm ]
+    ~loader:(fun () ->
+      on_load ();
+      Model_spec.data ~train:(wide_dataset 31 4553) ~test:(wide_dataset 32 1688))
+    ()
+
+(* Once the spec's standardized splits exist, an SVM evaluation allocates
+   only its own training, lowering and estimate: the scaler is not refitted
+   and the splits are not rebuilt per candidate. Refitting them cost about
+   1.6 M minor words per evaluation at this size; the count is the same on
+   any host. *)
+let test_evaluator_svm_allocation () =
+  let platform = Platform.tofino () in
+  let spec = wide_spec () in
+  let config =
+    Bo.Config.make
+      [ ("lambda", Bo.Param.Real_value 1e-4); ("epochs", Bo.Param.Int_value 2) ]
+  in
+  let first = Evaluator.evaluate (Rng.create 3) platform spec Model_spec.Svm config in
+  let before = Gc.minor_words () in
+  let second = Evaluator.evaluate (Rng.create 3) platform spec Model_spec.Svm config in
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check (float 0.)) "same objective" first.Evaluator.objective
+    second.Evaluator.objective;
+  if words >= 20_000. then
+    Alcotest.failf "%.0f minor words for a second SVM evaluation (limit 20000)"
+      words
+
+(* Every call returns the one record built on the first, also when two
+   domains make the first call together; the loader runs once. *)
+let test_standardized_shared () =
+  let loads = Atomic.make 0 in
+  let spec = wide_spec ~on_load:(fun () -> Atomic.incr loads) () in
+  let racers =
+    List.init 2 (fun _ -> Domain.spawn (fun () -> Model_spec.standardized spec))
+  in
+  let results = List.map Domain.join racers in
+  let s = Model_spec.standardized spec in
+  List.iter
+    (fun r ->
+      Alcotest.(check bool) "same record" true (r == s);
+      Alcotest.(check bool) "same train split" true
+        (r.Model_spec.train == s.Model_spec.train);
+      Alcotest.(check bool) "same test split" true
+        (r.Model_spec.test == s.Model_spec.test))
+    results;
+  Alcotest.(check bool) "still the same" true (Model_spec.standardized spec == s);
+  Alcotest.(check int) "loaded once" 1 (Atomic.get loads);
+  let scaler, train = Homunculus_ml.Scaler.fit_dataset (Model_spec.load spec).Model_spec.train in
+  let bits = Array.map Int64.bits_of_float in
+  Alcotest.(check (array int64)) "scaler mean"
+    (bits (Homunculus_ml.Scaler.mean scaler))
+    (bits (Homunculus_ml.Scaler.mean s.Model_spec.scaler));
+  Alcotest.(check (array int64)) "scaled row"
+    (bits train.Dataset.x.(17)) (bits s.Model_spec.train.Dataset.x.(17))
+
 (* Skipping shape-infeasible DNNs must change nothing the search decides:
    the history of a search on a 10x10 grid, where most of the DNN space
    cannot fit, matches the one recorded when every candidate trained
@@ -641,6 +710,8 @@ let suite =
     Alcotest.test_case "evaluator tree/svm" `Quick test_evaluator_tree_and_svm;
     Alcotest.test_case "evaluator kmeans" `Quick test_evaluator_kmeans_vmeasure;
     Alcotest.test_case "evaluator metadata" `Quick test_evaluator_bo_metadata;
+    Alcotest.test_case "evaluator svm allocation" `Quick test_evaluator_svm_allocation;
+    Alcotest.test_case "standardized splits shared" `Quick test_standardized_shared;
     Alcotest.test_case "fusion overlap" `Quick test_feature_overlap;
     Alcotest.test_case "fusion can_fuse" `Quick test_can_fuse;
     Alcotest.test_case "fusion union schema" `Quick test_fuse_union_schema;

@@ -148,6 +148,75 @@ let test_scaler_dataset () =
   Alcotest.(check int) "same shape" 4 (Dataset.n_samples scaled);
   Alcotest.(check (array int)) "labels intact" sample.Dataset.y scaled.Dataset.y
 
+(* The scaler as it was written with [Array.iteri]/[Array.mapi] closures,
+   kept verbatim as the oracle for the plain loops that replaced it. *)
+let closure_fit x =
+  let n = Array.length x in
+  let d = Array.length x.(0) in
+  let mu = Array.make d 0. in
+  Array.iter (fun row -> Array.iteri (fun j v -> mu.(j) <- mu.(j) +. v) row) x;
+  for j = 0 to d - 1 do
+    mu.(j) <- mu.(j) /. float_of_int n
+  done;
+  let var = Array.make d 0. in
+  Array.iter
+    (fun row ->
+      Array.iteri
+        (fun j v ->
+          let delta = v -. mu.(j) in
+          var.(j) <- var.(j) +. (delta *. delta))
+        row)
+    x;
+  let sigma =
+    Array.map
+      (fun s ->
+        let sd = sqrt (s /. float_of_int n) in
+        if sd < 1e-12 then 1. else sd)
+      var
+  in
+  (mu, sigma)
+
+(* Random matrices with constant columns (their [sigma] is [1.]), signed
+   zeros and mixed magnitudes, so any reordering of the sums shows in the
+   low bits. *)
+let test_scaler_matches_closure_form () =
+  let bits = Array.map Int64.bits_of_float in
+  for seed = 1 to 30 do
+    let gen = Rng.create (900 + seed) in
+    let n = 1 + Rng.int gen 80 and d = 1 + Rng.int gen 12 in
+    let constant = Array.init d (fun _ -> Rng.int gen 3 = 0) in
+    let level = Array.init d (fun _ -> Rng.uniform gen (-50.) 50.) in
+    let x =
+      Array.init n (fun _ ->
+          Array.init d (fun j ->
+              if constant.(j) then level.(j)
+              else
+                match Rng.int gen 5 with
+                | 0 -> -0.
+                | 1 -> Rng.uniform gen (-1e6) 1e6
+                | _ -> Rng.gaussian gen ~mu:level.(j) ()))
+    in
+    let name what = Printf.sprintf "seed %d (n=%d d=%d) %s" seed n d what in
+    let s = Scaler.fit x in
+    let mu, sigma = closure_fit x in
+    Alcotest.(check (array int64)) (name "mu") (bits mu) (bits (Scaler.mean s));
+    Alcotest.(check (array int64)) (name "sigma") (bits sigma)
+      (bits (Scaler.stddev s));
+    Array.iteri
+      (fun j c ->
+        if c then Alcotest.(check (float 0.)) (name "constant sigma") 1. sigma.(j))
+      constant;
+    Array.iter
+      (fun row ->
+        let fwd = Array.mapi (fun j v -> (v -. mu.(j)) /. sigma.(j)) row in
+        let back = Array.mapi (fun j v -> (v *. sigma.(j)) +. mu.(j)) row in
+        Alcotest.(check (array int64)) (name "transform") (bits fwd)
+          (bits (Scaler.transform_row s row));
+        Alcotest.(check (array int64)) (name "inverse") (bits back)
+          (bits (Scaler.inverse_transform_row s row)))
+      x
+  done
+
 let suite =
   [
     Alcotest.test_case "create defaults" `Quick test_create_defaults;
@@ -170,4 +239,5 @@ let suite =
     Alcotest.test_case "scaler constant column" `Quick test_scaler_constant_column;
     Alcotest.test_case "scaler roundtrip" `Quick test_scaler_roundtrip;
     Alcotest.test_case "scaler dataset" `Quick test_scaler_dataset;
+    Alcotest.test_case "scaler = closure form" `Quick test_scaler_matches_closure_form;
   ]

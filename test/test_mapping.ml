@@ -1,76 +1,5 @@
-(* Range-to-ternary expansion, stage allocation, and grid placement. *)
+(* Stage allocation and grid placement. *)
 open Homunculus_backends
-
-(* Range_match *)
-
-let covers ~width ~lo ~hi rows =
-  (* Every key in [lo,hi] matches exactly one row; keys outside match none. *)
-  let limit = 1 lsl width in
-  let ok = ref true in
-  for key = 0 to limit - 1 do
-    let hits = List.length (List.filter (fun r -> Range_match.matches r key) rows) in
-    let expected = if key >= lo && key <= hi then 1 else 0 in
-    if hits <> expected then ok := false
-  done;
-  !ok
-
-let test_expand_full_range () =
-  let rows = Range_match.expand_range ~width:8 ~lo:0 ~hi:255 in
-  Alcotest.(check int) "one row" 1 (List.length rows);
-  Alcotest.(check string) "all wildcards" "********"
-    (Range_match.to_string ~width:8 (List.hd rows))
-
-let test_expand_single_value () =
-  let rows = Range_match.expand_range ~width:8 ~lo:77 ~hi:77 in
-  Alcotest.(check int) "one row" 1 (List.length rows);
-  Alcotest.(check string) "exact" "01001101"
-    (Range_match.to_string ~width:8 (List.hd rows))
-
-let test_expand_classic_worst_case () =
-  (* [1, 2^w - 2] is the classic worst case: exactly 2w - 2 rows. *)
-  let rows = Range_match.expand_range ~width:8 ~lo:1 ~hi:254 in
-  Alcotest.(check int) "2w-2 rows" 14 (List.length rows);
-  Alcotest.(check bool) "exact cover" true (covers ~width:8 ~lo:1 ~hi:254 rows)
-
-let test_expand_covers_exactly () =
-  List.iter
-    (fun (lo, hi) ->
-      let rows = Range_match.expand_range ~width:8 ~lo ~hi in
-      Alcotest.(check bool)
-        (Printf.sprintf "[%d,%d]" lo hi)
-        true
-        (covers ~width:8 ~lo ~hi rows))
-    [ (0, 0); (3, 17); (100, 101); (128, 255); (64, 191); (255, 255) ]
-
-let test_expand_count_agrees () =
-  List.iter
-    (fun (lo, hi) ->
-      Alcotest.(check int) "count = length"
-        (List.length (Range_match.expand_range ~width:10 ~lo ~hi))
-        (Range_match.entry_count ~width:10 ~lo ~hi))
-    [ (0, 1023); (1, 1022); (17, 900); (512, 513) ]
-
-let test_expand_validates () =
-  Alcotest.check_raises "hi too large"
-    (Invalid_argument "Range_match: range outside the key space") (fun () ->
-      ignore (Range_match.expand_range ~width:4 ~lo:0 ~hi:16));
-  Alcotest.check_raises "width"
-    (Invalid_argument "Range_match: width outside [1, 30]") (fun () ->
-      ignore (Range_match.expand_range ~width:0 ~lo:0 ~hi:0))
-
-let test_worst_case_bound () =
-  for width = 2 to 12 do
-    let lo = 1 and hi = (1 lsl width) - 2 in
-    Alcotest.(check bool) "within bound" true
-      (Range_match.entry_count ~width ~lo ~hi <= Range_match.worst_case ~width)
-  done
-
-let prop_expansion_covers =
-  QCheck.Test.make ~name:"expansion covers exactly" ~count:200
-    QCheck.(pair (int_range 0 255) (int_range 0 255))
-    (fun (a, b) ->
-      let lo = Stdlib.min a b and hi = Stdlib.max a b in
-      covers ~width:8 ~lo ~hi (Range_match.expand_range ~width:8 ~lo ~hi))
 
 (* Stage_alloc *)
 
@@ -266,14 +195,6 @@ let test_place_adjacent_stages_wirelength () =
 
 let suite =
   [
-    Alcotest.test_case "range full" `Quick test_expand_full_range;
-    Alcotest.test_case "range single" `Quick test_expand_single_value;
-    Alcotest.test_case "range worst case" `Quick test_expand_classic_worst_case;
-    Alcotest.test_case "range covers" `Quick test_expand_covers_exactly;
-    Alcotest.test_case "range count" `Quick test_expand_count_agrees;
-    Alcotest.test_case "range validates" `Quick test_expand_validates;
-    Alcotest.test_case "range bound" `Quick test_worst_case_bound;
-    QCheck_alcotest.to_alcotest prop_expansion_covers;
     Alcotest.test_case "alloc independent" `Quick test_alloc_independent_pack;
     Alcotest.test_case "alloc chain" `Quick test_alloc_chain_serializes;
     Alcotest.test_case "alloc dependencies" `Quick test_alloc_respects_dependencies;
