@@ -2,6 +2,7 @@ open Homunculus_alchemy
 open Homunculus_backends
 module Bo = Homunculus_bo
 module Rng = Homunculus_util.Rng
+module Json = Homunculus_util.Json
 module Supervisor = Homunculus_resilience.Supervisor
 
 exception No_feasible_model of string
@@ -94,17 +95,52 @@ let evaluate_candidate ~seed ?supervisor ?sched ~scope ~index ~score platform
       Supervisor.supervise sup ~scope ~index ~config (fun ctx ->
           run ~guard:(Supervisor.epoch_guard ctx) ())
 
+(* A search scope's winner as a journal model-line payload: the trained
+   model, bit-exact through [Ir_io]'s hex floats, and the artifact's own
+   objective, pruned flag and epoch count. The history entry is no source
+   for these: a scalarized search stores its score there. The verdict is
+   not stored; [Platform.estimate] recomputes it from the model. *)
+let payload_of_artifact (a : Evaluator.artifact) =
+  Json.Object
+    [
+      ("model", Ir_io.to_json a.Evaluator.model_ir);
+      ("objective", Json.String (Printf.sprintf "%h" a.Evaluator.objective));
+      ("pruned", Json.Bool a.Evaluator.pruned);
+      ("epochs_trained", Json.Number (float_of_int a.Evaluator.epochs_trained));
+    ]
+
+(* [None] when the payload does not parse: the winner is then rebuilt. *)
+let artifact_of_payload platform algorithm config payload =
+  match
+    ( Ir_io.of_json (Json.member payload "model"),
+      float_of_string (Json.get_string (Json.member payload "objective")),
+      Json.to_bool (Json.member payload "pruned"),
+      Json.to_int (Json.member payload "epochs_trained") )
+  with
+  | model_ir, objective, pruned, epochs_trained ->
+      Some
+        {
+          Evaluator.algorithm;
+          config;
+          model_ir;
+          verdict = Platform.estimate platform model_ir;
+          objective;
+          pruned;
+          epochs_trained;
+        }
+  | exception (Invalid_argument _ | Failure _) -> None
+
+let scope_of spec algorithm =
+  Model_spec.name spec ^ "/" ^ Model_spec.algorithm_to_string algorithm
+
 let search_algorithm rng ~seed ~settings ?prune ?supervisor ?dispatch
-    ?deadline ?(score = Evaluator.to_bo_evaluation) platform spec
+    ?deadline ?(score = Evaluator.to_bo_evaluation) ~scope platform spec
     algorithm =
   let data = Model_spec.load spec in
   let input_dim =
     Homunculus_ml.Dataset.n_features data.Model_spec.train
   in
   let space = Space_builder.build platform algorithm ~input_dim in
-  let scope =
-    Model_spec.name spec ^ "/" ^ Model_spec.algorithm_to_string algorithm
-  in
   (* Rung pruning only pays off where training is epoch-iterative. *)
   let sched =
     match (prune, algorithm) with
@@ -157,10 +193,14 @@ let search_algorithm rng ~seed ~settings ?prune ?supervisor ?dispatch
       space ~f:(eval ?supervisor)
   in
   (* The winner comes from the history, whose order mirrors
-     [compare_artifacts]. Replayed or dispatched evaluations never produced
-     an artifact here, so a winner missing from [best] is rebuilt from its
-     config-derived seed. A failure-tagged winner has no artifact:
-     rebuilding would just fail again. *)
+     [compare_artifacts], and its artifact from the cheapest of three
+     sources: this run's [best] cache; the journal's model line for the
+     winner, when a resume replayed the winning evaluation; a rebuild from
+     the config-derived seed (dispatched evaluations, a run killed before
+     it recorded its winner, or an unusable model line). A winner that did
+     not come from a model line is recorded in one, after the scope's last
+     evaluation. A failure-tagged winner has no artifact: rebuilding would
+     just fail again. *)
   let winner =
     match Bo.History.best_entry history with
     | None -> None
@@ -168,14 +208,29 @@ let search_algorithm rng ~seed ~settings ?prune ?supervisor ?dispatch
       ->
         None
     | Some e -> (
+        let config = e.Bo.History.config in
+        let recorded () =
+          Option.bind supervisor (fun sup ->
+              Option.bind (Supervisor.recorded_model sup ~scope ~config)
+                (artifact_of_payload platform algorithm config))
+        in
+        let record a =
+          Option.iter
+            (fun sup ->
+              Supervisor.record_model sup ~scope ~config (fun () ->
+                  payload_of_artifact a))
+            supervisor;
+          Some a
+        in
         match !best with
-        | Some (_, a) when Bo.Config.equal a.Evaluator.config e.Bo.History.config
-          ->
-            Some a
-        | Some _ | None ->
-            best := None;
-            ignore (eval ~index:(e.Bo.History.iteration - 1) e.Bo.History.config);
-            Option.map snd !best)
+        | Some (_, a) when Bo.Config.equal a.Evaluator.config config -> record a
+        | Some _ | None -> (
+            match recorded () with
+            | Some a -> Some a
+            | None ->
+                best := None;
+                ignore (eval ~index:(e.Bo.History.iteration - 1) config);
+                Option.bind !best (fun (_, a) -> record a)))
   in
   (winner, history)
 
@@ -211,7 +266,8 @@ let search_model_until ?deadline options platform spec =
         let best, history =
           search_algorithm rng ~seed:options.seed ~settings
             ?prune:options.prune ?supervisor:options.supervisor
-            ?dispatch:options.dispatch ?deadline platform spec algorithm
+            ?dispatch:options.dispatch ?deadline
+            ~scope:(scope_of spec algorithm) platform spec algorithm
         in
         (algorithm, best, history))
       candidates
@@ -344,7 +400,7 @@ let search_tradeoff ?(options = default_options) ?(n_scalarizations = 5)
   let algorithm = List.hd candidates in
   let master = Rng.create options.seed in
   let points = ref [] in
-  for _ = 1 to n_scalarizations do
+  for k = 1 to n_scalarizations do
     let run_rng = Rng.split master in
     let weight = Rng.uniform run_rng 0.3 1.0 in
     let score artifact =
@@ -359,7 +415,9 @@ let search_tradeoff ?(options = default_options) ?(n_scalarizations = 5)
     in
     match
       search_algorithm run_rng ~seed:options.seed
-        ~settings:options.bo_settings ~score platform spec algorithm
+        ~settings:options.bo_settings ~score ?supervisor:options.supervisor
+        ~scope:(Printf.sprintf "%s#%d" (scope_of spec algorithm) k)
+        platform spec algorithm
     with
     | Some artifact, _ when artifact.Evaluator.verdict.Resource.feasible ->
         let resource_fraction = resource_fraction artifact.Evaluator.verdict in

@@ -32,9 +32,13 @@ type options = {
           supervisor carries a journal, and previously recorded outcomes
           replay without re-training (deterministic resume). The winning
           artifact is then selected from the history
-          ({!Bo.History.best_entry}) and rebuilt from its config-derived
-          seed if the evaluation was replayed. [None] lets exceptions
-          propagate, as before. *)
+          ({!Bo.History.best_entry}). A winner this run did not train comes
+          from the journal's model line for it (see
+          {!Homunculus_resilience.Journal}), or, without a usable one, is
+          rebuilt from its config-derived seed; a journaling supervisor
+          records each search scope's winner in one model line unless it
+          came from one. A resume of a finished search therefore trains
+          nothing. [None] lets exceptions propagate, as before. *)
   dispatch :
     (scope:string -> (int * Bo.Config.t) array -> Bo.Optimizer.evaluation array)
     option;
@@ -42,7 +46,8 @@ type options = {
           instead of the in-process pool (e.g. to time or trace each
           evaluation through {!worker_eval}); the hook returns the
           evaluations in batch order. The winning artifact is then picked
-          from the history and rebuilt locally, as on a resumed search.
+          from the history and rebuilt locally from its config-derived
+          seed.
           Incompatible with [prune] (ASHA's per-batch rung thresholds live
           in the evaluation callback the hook bypasses) — {!search_model}
           raises [Invalid_argument] on the combination. [None] evaluates on
@@ -196,4 +201,8 @@ val search_tradeoff :
     simplex weight [w], and return the non-dominated feasible artifacts
     sorted by descending objective. Exposes the accuracy-vs-footprint
     trade-off the paper discusses (bigger models score higher but burn more
-    CUs/power). @raise No_feasible_model when nothing feasible is found. *)
+    CUs/power). [options.supervisor] supervises the [k]-th search under its
+    own scope, ["<spec-name>/<algorithm>#<k>"], so a journal records and
+    replays each scalarization apart; the other search options except
+    [seed] and [bo_settings] are ignored.
+    @raise No_feasible_model when nothing feasible is found. *)

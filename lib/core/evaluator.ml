@@ -152,7 +152,10 @@ let train_dnn rng ?prune ?guard config ~train ~test =
   (match prune with
   | Some sched -> Bo.Asha.note_epochs sched history.Train.epochs_run
   | None -> ());
-  let pred = Mlp.predict_all mlp test.Dataset.x in
+  let pred = Array.make (Dataset.n_samples test) 0 in
+  Mlp.predict_all_into mlp
+    (Mlp.make_workspace mlp ~batch:batch_size)
+    ~src:test.Dataset.x ~dst:pred;
   (Model_ir.of_mlp ~name:"model" mlp, pred, !was_pruned,
    history.Train.epochs_run)
 

@@ -54,7 +54,10 @@ val evaluate :
     splits are built once per spec ({!Model_spec.standardized}) and shared
     by every candidate, so an evaluation pays only for its own training.
     DNNs hold out 20% of the training data for early stopping so the test
-    split stays untouched during training.
+    split stays untouched during training. A DNN's validation split (every
+    epoch) and test split (once) are scored through
+    {!Homunculus_ml.Mlp.predict_into} buffers built once per evaluation,
+    whose verdicts are {!Homunculus_ml.Mlp.predict_all}'s bits.
 
     Shape check: a DNN or k-means candidate is first judged on a zero-weight
     model of its exact shape (layer sizes, or k x input width). Every

@@ -150,18 +150,20 @@ let train_batch t ws =
    the first [n] rows, and each row's argmax lands in [dst]. The fused
    bias/activation epilogue performs [logits_batch]'s ops in its order, and
    the argmax keeps [Stats.argmax]'s rule (strict [>], first index wins),
-   so verdicts are bit-identical to [predict_all]. *)
-let predict_into t ws ~src ~n ~dst =
+   so verdicts are bit-identical to [predict_all]. No row's verdict depends
+   on the other rows of its window, so [predict_all_into]'s windows give
+   the same verdicts. *)
+let predict_window t ws ~first ~src ~n ~dst =
   if n < 0 || n > ws.ws_batch then
     invalid_arg "Mlp.predict_into: n outside [0, workspace batch]";
-  if n > Array.length src || n > Array.length dst then
-    invalid_arg "Mlp.predict_into: n exceeds src or dst";
+  if first < 0 || first + n > Array.length src || first + n > Array.length dst
+  then invalid_arg "Mlp.predict_into: n exceeds src or dst";
   let d = t.input_dim and n_layers = Array.length t.layers in
   if ws.x.Mat.cols <> d || Array.length ws.layer_ws <> n_layers then
     invalid_arg "Mlp.predict_into: workspace built for another network";
   let xd = ws.x.Mat.data in
   for i = 0 to n - 1 do
-    let row = src.(i) in
+    let row = src.(first + i) in
     if Array.length row <> d then
       invalid_arg "Mlp.predict_into: sample dimension mismatch";
     Array.blit row 0 xd (i * d) d
@@ -179,7 +181,19 @@ let predict_into t ws ~src ~n ~dst =
       if Array.unsafe_get od (base + j) > Array.unsafe_get od (base + !best)
       then best := j
     done;
-    dst.(i) <- !best
+    dst.(first + i) <- !best
+  done
+
+let predict_into t ws ~src ~n ~dst = predict_window t ws ~first:0 ~src ~n ~dst
+
+let predict_all_into t ws ~src ~dst =
+  let n = Array.length src in
+  if Array.length dst <> n then invalid_arg "Mlp.predict_all_into: |src| <> |dst|";
+  let first = ref 0 in
+  while !first < n do
+    let k = Stdlib.min ws.ws_batch (n - !first) in
+    predict_window t ws ~first:!first ~src ~n:k ~dst;
+    first := !first + k
   done
 
 let zero_grads t = Array.iter Layer.zero_grads t.layers

@@ -93,6 +93,14 @@ val predict_into :
     [src] and [dst], every row has the input dimension, and [ws] was made
     for a network of [t]'s shape. *)
 
+val predict_all_into :
+  t -> workspace -> src:float array array -> dst:int array -> unit
+(** {!predict_into} over every row of [src], one workspace-sized window at
+    a time, so a workspace of any batch scores a split of any length
+    without allocating: [dst] is bit-identical to [predict_all t src].
+    @raise Invalid_argument when [dst] and [src] differ in length, and as
+    {!predict_into}. *)
+
 val zero_grads : t -> unit
 val scale_grads : t -> float -> unit
 

@@ -30,10 +30,11 @@ type history = {
   epochs_run : int;
 }
 
-let evaluate_f1 model (d : Dataset.t) =
-  let pred = Mlp.predict_all model d.Dataset.x in
+let f1_of (d : Dataset.t) pred =
   if d.Dataset.n_classes = 2 then Metrics.f1 ~pred ~truth:d.Dataset.y ()
   else Metrics.macro_f1 ~n_classes:d.Dataset.n_classes ~pred ~truth:d.Dataset.y
+
+let evaluate_f1 model (d : Dataset.t) = f1_of d (Mlp.predict_all model d.Dataset.x)
 
 let evaluate_accuracy model (d : Dataset.t) =
   let pred = Mlp.predict_all model d.Dataset.x in
@@ -66,6 +67,21 @@ let fit rng model config ?validation ?on_epoch (train : Dataset.t) =
         let ws = Mlp.make_workspace model ~batch in
         ws_cache := (batch, ws) :: !ws_cache;
         ws
+  in
+  (* The validation split is scored every epoch into one verdict buffer,
+     window by window through the first batch's training workspace (free
+     between epochs); [predict_all_into]'s verdicts are [predict_all]'s
+     bits. *)
+  let score_validation =
+    Option.map
+      (fun (v : Dataset.t) ->
+        let pred = Array.make (Dataset.n_samples v) 0 in
+        fun () ->
+          Mlp.predict_all_into model
+            (ws_for (Stdlib.min n config.batch_size))
+            ~src:v.Dataset.x ~dst:pred;
+          f1_of v pred)
+      validation
   in
   let target_row = Array.make n_classes 0. in
   let order = Array.init n (fun i -> i) in
@@ -132,11 +148,7 @@ let fit rng model config ?validation ?on_epoch (train : Dataset.t) =
        if config.lr_decay_per_epoch <> 1. then
          Optimizer.set_learning_rate opt
            (Optimizer.current_learning_rate opt *. config.lr_decay_per_epoch);
-       let metric_opt =
-         match validation with
-         | None -> None
-         | Some v -> Some (evaluate_f1 model v)
-       in
+       let metric_opt = Option.map (fun score -> score ()) score_validation in
        let patience_stop = ref false in
        (match metric_opt with
        | None -> ()

@@ -90,44 +90,77 @@ let record_of_json json =
       | Some _ -> invalid_arg "Journal: unknown record kind");
   }
 
-let line_of_record r =
-  let rec_text = Json.to_string ~pretty:false (record_to_json r) in
-  Printf.sprintf "{\"sum\":%s,\"rec\":%s}"
-    (Json.to_string ~pretty:false (Json.String (checksum rec_text)))
-    rec_text
+let checksummed member body =
+  let text = Json.to_string ~pretty:false body in
+  Printf.sprintf "{\"sum\":%s,\"%s\":%s}"
+    (Json.to_string ~pretty:false (Json.String (checksum text)))
+    member text
 
-(* A line survives loading only if it parses, carries both members, and the
-   re-rendered record matches its recorded checksum — a truncated final line
-   (the crash case the WAL exists for) or a corrupted byte fails one of
-   those and is dropped rather than poisoning the resume. *)
-let record_of_line line =
+let line_of_record r = checksummed "rec" (record_to_json r)
+
+(* A model line: one search scope's winning model, an opaque payload keyed
+   like an evaluation record. *)
+type model = { m_scope : string; m_config : Bo.Config.t; payload : Json.t }
+
+let model_to_json m =
+  Json.Object
+    [
+      ("scope", Json.String m.m_scope);
+      ("config", Bo.Serialize.config_to_json_tagged m.m_config);
+      ("payload", m.payload);
+    ]
+
+let model_of_json json =
+  {
+    m_scope = Json.get_string (Json.member json "scope");
+    m_config = Bo.Serialize.config_of_json_tagged (Json.member json "config");
+    payload = Json.member json "payload";
+  }
+
+type line = Record of record | Model of model
+
+(* A line survives loading only if it parses, carries the checksum and one
+   body member, and the re-rendered body matches its recorded checksum — a
+   truncated final line (the crash case the WAL exists for) or a corrupted
+   byte fails one of those and is dropped rather than poisoning the
+   resume. *)
+let parse_line line =
   match Json.of_string line with
   | exception _ -> None
   | json -> (
-      match (Json.member_opt json "sum", Json.member_opt json "rec") with
-      | Some (Json.String sum), Some rec_json -> (
-          let rec_text = Json.to_string ~pretty:false rec_json in
-          if not (String.equal sum (checksum rec_text)) then None
-          else match record_of_json rec_json with
-            | r -> Some r
-            | exception _ -> None)
-      | _ -> None)
+      let body member of_json =
+        match Json.member_opt json member with
+        | None -> None
+        | Some body -> (
+            let text = Json.to_string ~pretty:false body in
+            match Json.member_opt json "sum" with
+            | Some (Json.String sum) when String.equal sum (checksum text) -> (
+                match of_json body with v -> Some v | exception _ -> None)
+            | Some _ | None -> None)
+      in
+      match body "rec" (fun j -> Record (record_of_json j)) with
+      | Some _ as r -> r
+      | None -> body "model" (fun j -> Model (model_of_json j)))
+
+let record_of_line line =
+  match parse_line line with Some (Record r) -> Some r | Some (Model _) | None -> None
 
 (* Append handle: fsync'd writes serialized by a mutex so parallel
    evaluation workers never interleave partial lines. The record count is
    handle-local — [Faultplan.Kill_after] measures records absorbed by the
-   current run, not lines inherited from a previous incarnation.
+   current run, not lines inherited from a previous incarnation — and
+   counts evaluation records only, never model lines.
 
    Group commit: with [fsync_every = k > 1] the handle fsyncs once per [k]
-   appends (and on [sync]/[close]) instead of once per record. Every line is
+   lines (and on [sync]/[close]) instead of once per line. Every line is
    still written whole under the mutex, so the durability contract weakens
    only in degree: a crash can lose at most the last [k - 1] fully-written
-   but unsynced records plus one torn tail line — all of which replay
-   already tolerates (a lost record is just re-evaluated, a torn line is
-   dropped by the checksum). *)
+   but unsynced lines plus one torn tail line — all of which replay
+   already tolerates (a lost record is just re-evaluated, a lost model
+   line just rebuilds the winner, a torn line is dropped by the
+   checksum). *)
 
 type t = {
-  path : string;
   fd : Unix.file_descr;
   mutex : Mutex.t;
   fsync_every : int;
@@ -138,9 +171,8 @@ type t = {
 let open_ ?(fsync_every = 1) path =
   if fsync_every < 1 then invalid_arg "Journal.open_: fsync_every < 1";
   let fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_APPEND ] 0o644 in
-  { path; fd; mutex = Mutex.create (); fsync_every; unsynced = 0; records = 0 }
+  { fd; mutex = Mutex.create (); fsync_every; unsynced = 0; records = 0 }
 
-let path t = t.path
 let appended t = t.records
 
 let write_all fd bytes =
@@ -150,26 +182,31 @@ let write_all fd bytes =
     off := !off + Unix.write fd bytes !off (len - !off)
   done
 
-let append t record =
-  let line = line_of_record record ^ "\n" in
-  Mutex.lock t.mutex;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock t.mutex)
-    (fun () ->
-      write_all t.fd (Bytes.of_string line);
+(* Write one whole line under the mutex, then run [after] (still under
+   it). *)
+let write_line t line ~after =
+  let bytes = Bytes.of_string (line ^ "\n") in
+  Mutex.protect t.mutex (fun () ->
+      write_all t.fd bytes;
       t.unsynced <- t.unsynced + 1;
       if t.unsynced >= t.fsync_every then begin
         Unix.fsync t.fd;
         t.unsynced <- 0
       end;
+      after ())
+
+let append t record =
+  write_line t (line_of_record record) ~after:(fun () ->
       t.records <- t.records + 1;
       t.records)
 
+let append_model t ~scope ~config payload =
+  write_line t
+    (checksummed "model" (model_to_json { m_scope = scope; m_config = config; payload }))
+    ~after:ignore
+
 let sync t =
-  Mutex.lock t.mutex;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock t.mutex)
-    (fun () ->
+  Mutex.protect t.mutex (fun () ->
       if t.unsynced > 0 then begin
         Unix.fsync t.fd;
         t.unsynced <- 0
@@ -184,29 +221,27 @@ let close t =
    re-derives hits the cache and returns the recorded evaluation instantly,
    so the rebuilt history is bit-for-bit the uninterrupted one. Later
    records for the same key win (a retried-then-recorded evaluation
-   supersedes an earlier incarnation's). *)
+   supersedes an earlier incarnation's). Model payloads sit in a second
+   table under the same key, outside every count. *)
 
 type replay = {
   table : (string, record) Hashtbl.t;
+  models : (string, Json.t) Hashtbl.t;
   mutable loaded : int;
   mutable dropped : int;
 }
 
 let key ~scope ~config = scope ^ "\x00" ^ Bo.Serialize.config_key config
 
-let empty_replay () = { table = Hashtbl.create 64; loaded = 0; dropped = 0 }
+let empty_replay () =
+  { table = Hashtbl.create 64; models = Hashtbl.create 4; loaded = 0; dropped = 0 }
 
-let absorb replay r =
-  replay.loaded <- replay.loaded + 1;
-  Hashtbl.replace replay.table (key ~scope:r.scope ~config:r.config) r
-
-(* Single streaming pass over a journal file: every valid record is handed
-   to [f] in file order, invalid lines are counted. [load], [records], and
-   [read] are all one call to this — a caller that needs both the replay
-   table and the raw record list pays for one read and one checksum pass,
-   not two. *)
-let fold_records path ~init ~f =
-  let dropped = ref 0 in
+(* Single streaming pass over a journal file into [replay]: every valid
+   record is absorbed and handed to [f] in file order, model lines fill the
+   model table, invalid lines are counted. [load], [records], and [read]
+   are all one call to this — a caller that needs both the replay table and
+   the raw record list pays for one read and one checksum pass, not two. *)
+let fold_records path replay ~init ~f =
   let acc = ref init in
   (if Sys.file_exists path then
      let ic = open_in path in
@@ -217,40 +252,45 @@ let fold_records path ~init ~f =
            while true do
              let line = input_line ic in
              if String.trim line <> "" then
-               match record_of_line line with
-               | Some r -> acc := f !acc r
-               | None -> incr dropped
+               match parse_line line with
+               | Some (Record r) ->
+                   replay.loaded <- replay.loaded + 1;
+                   Hashtbl.replace replay.table
+                     (key ~scope:r.scope ~config:r.config)
+                     r;
+                   acc := f !acc r
+               | Some (Model m) ->
+                   Hashtbl.replace replay.models
+                     (key ~scope:m.m_scope ~config:m.m_config)
+                     m.payload
+               | None -> replay.dropped <- replay.dropped + 1
            done
          with End_of_file -> ()));
-  (!acc, !dropped)
+  !acc
 
 let read path =
   let replay = empty_replay () in
-  let raw, dropped =
-    fold_records path ~init:[] ~f:(fun acc r ->
-        absorb replay r;
-        r :: acc)
-  in
-  replay.dropped <- dropped;
+  let raw = fold_records path replay ~init:[] ~f:(fun acc r -> r :: acc) in
   (List.rev raw, replay)
 
 let load path =
   let replay = empty_replay () in
-  let (), dropped =
-    fold_records path ~init:() ~f:(fun () r -> absorb replay r)
-  in
-  replay.dropped <- dropped;
+  fold_records path replay ~init:() ~f:(fun () _ -> ());
   replay
 
 let find replay ~scope ~config =
   Hashtbl.find_opt replay.table (key ~scope ~config)
+
+let find_model replay ~scope ~config =
+  Hashtbl.find_opt replay.models (key ~scope ~config)
 
 let loaded replay = replay.loaded
 let dropped replay = replay.dropped
 
 (* Deterministic union of several replay tables: tables later in the list
    supersede earlier ones on key conflicts, mirroring the later-record-wins
-   rule within one file. *)
+   rule within one file. Model lines are dropped: each journal's winner was
+   trained on its own generation's data. *)
 let merge replays =
   let out = empty_replay () in
   List.iter

@@ -1,18 +1,33 @@
 (** Crash-safe search journal: an append-only JSONL write-ahead log of
-    evaluation outcomes, and the replay cache that turns it back into a
-    deterministic resume.
+    evaluation outcomes and search winners, and the replay cache that turns
+    it back into a deterministic resume.
 
-    Each line is [{"sum": "<fnv1a64 hex>", "rec": {...}}] where the checksum
-    covers the compact rendering of the record object. Appends are fsync'd
-    under a mutex, so a crash leaves at worst one truncated final line —
-    which the loader detects (parse failure or checksum mismatch) and drops.
+    A journal holds two kinds of line:
+    - an {e evaluation record}, [{"sum": "<fnv1a64 hex>", "rec": {...}}],
+      one per finished candidate evaluation;
+    - a {e model line}, [{"sum": "<fnv1a64 hex>", "model": {"scope",
+      "config", "payload"}}], one per search scope, holding that scope's
+      winning model as a payload this layer does not interpret (the
+      compiler owns its schema).
+
+    The checksum covers the compact rendering of the body object. Appends
+    are fsync'd under a mutex, so a crash leaves at worst one truncated
+    final line — which the loader detects (parse failure or checksum
+    mismatch) and drops. Builds that predate model lines drop them the same
+    way, since they carry no ["rec"] member.
 
     Resume does not trust the journal's ordering: the optimizer is re-driven
     with its original seed, and each proposal it re-derives is looked up by
     (scope, canonical configuration key). Cache hits return the recorded
     evaluation without re-running training, so the rebuilt
     {!Homunculus_bo.History.t} is bit-for-bit the one an uninterrupted
-    search would have produced. *)
+    search would have produced; the scope's model line, under the same key,
+    spares the winner its retrain.
+
+    Counting rules: model lines are not evaluation records. {!appended},
+    {!loaded}, {!read} and {!records} see evaluation records only, so a
+    kill threshold fires at the same record and a warm start's proposal
+    arithmetic is unchanged. {!merge} drops model lines. *)
 
 module Json = Homunculus_util.Json
 module Bo = Homunculus_bo
@@ -45,14 +60,13 @@ type record = {
 }
 
 val record_to_json : record -> Json.t
-val record_of_json : Json.t -> record
-(** @raise Invalid_argument on malformed documents. *)
 
 val line_of_record : record -> string
 (** One checksummed JSONL line (no trailing newline). *)
 
 val record_of_line : string -> record option
-(** [None] for corrupt, truncated, or checksum-mismatched lines. *)
+(** [None] for corrupt, truncated, or checksum-mismatched lines, and for
+    model lines. *)
 
 (** {1 Append handle} *)
 
@@ -78,8 +92,13 @@ val append : t -> record -> int
 val sync : t -> unit
 (** Flush any unsynced group-committed appends to disk now. *)
 
+val append_model : t -> scope:string -> config:Bo.Config.t -> Json.t -> unit
+(** Write one model line: [payload] is the winning model of the search
+    [scope], whose winner is [config]. Durable like {!append}, but not an
+    evaluation record: {!appended} does not count it. Thread-safe. *)
+
 val appended : t -> int
-val path : t -> string
+(** Evaluation records appended through this handle. *)
 
 val close : t -> unit
 (** Flush pending appends, then close the descriptor. *)
@@ -99,15 +118,23 @@ val read : string -> record list * replay
     table {!load} would have built. *)
 
 val find : replay -> scope:string -> config:Bo.Config.t -> record option
+
+val find_model : replay -> scope:string -> config:Bo.Config.t -> Json.t option
+(** The payload of the last valid model line for (scope, config). *)
+
 val loaded : replay -> int
-(** Valid records absorbed, superseded ones included. *)
+(** Valid evaluation records absorbed, superseded ones included. *)
 
 val dropped : replay -> int
+(** Invalid lines skipped (torn, corrupt, or checksum-mismatched), of
+    either kind. *)
 
 val merge : replay list -> replay
 (** Deterministic union: on key conflicts, tables later in the list win
     (the cross-file analogue of later-record-wins). [loaded]/[dropped]
-    counters are summed. *)
+    counters are summed. Model lines are dropped: journals merged for a
+    warm start come from searches on different data, so no recorded winner
+    carries over. *)
 
 val records : string -> record list
 (** All valid evaluation records in a journal file after later-record-wins

@@ -23,12 +23,6 @@ let class_name = function
 
 let class_code = function Divergence -> 1. | Backend -> 2. | Budget -> 3.
 
-let class_of_code code =
-  if code = 1. then Some Divergence
-  else if code = 2. then Some Backend
-  else if code = 3. then Some Budget
-  else None
-
 let failure_key = "failure"
 let retries_key = "failure_retries"
 
@@ -86,6 +80,14 @@ let create ?(settings = default_settings) ?journal ?replay ?faults () =
     replayed = Atomic.make 0;
     failures = Atomic.make 0;
   }
+
+let record_model t ~scope ~config payload =
+  Option.iter
+    (fun journal -> Journal.append_model journal ~scope ~config (payload ()))
+    t.journal
+
+let recorded_model t ~scope ~config =
+  Option.bind t.replay (fun replay -> Journal.find_model replay ~scope ~config)
 
 let replayed_count t = Atomic.get t.replayed
 let failure_count t = Atomic.get t.failures

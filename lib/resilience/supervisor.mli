@@ -1,6 +1,9 @@
 (** Evaluation supervisor: wraps a candidate evaluation with failure
     classification, bounded retry, divergence detection, a wall-clock
-    budget, journaling, and replay-based resume.
+    budget, journaling, and replay-based resume. It also carries each
+    search scope's winning model to and from the journal's model lines
+    ({!record_model}, {!recorded_model}), so a resumed search need not
+    retrain its winner.
 
     The supervisor's contract with the search's determinism guarantee: it
     never consumes randomness, retries reuse the candidate's own
@@ -15,9 +18,7 @@ type failure_class =
   | Backend  (** any other exception; retried up to [max_retries] *)
   | Budget  (** per-candidate wall-clock budget exhausted; never retried *)
 
-val class_name : failure_class -> string
 val class_code : failure_class -> float
-val class_of_code : float -> failure_class option
 
 val failure_key : string
 (** History-metadata key carrying {!class_code} on failure entries. *)
@@ -89,6 +90,21 @@ val supervise :
     Failure entries carry [{!failure_key}; {!retries_key}] metadata, so they
     are distinguishable from merely-infeasible evaluations in the history.
     Thread-safe; called concurrently from evaluation-pool workers. *)
+
+val record_model :
+  t ->
+  scope:string ->
+  config:Bo.Config.t ->
+  (unit -> Homunculus_util.Json.t) ->
+  unit
+(** Append the winning model of search [scope] (winner [config]) as a
+    journal model line when the supervisor journals; the payload thunk runs
+    only then. Not an evaluation: no kill threshold or counter sees it. *)
+
+val recorded_model :
+  t -> scope:string -> config:Bo.Config.t -> Homunculus_util.Json.t option
+(** The replay's model payload for (scope, config), if the replay carries
+    a valid model line for it. *)
 
 val replayed_count : t -> int
 val failure_count : t -> int

@@ -255,6 +255,60 @@ let test_svm_fit_binary_matches_literal () =
   check_fit_matches_literal "epochs = 0" ~seed:1 ~lambda:1e-4 ~epochs:0 ~x
     ~y:[| 0; 1 |]
 
+(* [Svm.fit] steps its one-vs-rest machines two at a time; each machine
+   must come out with the bits of its own [fit_binary] call, made in class
+   order on one generator, and the generator must be left where those calls
+   leave it. NaNs count as one value, as above. *)
+let test_svm_fit_matches_sequential () =
+  let bits =
+    Array.map (fun v ->
+        if Float.is_nan v then Int64.bits_of_float Float.nan
+        else Int64.bits_of_float v)
+  in
+  let case = ref 0 in
+  List.iter
+    (fun k ->
+      List.iter
+        (fun (n, epochs) ->
+          List.iter
+            (fun lambda ->
+              incr case;
+              let gen = Rng.create (900 + !case) in
+              let d = 1 + Rng.int gen 12 in
+              let x =
+                Array.init n (fun _ -> Array.init d (fun _ -> Rng.gaussian gen ()))
+              in
+              let y = Array.init n (fun _ -> Rng.int gen k) in
+              let data = Dataset.create ~x ~y ~n_classes:k () in
+              let name =
+                Printf.sprintf "K=%d n=%d epochs=%d lambda=%g" k n epochs lambda
+              in
+              let rng = Rng.create !case in
+              let m = Svm.fit rng ~lambda ~epochs data in
+              let ref_rng = Rng.create !case in
+              let want =
+                Array.init k (fun c ->
+                    Svm.fit_binary ref_rng ~lambda ~epochs ~x
+                      ~y:(Array.map (fun l -> if l = c then 1 else 0) y)
+                      ())
+              in
+              Array.iteri
+                (fun c b ->
+                  Alcotest.(check (array int64))
+                    (Printf.sprintf "%s class %d weights" name c)
+                    (bits (Svm.weights b))
+                    (bits (Svm.class_weights m).(c));
+                  Alcotest.(check (array int64))
+                    (Printf.sprintf "%s class %d bias" name c)
+                    (bits [| Svm.bias b |])
+                    (bits [| (Svm.class_biases m).(c) |]))
+                want;
+              Alcotest.(check int) (name ^ " generator state")
+                (Rng.int ref_rng 1_000_000) (Rng.int rng 1_000_000))
+            [ 1e-6; 1e-4; 1e-2 ])
+        [ (1, 0); (1, 3); (40, 0); (40, 1); (60, 7) ])
+    [ 2; 3; 4 ]
+
 (* The step loop allocates nothing: [Rng.int] keeps its state unboxed, so
    what remains is the fit's constant setup spread over 2,000 steps. The
    two-pass kernel above allocates about 142 words per step at this width
@@ -443,6 +497,8 @@ let suite =
     Alcotest.test_case "svm rejects empty" `Quick test_svm_rejects_empty;
     Alcotest.test_case "svm fit_binary = literal Pegasos loop" `Quick
       test_svm_fit_binary_matches_literal;
+    Alcotest.test_case "svm fit = sequential fit_binary" `Quick
+      test_svm_fit_matches_sequential;
     Alcotest.test_case "svm fit allocation" `Quick test_svm_fit_allocation;
     Alcotest.test_case "svm fit_binary rejects ragged rows" `Quick
       test_svm_rejects_ragged;

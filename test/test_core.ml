@@ -557,6 +557,54 @@ let test_evaluator_svm_allocation () =
     Alcotest.failf "%.0f minor words for a second SVM evaluation (limit 20000)"
       words
 
+(* A trained DNN evaluation at the dnn-taurus compile spec's size (1,500 x 7
+   NSL-KDD rows per split; the fit holds out 300 for validation) scores its
+   validation split every epoch and its test split once, both through
+   [Mlp.predict_all_into] on batch-sized workspaces, into verdict buffers
+   built once per evaluation. Scoring through [predict_all] allocated about
+   913 k minor words per evaluation at this size; the count is the same on
+   any host. *)
+let nslkdd_spec () =
+  Model_spec.make ~name:"nsl" ~algorithms:[ Model_spec.Dnn ]
+    ~loader:(fun () ->
+      let train, test =
+        Homunculus_netdata.Nslkdd.generate_split (Rng.create 1) ~n_train:1500
+          ~n_test:1500 ()
+      in
+      Model_spec.data ~train ~test)
+    ()
+
+let dnn_config =
+  Bo.Config.make
+    [
+      ("n_layers", Bo.Param.Int_value 2);
+      ("width0", Bo.Param.Int_value 43);
+      ("width1", Bo.Param.Int_value 19);
+      ("learning_rate", Bo.Param.Real_value 3e-3);
+      ("batch_size", Bo.Param.Index_value 1);
+      ("epochs", Bo.Param.Int_value 14);
+      ("activation", Bo.Param.Index_value 0);
+      ("weight_decay", Bo.Param.Real_value 1e-4);
+      ("lr_decay", Bo.Param.Index_value 2);
+    ]
+
+let test_evaluator_dnn_allocation () =
+  let platform = Platform.fpga () in
+  let spec = nslkdd_spec () in
+  let run () =
+    Evaluator.evaluate (Rng.create 3) platform spec Model_spec.Dnn dnn_config
+  in
+  let first = run () in
+  let before = Gc.minor_words () in
+  let second = run () in
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool) "trained" true (second.Evaluator.epochs_trained > 0);
+  Alcotest.(check (float 0.)) "same objective" first.Evaluator.objective
+    second.Evaluator.objective;
+  if words >= 400_000. then
+    Alcotest.failf "%.0f minor words for a trained DNN evaluation (limit 400000)"
+      words
+
 (* Every call returns the one record built on the first, also when two
    domains make the first call together; the loader runs once. *)
 let test_standardized_shared () =
@@ -711,6 +759,7 @@ let suite =
     Alcotest.test_case "evaluator kmeans" `Quick test_evaluator_kmeans_vmeasure;
     Alcotest.test_case "evaluator metadata" `Quick test_evaluator_bo_metadata;
     Alcotest.test_case "evaluator svm allocation" `Quick test_evaluator_svm_allocation;
+    Alcotest.test_case "evaluator dnn allocation" `Quick test_evaluator_dnn_allocation;
     Alcotest.test_case "standardized splits shared" `Quick test_standardized_shared;
     Alcotest.test_case "fusion overlap" `Quick test_feature_overlap;
     Alcotest.test_case "fusion can_fuse" `Quick test_can_fuse;

@@ -212,6 +212,35 @@ let test_predict_into_matches_predict_all () =
       done)
     Activation.all
 
+(* [predict_all_into] scores a split longer than its workspace window by
+   window, last window short, and equals [predict_all] on the whole split
+   for every workspace batch, including one longer than the split. *)
+let test_predict_all_into_matches_predict_all () =
+  Array.iter
+    (fun act ->
+      let rng = Rng.create 6 in
+      let m =
+        Mlp.create rng ~input_dim:5 ~hidden:[| 9; 4 |] ~output_dim:3
+          ~hidden_act:act ()
+      in
+      let src =
+        Array.init 23 (fun _ -> Array.init 5 (fun _ -> Rng.uniform rng (-3.) 3.))
+      in
+      List.iter
+        (fun batch ->
+          let dst = Array.make 23 (-1) in
+          Mlp.predict_all_into m (Mlp.make_workspace m ~batch) ~src ~dst;
+          Alcotest.(check (array int))
+            (Printf.sprintf "%s batch=%d" (Activation.name act) batch)
+            (Mlp.predict_all m src) dst)
+        [ 1; 4; 8; 23; 32 ])
+    Activation.all;
+  let m = Mlp.create (Rng.create 7) ~input_dim:2 ~hidden:[| 3 |] ~output_dim:2 () in
+  Alcotest.check_raises "lengths differ"
+    (Invalid_argument "Mlp.predict_all_into: |src| <> |dst|") (fun () ->
+      Mlp.predict_all_into m (Mlp.make_workspace m ~batch:2)
+        ~src:[| [| 0.; 0. |] |] ~dst:[||])
+
 let test_predict_into_rejects () =
   let m = small_mlp () in
   let ws = Mlp.make_workspace m ~batch:4 in
@@ -254,4 +283,6 @@ let suite =
     Alcotest.test_case "predict_into = predict_all" `Quick
       test_predict_into_matches_predict_all;
     Alcotest.test_case "predict_into rejects" `Quick test_predict_into_rejects;
+    Alcotest.test_case "predict_all_into = predict_all" `Quick
+      test_predict_all_into_matches_predict_all;
   ]

@@ -11,6 +11,8 @@ module Par = Homunculus_par.Par
 module Faultplan = Homunculus_resilience.Faultplan
 module Journal = Homunculus_resilience.Journal
 module Supervisor = Homunculus_resilience.Supervisor
+module Json = Homunculus_util.Json
+module Ir_io = Homunculus_backends.Ir_io
 
 let temp_journal () = Filename.temp_file "homunculus_journal" ".jsonl"
 
@@ -377,6 +379,53 @@ let test_journal_merge () =
   Sys.remove pa;
   Sys.remove pb
 
+(* Model lines: a second kind of journal line, stored beside the replay
+   table and outside every evaluation count. *)
+let sample_payload =
+  Json.Object
+    [ ("model", Json.String "opaque"); ("objective", Json.String "0x1.cp-1") ]
+
+let test_journal_model_lines () =
+  let path = temp_journal () in
+  let j = Journal.open_ path in
+  ignore (Journal.append j (List.hd sample_records));
+  Journal.append_model j ~scope:"blobs/tree" ~config:some_config sample_payload;
+  ignore (Journal.append j (List.nth sample_records 1));
+  Alcotest.(check int) "appended counts records only" 2 (Journal.appended j);
+  Journal.close j;
+  let replay = Journal.load path in
+  Alcotest.(check bool) "payload round-trips" true
+    (match Journal.find_model replay ~scope:"blobs/tree" ~config:some_config with
+    | Some p -> Json.equal p sample_payload
+    | None -> false);
+  Alcotest.(check bool) "keyed by scope" true
+    (Journal.find_model replay ~scope:"other/tree" ~config:some_config = None);
+  Alcotest.(check bool) "keyed by config" true
+    (Journal.find_model replay ~scope:"blobs/tree" ~config:other_config = None);
+  Alcotest.(check int) "loaded counts records only" 2 (Journal.loaded replay);
+  Alcotest.(check int) "nothing dropped" 0 (Journal.dropped replay);
+  let raw, read_replay = Journal.read path in
+  Alcotest.(check int) "read lists records only" 2 (List.length raw);
+  Alcotest.(check int) "read's table counts records only" 2
+    (Journal.loaded read_replay);
+  Alcotest.(check int) "records lists records only" 2
+    (List.length (Journal.records path));
+  let lines =
+    String.split_on_char '\n'
+      (In_channel.with_open_text path In_channel.input_all)
+    |> List.filter (fun l -> l <> "")
+  in
+  Alcotest.(check int) "three lines on disk" 3 (List.length lines);
+  Alcotest.(check bool) "record_of_line ignores the model line" true
+    (Journal.record_of_line (List.nth lines 1) = None);
+  Alcotest.(check bool) "merge drops model lines" true
+    (Journal.find_model (Journal.merge [ replay ]) ~scope:"blobs/tree"
+       ~config:some_config
+    = None);
+  Alcotest.(check int) "merge keeps the records" 2
+    (Journal.loaded (Journal.merge [ replay ]));
+  Sys.remove path
+
 (* Supervisor unit behavior *)
 
 let ok_eval : Bo.Optimizer.evaluation =
@@ -705,6 +754,201 @@ let test_resume_preserves_failure_records () =
     (histories_identical first.Compiler.history resumed.Compiler.history);
   Sys.remove path
 
+(* A resume never retrains. The journaling search records each scope's
+   winner in one model line; a resume of the finished journal replays every
+   evaluation and takes the winner from that line, so it trains nothing, and
+   its winner (model JSON, objective, verdict, emitted code) is the
+   search's. *)
+let journaled_search ?spec ?platform ~seed path =
+  let j = Journal.open_ path in
+  let r =
+    run_search ~supervisor:(Supervisor.create ~journal:j ()) ?spec ?platform
+      ~seed ()
+  in
+  Journal.close j;
+  r
+
+let trained_by f =
+  Evaluator.Timing.reset ();
+  let r = f () in
+  (r, (Evaluator.Timing.snapshot ()).Evaluator.Timing.evaluations)
+
+let check_same_winner name (a : Compiler.model_result) (b : Compiler.model_result) =
+  let model (r : Compiler.model_result) =
+    Json.to_string (Ir_io.to_json r.Compiler.artifact.Evaluator.model_ir)
+  in
+  Alcotest.(check string) (name ^ ": model JSON") (model a) (model b);
+  Alcotest.(check (option string)) (name ^ ": emitted code") a.Compiler.code
+    b.Compiler.code;
+  Alcotest.(check int64) (name ^ ": objective bits")
+    (Int64.bits_of_float a.Compiler.artifact.Evaluator.objective)
+    (Int64.bits_of_float b.Compiler.artifact.Evaluator.objective);
+  Alcotest.(check bool) (name ^ ": verdict") true
+    (a.Compiler.artifact.Evaluator.verdict = b.Compiler.artifact.Evaluator.verdict);
+  Alcotest.(check int) (name ^ ": epochs trained")
+    a.Compiler.artifact.Evaluator.epochs_trained
+    b.Compiler.artifact.Evaluator.epochs_trained;
+  Alcotest.(check bool) (name ^ ": history") true
+    (histories_identical a.Compiler.history b.Compiler.history)
+
+let svm_spec () = Test_core.blob_spec ~name:"rsvm" ~algorithms:[ Model_spec.Svm ] ()
+
+let test_resume_trains_nothing () =
+  List.iter
+    (fun (name, spec, platform) ->
+      let path = temp_journal () in
+      let cold = journaled_search ~spec ~platform ~seed:11 path in
+      let resumed, trained =
+        trained_by (fun () ->
+            run_search
+              ~supervisor:(Supervisor.create ~replay:(Journal.load path) ())
+              ~spec ~platform ~seed:11 ())
+      in
+      Alcotest.(check int) (name ^ ": resume trains nothing") 0 trained;
+      check_same_winner name cold resumed;
+      Sys.remove path)
+    [
+      ("dnn", dnn_spec (), Platform.fpga ());
+      ("svm", svm_spec (), Platform.tofino ());
+    ]
+
+let lines_of path =
+  String.split_on_char '\n' (In_channel.with_open_text path In_channel.input_all)
+  |> List.filter (fun l -> l <> "")
+
+let is_model_line l = Json.member_opt (Json.of_string l) "model" <> None
+
+(* A model line that is torn, fails its checksum, or carries a payload that
+   does not parse counts as absent: the winner is rebuilt (one training),
+   and comes out the same. *)
+let test_unusable_model_line_rebuilds () =
+  let path = temp_journal () in
+  let cold = journaled_search ~seed:11 path in
+  let lines = lines_of path in
+  let records = List.filter (fun l -> not (is_model_line l)) lines in
+  let model = List.find is_model_line lines in
+  let flip s =
+    let b = Bytes.of_string s in
+    let i = String.length s - 20 in
+    Bytes.set b i (if Bytes.get b i = '0' then '1' else '0');
+    Bytes.to_string b
+  in
+  let bad_payload =
+    let j = Journal.open_ path in
+    Journal.append_model j ~scope:"rblobs/tree"
+      ~config:cold.Compiler.artifact.Evaluator.config
+      (Json.Object [ ("model", Json.Null) ]);
+    Journal.close j;
+    List.nth (lines_of path) (List.length lines)
+  in
+  List.iter
+    (fun (name, line, dropped) ->
+      let write_path = temp_journal () in
+      Out_channel.with_open_text write_path (fun oc ->
+          List.iter (fun l -> Out_channel.output_string oc (l ^ "\n")) records;
+          Out_channel.output_string oc line);
+      let replay = Journal.load write_path in
+      Alcotest.(check int) (name ^ ": loaded") (List.length records)
+        (Journal.loaded replay);
+      Alcotest.(check int) (name ^ ": dropped") dropped (Journal.dropped replay);
+      let resumed, trained =
+        trained_by (fun () ->
+            run_search ~supervisor:(Supervisor.create ~replay ()) ~seed:11 ())
+      in
+      Alcotest.(check int) (name ^ ": winner rebuilt") 1 trained;
+      check_same_winner name cold resumed;
+      Sys.remove write_path)
+    [
+      ("torn", String.sub model 0 (String.length model / 2), 1);
+      ("checksum", flip model ^ "\n", 1);
+      ("payload", bad_payload ^ "\n", 0);
+    ];
+  Sys.remove path
+
+(* Kill the search right after its last evaluation record, before it can
+   record its winner: the resume replays everything, rebuilds the winner
+   and records it, leaving exactly the journal a cold run writes. One
+   worker, so both runs append in proposal order. A further resume finds
+   the model line and appends nothing. *)
+let test_kill_after_last_record_journal () =
+  Par.set_default_jobs 1;
+  Fun.protect ~finally:(fun () -> Par.set_default_jobs (Par.recommended_jobs ()))
+    (fun () ->
+      let cold_path = temp_journal () in
+      ignore (journaled_search ~seed:11 cold_path : Compiler.model_result);
+      let count keep path = List.length (List.filter keep (lines_of path)) in
+      let total = count (fun l -> not (is_model_line l)) cold_path in
+      let path = temp_journal () in
+      let j = Journal.open_ path in
+      (match
+         run_search
+           ~supervisor:
+             (Supervisor.create ~journal:j
+                ~faults:
+                  (Faultplan.create [ Faultplan.Kill_after { records = total } ])
+                ())
+           ~seed:11 ()
+       with
+      | (_ : Compiler.model_result) ->
+          Alcotest.fail "search survived its own crash"
+      | exception Faultplan.Killed _ -> ());
+      Journal.close j;
+      Alcotest.(check int) "killed before the model line" 0
+        (count is_model_line path);
+      let resume () =
+        let replay = Journal.load path in
+        let j = Journal.open_ path in
+        let _, trained =
+          trained_by (fun () ->
+              run_search
+                ~supervisor:(Supervisor.create ~journal:j ~replay ())
+                ~seed:11 ())
+        in
+        Journal.close j;
+        trained
+      in
+      let trained = resume () in
+      Alcotest.(check int) "the winner is rebuilt once" 1 trained;
+      let read path = In_channel.with_open_bin path In_channel.input_all in
+      Alcotest.(check string) "journal byte-identical to a cold run's"
+        (read cold_path) (read path);
+      Alcotest.(check int) "exactly one model line" 1 (count is_model_line path);
+      let trained = resume () in
+      Alcotest.(check int) "a second resume trains nothing" 0 trained;
+      Alcotest.(check string) "and appends nothing" (read cold_path) (read path);
+      Sys.remove cold_path;
+      Sys.remove path)
+
+(* A scalarized search journals the scalarized score as each evaluation's
+   objective; its model line carries the artifact's own objective, so a
+   resumed trade-off search reports the raw objective, not the score. *)
+let test_tradeoff_resume_keeps_raw_objective () =
+  let spec = tree_spec () and platform = Platform.tofino () in
+  let tradeoff supervisor =
+    Compiler.search_tradeoff
+      ~options:(search_options ~supervisor ~seed:11 ())
+      ~n_scalarizations:2 platform spec
+  in
+  let path = temp_journal () in
+  let j = Journal.open_ path in
+  let cold = tradeoff (Supervisor.create ~journal:j ()) in
+  Journal.close j;
+  let resumed, trained =
+    trained_by (fun () -> tradeoff (Supervisor.create ~replay:(Journal.load path) ()))
+  in
+  Alcotest.(check int) "resume trains nothing" 0 trained;
+  let summary (points : Compiler.tradeoff_point list) =
+    List.map
+      (fun (p : Compiler.tradeoff_point) ->
+        ( Bo.Config.to_string p.artifact.Evaluator.config,
+          Int64.bits_of_float p.artifact.Evaluator.objective,
+          Int64.bits_of_float p.resource_fraction ))
+      points
+  in
+  Alcotest.(check (list (triple string int64 int64)))
+    "same points, raw objectives" (summary cold) (summary resumed);
+  Sys.remove path
+
 let suite =
   [
     Alcotest.test_case "faultplan round trip" `Quick test_faultplan_roundtrip;
@@ -725,6 +969,7 @@ let suite =
     Alcotest.test_case "journal single-pass read" `Quick
       test_journal_read_single_pass;
     Alcotest.test_case "journal deterministic merge" `Quick test_journal_merge;
+    Alcotest.test_case "journal model lines" `Quick test_journal_model_lines;
     Alcotest.test_case "supervisor transient retry" `Quick
       test_supervisor_transient_retry;
     Alcotest.test_case "supervisor hard failure tagged" `Quick
@@ -744,6 +989,13 @@ let suite =
       test_search_with_injected_nan_loss;
     Alcotest.test_case "kill-at-every-record resume is deterministic" `Slow
       test_kill_and_resume_deterministic;
+    Alcotest.test_case "resume trains nothing" `Quick test_resume_trains_nothing;
+    Alcotest.test_case "unusable model line rebuilds the winner" `Quick
+      test_unusable_model_line_rebuilds;
+    Alcotest.test_case "kill after the last record, resume, cold journal" `Quick
+      test_kill_after_last_record_journal;
+    Alcotest.test_case "tradeoff resume keeps the raw objective" `Quick
+      test_tradeoff_resume_keeps_raw_objective;
     Alcotest.test_case "resume preserves failure records" `Quick
       test_resume_preserves_failure_records;
   ]
